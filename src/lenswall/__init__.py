@@ -1,9 +1,10 @@
 """lenswall: exact eta invariants of flip-spun lens spaces and signed
 wall-crossing bookkeeping for one-parameter families.
 
-Everything on the exact path is arbitrary-precision rational or
-cyclotomic arithmetic; floating point appears only in the embedding
-cross-checks and the disc-model figures.
+Everything on the exact path is integer, rational or cyclotomic
+arithmetic: the rho/eta tables and the matching run on integers, the
+rewritten eta sums and the Fourier identity in Q(zeta_n).  Floating point
+appears only in the embedding cross-checks and the disc-model figures.
 """
 
 __version__ = "0.1.0"

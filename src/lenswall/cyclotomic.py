@@ -246,9 +246,6 @@ class Cyclotomic:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
@@ -336,9 +333,6 @@ class Cyclotomic:
                 if r:
                     out[j] += c * r
         return Cyclotomic(n, out)
-
-    def conjugate(self) -> "Cyclotomic":
-        return self.galois(self.order - 1) if self.order > 2 else self
 
     def as_rational(self) -> Fraction:
         """The unique rational value, if the element lies in Q.

@@ -2,10 +2,14 @@
 lens spaces, Fourier coefficients of the eta sequence, and the matching
 condition that separates components of the psc moduli space.
 
-All sums are evaluated inside a single cyclotomic field per computation
-(Q(zeta_2p), or Q(zeta_p) for the odd-p variant) and only then collapsed
-to exact rationals, so comparisons downstream are exact equality of
-Fractions, never tolerance-based.
+The rho tables, and so the eta tables, the matching and the component
+classes built on them, run on integers: each table comes from a
+Dedekind-sum style recurrence with no field arithmetic.  The rewritten
+eta sums ("half-roots", "odd-p") and the Fourier closed forms are
+evaluated inside a single cyclotomic field (Q(zeta_2p), or Q(zeta_p))
+and only then collapsed to exact rationals, so they are independent
+checks of the integer path.  Comparisons downstream are exact equality
+of Fractions, never tolerance-based.
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ __all__ = [
     "component_classes",
 ]
 
-# Fields of degree up to phi(2*DEFAULT_MAX_P); larger inputs are rejected
-# with a resource error instead of running unbounded.
+# Guards the field paths (half-roots, odd-p, Fourier), whose cost grows
+# with the degree phi(2p), so larger inputs are rejected with a resource
+# error instead of running unbounded.  The integer rho tables are cheap,
+# but every eta entry point keeps this one bound so that one p is either
+# accepted or rejected everywhere.
 DEFAULT_MAX_P = 50
 
 ETA_FORMULAS = ("pinc-difference", "half-roots", "odd-p")
@@ -113,29 +120,28 @@ def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """Reduced eta invariants of L(n, q) for every character s = 0..n-1.
 
     Entry s is (1/n) * sum over lam with lam^n = 1, lam != 1 of
-    (lam^s - 1) lam^q / ((lam^q - 1)(lam - 1)), collapsed to an exact
-    rational.  The per-root base factors are shared across all s.
+    (lam^s - 1) lam^q / ((lam^q - 1)(lam - 1)).  Consecutive entries
+    differ by (1/n) * sum lam^(s+q) / (lam^q - 1).  Put x = lam^q, so
+    lam^(s+q) = x^(s*q^-1 + 1), and expand with the identity
+
+        1/(x - 1) = (1/n) * sum_{j=0}^{n-1} j x^j   (x^n = 1, x != 1).
+
+    Summing x^m over the nontrivial roots gives n - 1 when n | m and -1
+    otherwise, so only j = a_s = (-s*q^-1 - 1) mod n survives apart from
+    the constant -n(n-1)/2, and the table is exact from the recurrence
+
+        rho(0) = 0,  rho(s+1) - rho(s) = (n*a_s - n(n-1)/2) / n^2
+                                       = (2*a_s - n + 1) / (2n).
     """
     space = LensSpace(n, q)
     _check_budget((n + 1) // 2, max_p)
     n, q = space.n, space.q
-    if n == 1:
-        return (Fraction(0),)
-    base = []
-    for k in range(1, n):
-        b = _unit_inverse(n, (k * q) % n) * _unit_inverse(n, k)
-        base.append(b.times_root(k * q))
-    total = Cyclotomic.zero(n)
-    for b in base:
-        total = total + b
+    q_inv = pow(q, -1, n)
     values = []
+    acc = 0  # 2n * rho(s)
     for s in range(n):
-        acc = Cyclotomic.zero(n)
-        for k, b in enumerate(base, start=1):
-            acc = acc + b.times_root(k * s)
-        # NotRationalError here would mean an arithmetic bug: the summation
-        # set is Galois-stable, so the value is forced into Q.
-        values.append((acc - total).as_rational() / n)
+        values.append(Fraction(acc, 2 * n))
+        acc += 2 * ((-s * q_inv - 1) % n) - n + 1
     return tuple(values)
 
 

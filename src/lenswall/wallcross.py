@@ -27,6 +27,8 @@ from .lattice import (
     STANDARD_GRAM,
     IntegralLattice,
     Isometry,
+    _mat_mul,
+    _mat_vec,
     alpha_invariant,
     sw_formal_dimension,
 )
@@ -168,18 +170,14 @@ def _orbit_pairings(lattice, f, wall, omega0, n_max):
     forward = f.adjoint().matrix
     backward = f.matrix  # inverse of the adjoint
     pair = lambda v: lattice.pairing(v, w)
-
-    def step(mat, v):
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in mat)
-
     values = {0: pair(omega)}
     v = omega
     for n in range(1, n_max + 2):
-        v = step(forward, v)
+        v = _mat_vec(forward, v)
         values[n] = pair(v)
     v = omega
     for n in range(1, n_max + 1):
-        v = step(backward, v)
+        v = _mat_vec(backward, v)
         values[-n] = pair(v)
     for n in range(-n_max, n_max + 2):
         if values[n] == 0:
@@ -319,7 +317,7 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
     mat = f.adjoint().matrix
     v = start
     for n in range(1, bound + 1):
-        v = tuple(sum(row[j] * v[j] for j in range(len(v))) for row in mat)
+        v = _mat_vec(mat, v)
         if v == start:
             return OrbitStatus(finite=True, period=n, bound=bound)
     return OrbitStatus(finite=False, period=None, bound=bound)
@@ -344,21 +342,10 @@ def classify_isometry(lattice: IntegralLattice, f: Isometry) -> str:
     delta = tuple(
         tuple(g.matrix[i][j] - int(i == j) for j in range(n)) for i in range(n)
     )
-    cube = _mat_cube(delta)
+    cube = _mat_mul(_mat_mul(delta, delta), delta)
     if all(x == 0 for row in cube for x in row):
         return "parabolic"
     return "hyperbolic"
-
-
-def _mat_cube(m):
-    def mul(a, b):
-        n = len(a)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    return mul(mul(m, m), m)
 
 
 def disc_project(lattice: IntegralLattice, omega) -> tuple[float, float]:

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lenswall.cyclotomic import root_of_unity
 from lenswall.errors import ParameterError, ResourceBoundError
@@ -17,8 +19,15 @@ from lenswall.eta import (
     fourier_coefficient,
     fourier_unit_ratio,
     rho_lens,
+    rho_table,
 )
-from oracles import eta_float, eta_half_roots_float, eta_odd_p_float, rho_float
+from oracles import (
+    eta_float,
+    eta_half_roots_float,
+    eta_odd_p_float,
+    rho_float,
+    rho_table_cyclotomic,
+)
 
 
 def test_params_validation():
@@ -46,6 +55,30 @@ def test_rho_matches_float_oracle():
     for n, q in [(6, 1), (10, 3), (14, 5), (9, 4)]:
         for s in range(n):
             assert abs(rho_lens(n, q, s) - rho_float(n, q, s)) < 1e-9
+
+
+def test_rho_table_matches_cyclotomic_sum():
+    """The integer recurrence equals the exact root-of-unity sum in
+    Q(zeta_n) for every n in 1..20 and every q coprime to n (128 pairs)."""
+    pairs = [(n, q) for n in range(1, 21) for q in range(n) if gcd(q, n) == 1]
+    assert len(pairs) == 128
+    for n, q in pairs:
+        assert rho_table(n, q) == rho_table_cyclotomic(n, q), (n, q)
+
+
+@st.composite
+def _lens_characters(draw):
+    n = draw(st.integers(min_value=1, max_value=100))
+    q = draw(st.sampled_from([q for q in range(n) if gcd(q, n) == 1]))
+    s = draw(st.integers())
+    return n, q, s
+
+
+@given(_lens_characters())
+def test_rho_lens_matches_float_oracle_property(case):
+    """Any coprime (n, q) with n <= 100 (the default budget) and any s."""
+    n, q, s = case
+    assert abs(rho_lens(n, q, s) - rho_float(n, q, s % n)) < 1e-9
 
 
 def test_eta_frozen_values():
