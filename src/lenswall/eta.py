@@ -115,7 +115,6 @@ def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
     return (root_of_unity(n, m) + 1).inverse()
 
 
-@lru_cache(maxsize=None)
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """Reduced eta invariants of L(n, q) for every character s = 0..n-1.
 
@@ -135,7 +134,11 @@ def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """
     space = LensSpace(n, q)
     _check_budget((n + 1) // 2, max_p)
-    n, q = space.n, space.q
+    return _rho_values(space.n, space.q)
+
+
+@lru_cache(maxsize=None)
+def _rho_values(n: int, q: int) -> tuple[Fraction, ...]:
     q_inv = pow(q, -1, n)
     values = []
     acc = 0  # 2n * rho(s)
@@ -150,15 +153,28 @@ def rho_lens(n: int, q: int, s: int, max_p: int | None = None) -> Fraction:
     return rho_table(n, q, max_p)[s % n if n > 1 else 0]
 
 
-@lru_cache(maxsize=None)
 def eta_table(p: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """eta(X(p), g_{p,q}, alpha_s) for s = 0..2p-1, via the difference of
     lens-space rho invariants at characters s and s+p."""
     space = FlipSpun(p, q)
     _check_budget(space.p, max_p)
-    rho = rho_table(2 * space.p, space.q, max_p)
-    n = 2 * space.p
-    return tuple(rho[s] - rho[(s + space.p) % n] for s in range(n))
+    return _eta_values(space.p, space.q)
+
+
+@lru_cache(maxsize=None)
+def _eta_values(p: int, q: int) -> tuple[Fraction, ...]:
+    n = 2 * p
+    rho = _rho_values(n, q)
+    return tuple(rho[s] - rho[(s + p) % n] for s in range(n))
+
+
+# The tables are cached on the normalized (n, q mod n) and (p, q mod 2p)
+# only, so the budget check above runs on every call.  The public names
+# expose the caches for inspection and reset.
+rho_table.cache_info = _rho_values.cache_info
+rho_table.cache_clear = _rho_values.cache_clear
+eta_table.cache_info = _eta_values.cache_info
+eta_table.cache_clear = _eta_values.cache_clear
 
 
 def eta_flipspun(p: int, q: int, s: int, max_p: int | None = None) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 
 from .errors import (
     ConeError,
@@ -27,6 +28,7 @@ from .lattice import (
     STANDARD_GRAM,
     IntegralLattice,
     Isometry,
+    _identity,
     _mat_mul,
     _mat_vec,
     alpha_invariant,
@@ -95,15 +97,20 @@ class SpinCData:
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """Crossing record of one orbit sweep.  crossings maps step index n to
-    the signed contribution of the segment from orbit point n to n+1
-    (already multiplied by the oracle value); indices with zero
-    contribution are omitted.  total is their sum."""
+    """Crossing record of one orbit.  crossings maps step index n to the
+    signed contribution of the segment from orbit point n to n+1 (already
+    multiplied by the oracle value); indices with zero contribution are
+    omitted.  total is their sum.  steps_used is the number of segments the
+    record covers, and stabilized says whether the wall side is known to
+    stay fixed beyond them.  method names how the record was computed:
+    "certificate" (closed form of the orbit pairing) or "sweep" (step by
+    step)."""
 
     crossings: dict[int, int]
     total: int = field(init=False)
     stabilized: bool = True
     steps_used: int = 0
+    method: str = "sweep"
 
     def __post_init__(self):
         object.__setattr__(self, "total", sum(self.crossings.values()))
@@ -162,6 +169,105 @@ def segment_crossing(lattice: IntegralLattice, wall: WallClass, u, v) -> int:
     return (_sign(b) - _sign(a)) // 2
 
 
+def _on_wall(n: int) -> GenericityError:
+    return GenericityError(f"orbit point at step {n} lies on the wall; perturb the starting ray")
+
+
+def _unstable(n_max: int) -> StabilizationError:
+    return StabilizationError(
+        f"wall side has not stabilized within {n_max} steps; "
+        "the map may not be parabolic for this wall"
+    )
+
+
+def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
+    if alpha_invariant(f) != 1:
+        raise ParameterError("orbit sums require an orientation-coherent map (alpha = +1)")
+    spinc.validate(lattice)
+    if n_max < 1:
+        raise ParameterError("n_max must be positive")
+
+
+# An integer matrix of size <= 3 whose eigenvalues are roots of unity has
+# them of order 1, 2, 3, 4 or 6, so such a matrix has a unipotent power
+# with exponent dividing 12 (and a finite-order one has f^12 = id).
+_UNIPOTENT_EXPONENTS = (1, 2, 3, 4, 6, 12)
+
+
+def _unipotent_power(mat):
+    """(m, N, N^2) for the least m in 1, 2, 3, 4, 6, 12 such that
+    N = mat^m - I has N^3 = 0, or None when there is no such m (hyperbolic
+    maps).  Then mat^(m*k) = I + k*N + k(k-1)/2 * N^2 for every integer k,
+    negative k included."""
+    power, done = _identity(len(mat)), 0
+    for m in _UNIPOTENT_EXPONENTS:
+        for _ in range(m - done):
+            power = _mat_mul(power, mat)
+        done = m
+        nil = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(power))
+        square = _mat_mul(nil, nil)
+        if not any(any(row) for row in _mat_mul(square, nil)):
+            return m, nil, square
+    return None
+
+
+def _root_brackets(a: int, b: int, c: int) -> list[tuple[int, int]]:
+    """Integer intervals holding the floor and the ceiling of every real
+    root of P(k) = a + b*k + c*k(k-1)/2, so P keeps one sign on each run of
+    integers that avoids them."""
+    quad, lin, const = c, 2 * b - c, 2 * a  # 2P(k) = quad*k^2 + lin*k + const
+    if quad < 0:
+        quad, lin, const = -quad, -lin, -const
+    if quad == 0:
+        return [] if lin == 0 else [(-const // lin, -(const // lin))]
+    disc = lin * lin - 4 * quad * const
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)  # root <= sqrt(disc) < root + 1
+    den = 2 * quad
+    return [
+        ((-lin - root - 1) // den, -((lin + root) // den)),
+        ((-lin + root) // den, -((lin - root - 1) // den)),
+    ]
+
+
+def _sign_segments(sign, brackets, lo: int, hi: int, period: int) -> list[tuple]:
+    """Cover the steps lo..hi by segments (start, end, pattern) in ascending
+    order; step n of a segment has the sign pattern[(n - start) % len(pattern)].
+
+    Steps inside the brackets are evaluated one by one.  Between brackets the
+    sign depends only on the step mod period, so a gap keeps the signs of its
+    first period steps, or a single sign when they agree."""
+    segments = []
+    start = lo
+    for a, b in sorted(brackets) + [(hi + 1, hi)]:  # the empty last bracket closes the last gap
+        if a > start:
+            pattern = tuple(sign(n) for n in range(start, min(a, start + period)))
+            segments.append((start, a - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
+            start = a
+        if b >= start:
+            segments.append((start, b, tuple(sign(n) for n in range(start, b + 1))))
+            start = b + 1
+    return segments
+
+
+def _samples(segments, lo: int, hi: int, every_step: bool = False):
+    """(n, sign) for steps of lo..hi in ascending order.  Each segment yields
+    its first pattern period and its last step, which shows every sign it
+    takes.  With every_step a segment whose sign varies yields all its steps,
+    so two consecutive samples with different signs are neighbouring steps."""
+    for start, end, pattern in segments:
+        first, last = max(start, lo), min(end, hi)
+        if first > last:
+            continue
+        period = len(pattern)
+        stop = last if every_step and period > 1 else min(last, first + period - 1)
+        for n in range(first, stop + 1):
+            yield n, pattern[(n - start) % period]
+        if stop < last:
+            yield last, pattern[(last - start) % period]
+
+
 def _orbit_pairings(lattice, f, wall, omega0, n_max):
     """Pairings <A^n omega0, w> for n = -n_max .. n_max+1 with A the dual
     action of f; all integer arithmetic after clearing denominators."""
@@ -181,10 +287,36 @@ def _orbit_pairings(lattice, f, wall, omega0, n_max):
         values[-n] = pair(v)
     for n in range(-n_max, n_max + 2):
         if values[n] == 0:
-            raise GenericityError(
-                f"orbit point at step {n} lies on the wall; perturb the starting ray"
-            )
+            raise _on_wall(n)
     return values
+
+
+def _orbit_sweep(
+    lattice: IntegralLattice,
+    f: Isometry,
+    spinc: SpinCData,
+    omega0,
+    wall: WallClass,
+    n_max: int = 1000,
+    stab_window: int = 16,
+) -> OrbitSummary:
+    """orbit_swtot by stepping the orbit through every n in
+    [-n_max, n_max + 1].  Used for maps with no unipotent power, and as the
+    reference the certificate is tested against."""
+    _check_orbit_inputs(lattice, f, spinc, n_max)
+    window = min(stab_window, n_max)
+    values = _orbit_pairings(lattice, f, wall, omega0, n_max)
+    signs = {n: _sign(v) for n, v in values.items()}
+    crossings = {}
+    for n in range(-n_max, n_max + 1):
+        c = (signs[n + 1] - signs[n]) // 2
+        if c and spinc.sw_x:
+            crossings[n] = c * spinc.sw_x
+    low = [signs[n] for n in range(-n_max, -n_max + window)]
+    high = [signs[n] for n in range(n_max + 2 - window, n_max + 2)]
+    if len(set(low)) != 1 or len(set(high)) != 1:
+        raise _unstable(n_max)
+    return OrbitSummary(crossings=crossings, steps_used=2 * n_max + 1)
 
 
 def orbit_swtot(
@@ -199,32 +331,71 @@ def orbit_swtot(
     """Total signed wall-crossing count of the orbit of omega0, times the
     oracle invariant of the closed piece.
 
-    Sums the segment crossings for n in [-n_max, n_max] and certifies the
-    tails: the wall side must be constant over the last stab_window steps
-    at both ends, otherwise StabilizationError is raised (no total is
-    reported for an uncertified sweep).
+    The record covers the segments from step n to n+1 for n in
+    [-n_max, n_max], so steps_used = 2*n_max + 1 whatever the method.  A
+    point on the wall at a step in [-n_max, n_max + 1] raises
+    GenericityError for the first such step.  The wall side must then be
+    constant over the last min(stab_window, n_max) steps at both ends,
+    otherwise StabilizationError is raised (no total is reported for an
+    uncertified orbit).
+
+    When the dual action A of f has a power A^m = I + N with N^3 = 0
+    (parabolic and elliptic maps), the pairing at step n = m*k + r is the
+    integer quadratic a_r + b_r*k + c_r*k(k-1)/2 with a_r = <A^r omega0, w>,
+    b_r = <N A^r omega0, w> and c_r = <N^2 A^r omega0, w>.  Its sign can change
+    only near the roots, which integer square roots bound, and elsewhere it
+    depends on r alone; so a few closed-form evaluations certify the whole
+    range in time independent of n_max (method "certificate"), and
+    stabilized says whether the sign provably stays fixed beyond both ends.
+    Other maps are stepped through the range (method "sweep", stabilized
+    always True).
     """
-    if alpha_invariant(f) != 1:
-        raise ParameterError("orbit sums require an orientation-coherent map (alpha = +1)")
-    spinc.validate(lattice)
-    if n_max < 1:
-        raise ParameterError("n_max must be positive")
+    _check_orbit_inputs(lattice, f, spinc, n_max)
+    omega = _integerize(cone_point(lattice, omega0))
+    w = _integerize(wall.vector())
+    forward = f.adjoint().matrix
+    certificate = _unipotent_power(forward)
+    if certificate is None:
+        return _orbit_sweep(lattice, f, spinc, omega0, wall, n_max, stab_window)
+    m, nil, square = certificate
+    coeffs, brackets = [], []
+    v = omega
+    for r in range(m):
+        a, b, c = (lattice.pairing(u, w) for u in (v, _mat_vec(nil, v), _mat_vec(square, v)))
+        coeffs.append((a, b, c))
+        brackets += [(m * lo + r, m * hi + r) for lo, hi in _root_brackets(a, b, c)]
+        v = _mat_vec(forward, v)
+
+    def sign(n):
+        k, r = divmod(n, m)
+        a, b, c = coeffs[r]
+        return _sign(a + b * k + c * (k * (k - 1) // 2))
+
+    # m steps past every bracket and past both ends show the sign of each
+    # residue on the unbounded stretches beyond
+    lo = min([-n_max] + [x for x, _ in brackets]) - m
+    hi = max([n_max + 1] + [y for _, y in brackets]) + m
+    segments = _sign_segments(sign, brackets, lo, hi, m)
+    for n, s in _samples(segments, -n_max, n_max + 1):
+        if s == 0:
+            raise _on_wall(n)
+    sides = lambda first, last: {s for _, s in _samples(segments, first, last)}
     window = min(stab_window, n_max)
-    values = _orbit_pairings(lattice, f, wall, omega0, n_max)
-    signs = {n: _sign(v) for n, v in values.items()}
+    low = sides(-n_max, -n_max + window - 1)
+    high = sides(n_max + 2 - window, n_max + 1)
+    if len(low) != 1 or len(high) != 1:
+        raise _unstable(n_max)
     crossings = {}
-    for n in range(-n_max, n_max + 1):
-        c = (signs[n + 1] - signs[n]) // 2
-        if c and spinc.sw_x:
-            crossings[n] = c * spinc.sw_x
-    low = [signs[n] for n in range(-n_max, -n_max + window)]
-    high = [signs[n] for n in range(n_max + 2 - window, n_max + 2)]
-    if len(set(low)) != 1 or len(set(high)) != 1:
-        raise StabilizationError(
-            f"wall side has not stabilized within {n_max} steps; "
-            "the map may not be parabolic for this wall"
-        )
-    return OrbitSummary(crossings=crossings, steps_used=2 * n_max + 1)
+    if spinc.sw_x:
+        for (n, s), (_, t) in pairwise(_samples(segments, -n_max, n_max + 1, every_step=True)):
+            if s != t:
+                crossings[n] = (t - s) // 2 * spinc.sw_x
+    return OrbitSummary(
+        crossings=crossings,
+        stabilized=len(sides(lo, -n_max)) == 1 and len(sides(n_max + 1, hi)) == 1,
+        steps_used=2 * n_max + 1,
+        method="certificate",
+    )
 
 
 def unique_crossing_index(
@@ -265,8 +436,8 @@ def power_swtot(
     """Total for the d-th power of the map, in the infinite-orbit regime.
 
     Requires the spin-c orbit to show no return within n_max steps; the
-    result provably equals the total for f itself, and both sweeps are run
-    so the equality is checked rather than assumed.
+    result provably equals the total for f itself, and both totals are
+    computed and compared, so the equality is checked rather than assumed.
     """
     if d < 1:
         raise ParameterError(f"power must be a positive integer, got {d}")
@@ -309,43 +480,40 @@ def finite_orbit_swtot(orbit_size: int, edge_values, d: int) -> int:
 
 
 def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) -> OrbitStatus:
-    """Iterate c1 under the dual action of f; report the period if the
-    class returns within the bound, else no-return-within-bound."""
+    """Iterate c1 under the dual action A of f; report the period if the
+    class returns within the bound, else no-return-within-bound.
+
+    When A^m = I + N with N^3 = 0 a finite orbit has period dividing m, so
+    at most min(bound, m) steps are taken: were N c1 != 0 and
+    A^(m*k) c1 = c1 for some k >= 1, applying N to
+    k*N c1 + k(k-1)/2 * N^2 c1 = 0 would give N^2 c1 = 0, hence
+    k*N c1 = 0; so a finite orbit has N c1 = 0 and A^m c1 = c1.  Other maps
+    are stepped up to the bound."""
     if bound < 1:
         raise ParameterError("bound must be positive")
     start = tuple(int(x) for x in c1)
     mat = f.adjoint().matrix
+    certificate = _unipotent_power(mat)
+    steps = bound if certificate is None else min(bound, certificate[0])
     v = start
-    for n in range(1, bound + 1):
+    for n in range(1, steps + 1):
         v = _mat_vec(mat, v)
         if v == start:
             return OrbitStatus(finite=True, period=n, bound=bound)
     return OrbitStatus(finite=False, period=None, bound=bound)
 
 
-# Roots of unity that can occur as eigenvalues of an integer matrix of size
-# <= 3 have order in {1, 2, 3, 4, 6}, so any finite-order element satisfies
-# f^12 = id, and all eigenvalues lie on the unit circle iff f^12 is unipotent.
-_FINITE_ORDER_EXPONENT = 12
-
-
 def classify_isometry(lattice: IntegralLattice, f: Isometry) -> str:
     """Elliptic (finite order), parabolic (infinite order, all eigenvalues
     on the unit circle) or hyperbolic (spectral radius > 1), decided with
-    exact integer arithmetic on a signature (1,2) lattice."""
+    exact integer arithmetic on a signature (1,2) lattice: f is elliptic iff
+    its unipotent power is the identity, and hyperbolic iff it has none."""
     if lattice.signature() != (1, 2, 0):
         raise ParameterError(f"classification needs signature (1,2), got {lattice.signature()}")
-    g = f.power(_FINITE_ORDER_EXPONENT)
-    if g.is_identity():
-        return "elliptic"
-    n = lattice.rank
-    delta = tuple(
-        tuple(g.matrix[i][j] - int(i == j) for j in range(n)) for i in range(n)
-    )
-    cube = _mat_mul(_mat_mul(delta, delta), delta)
-    if all(x == 0 for row in cube for x in row):
-        return "parabolic"
-    return "hyperbolic"
+    certificate = _unipotent_power(f.matrix)
+    if certificate is None:
+        return "hyperbolic"
+    return "parabolic" if any(any(row) for row in certificate[1]) else "elliptic"
 
 
 def disc_project(lattice: IntegralLattice, omega) -> tuple[float, float]:

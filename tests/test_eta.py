@@ -215,6 +215,27 @@ def test_resource_bound():
     assert eta_flipspun(51, 1, 0, max_p=51) == -eta_flipspun(51, 1, 51, max_p=51)
 
 
+def test_table_caches_key_on_normalized_parameters():
+    rho_table.cache_clear()
+    eta_table.cache_clear()
+    assert rho_table(6, 1) is rho_table(6, 1, 50) is rho_table(6, 7)
+    info = rho_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert eta_table(3, 1) is eta_table(3, 7)
+    info = eta_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_cached_table_keeps_the_budget():
+    # a table cached under a raised budget is still refused at the default
+    assert len(rho_table(102, 1, max_p=51)) == 102
+    assert len(eta_table(51, 1, max_p=51)) == 102
+    with pytest.raises(ResourceBoundError):
+        rho_table(102, 1)
+    with pytest.raises(ResourceBoundError):
+        eta_table(51, 1)
+
+
 def test_eta_table_consistency():
     table = eta_table(5, 3)
     assert len(table) == 10

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenswall.errors import (
     ConeError,
     GenericityError,
+    LenswallError,
     ParameterError,
     UniquenessViolationError,
 )
@@ -15,11 +18,13 @@ from lenswall.lattice import (
     SIGMA_PLUS,
     IntegralLattice,
     Isometry,
+    _mat_vec,
     identity_isometry,
     reflection_sphere,
     standard_lattice,
 )
 from lenswall.wallcross import (
+    OrbitStatus,
     OrbitSummary,
     SpinCData,
     WallClass,
@@ -34,6 +39,7 @@ from lenswall.wallcross import (
     unique_crossing_index,
     wall_evaluate,
 )
+from lenswall.wallcross import _orbit_pairings, _orbit_sweep, _unipotent_power
 
 C1 = (1, 1, 1)
 
@@ -146,6 +152,7 @@ def test_orbit_swtot_default_scenario(lat, parabolic, wall, spinc):
     assert list(summary.crossings) == [0]
     assert summary.stabilized
     assert summary.steps_used == 2001
+    assert summary.method == "certificate"
 
 
 def test_orbit_swtot_random_rays(lat, parabolic, wall, spinc):
@@ -266,3 +273,112 @@ def test_disc_project(lat):
 def test_orbit_summary_total_is_sum():
     summary = OrbitSummary(crossings={2: 1, -5: -1, 7: 1}, steps_used=33)
     assert summary.total == 1
+
+
+ROTATION = ((1, 0, 0), (0, 0, -1), (0, 1, 0))  # order 4, fixes (1, 0, 0)
+
+
+def orbit_maps(lat):
+    """Maps with a unipotent power of exponent 1, 2 and 4 (parabolic and
+    elliptic), and two hyperbolic products, which take the sweep."""
+    f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+    rotation = Isometry(lat, ROTATION)
+    refl = reflection_sphere(lat, SIGMA_PLUS)
+    return [
+        f, f.inverse(), f.power(2), f.power(3), rotation, rotation * f,
+        f * rotation, refl, f * refl, refl * rotation, rotation.power(2) * f,
+    ]
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        summary = fn(*args, **kwargs)
+    except LenswallError as exc:
+        return type(exc), str(exc)
+    return list(summary.crossings.items()), summary.total, summary.steps_used
+
+
+@st.composite
+def orbit_cases(draw):
+    lat = standard_lattice()
+    f = draw(st.sampled_from(orbit_maps(lat)))
+    y, z = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    x = math.isqrt(y * y + z * z) + draw(st.integers(1, 15))
+    scale = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    small = st.fractions(min_value=-1, max_value=1, max_denominator=9)
+    perturbation = draw(st.none() | st.tuples(small, small, small))
+    return dict(
+        lattice=lat,
+        f=f,
+        spinc=SpinCData(C1, sw_x=draw(st.sampled_from([0, 1, -3]))),
+        omega0=tuple(scale * c for c in (x, y, z)),
+        wall=WallClass(C1, perturbation),
+        n_max=draw(st.integers(1, 300)),
+        stab_window=draw(st.sampled_from([16, 16, 1, 3])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_cases())
+def test_orbit_certificate_matches_sweep(case):
+    """The closed-form certificate and the step-by-step sweep agree on the
+    crossings (in order), the total, steps_used, and the type and message
+    of any exception, for parabolic, elliptic and hyperbolic maps."""
+    assert outcome(orbit_swtot, **case) == outcome(_orbit_sweep, **case)
+
+
+def test_orbit_certificate_stabilized_flag(lat, parabolic, spinc):
+    # the perturbed wall is crossed at -2 and at 0; a window of one step
+    # each side sees only the crossing at 0, and says it is not the whole story
+    wall = WallClass(C1, (Fraction(1, 5), Fraction(0), Fraction(0)))
+    short = orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=1)
+    assert short.crossings == {0: 1} and short.total == 1
+    assert not short.stabilized and short.method == "certificate"
+    assert orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=100).stabilized
+
+
+def test_orbit_swtot_hyperbolic_takes_the_sweep(lat, spinc, wall):
+    hyperbolic = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
+    assert classify_isometry(lat, hyperbolic) == "hyperbolic"
+    assert _unipotent_power(hyperbolic.adjoint().matrix) is None
+    summary = orbit_swtot(lat, hyperbolic, spinc, (3, 2, 2), wall, n_max=50)
+    assert summary.method == "sweep" and summary.stabilized
+
+
+def test_paper_default_pairing_is_linear(lat, parabolic, wall):
+    """<A^n omega0, w> = -1 + 4n for the default scenario, both as the
+    certificate's coefficients and along the stepped orbit."""
+    m, nil, square = _unipotent_power(parabolic.adjoint().matrix)
+    omega, w = (3, 2, 2), (1, 1, 1)
+    orbit = (omega, _mat_vec(nil, omega), _mat_vec(square, omega))
+    coefficients = [lat.pairing(v, w) for v in orbit]
+    assert (m, coefficients) == (1, [-1, 4, 0])
+    values = _orbit_pairings(lat, parabolic, wall, omega, 50)
+    assert all(values[n] == -1 + 4 * n for n in range(-50, 52))
+
+
+def test_orbit_swtot_cost_does_not_grow_with_n_max(lat, parabolic, wall, spinc):
+    summary = orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=10**9)
+    assert summary.crossings == {0: 1}
+    assert summary.steps_used == 2 * 10**9 + 1
+
+
+def test_spinc_orbit_matches_step_loop(lat):
+    """spinc_orbit takes at most m steps on maps with a unipotent power; it
+    still reports no return when the bound is below the period."""
+    classes = [(1, 1, 1), (0, 1, -1), (1, 0, 0), (0, 1, 0), (2, -1, 3), (1, -1, 1)]
+    for f in orbit_maps(lat):
+        mat = f.adjoint().matrix
+        for c1 in classes:
+            for bound in (1, 2, 3, 4, 5, 12, 40):
+                expected = OrbitStatus(finite=False, period=None, bound=bound)
+                v = c1
+                for n in range(1, bound + 1):
+                    v = _mat_vec(mat, v)
+                    if v == c1:
+                        expected = OrbitStatus(finite=True, period=n, bound=bound)
+                        break
+                assert spinc_orbit(lat, f, c1, bound) == expected, (f, c1, bound)
+    rotation = Isometry(lat, ROTATION)
+    assert spinc_orbit(lat, rotation, (0, 1, 0), bound=3) == OrbitStatus(False, None, 3)
+    assert spinc_orbit(lat, rotation, (0, 1, 0), bound=4) == OrbitStatus(True, 4, 4)
