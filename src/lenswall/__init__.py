@@ -29,6 +29,7 @@ from .eta import (
     fourier_closed_form,
     fourier_coefficient,
     fourier_unit_ratio,
+    matching_sweep,
     rho_lens,
 )
 from .lattice import (

@@ -6,6 +6,10 @@ document on stdout with exact rationals serialized as "num/den" strings;
 success, 2 for parameter errors, 3 for genericity/stabilization errors,
 4 for resource-bound errors.
 
+sweep and components share one matching pass in eta; sweep reads its
+classes off its own table and runs in one process (--jobs is accepted and
+echoed but changes nothing).
+
 Environment: LENSWALL_MAX_P overrides the eta-side size budget,
 LENSWALL_SEARCH_BUDGET the metabolizer enumeration budget.
 """
@@ -16,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
 from . import __version__
@@ -27,6 +30,7 @@ from .eta import (
     component_classes,
     distinguish_metrics,
     eta_variant,
+    matching_sweep,
     rho_lens,
 )
 from .lattice import double_structure, metabolizer_check, metabolizer_search, sw_formal_dimension
@@ -39,24 +43,14 @@ EXIT_GENERICITY = 3
 EXIT_RESOURCE = 4
 
 
-def _env_max_p() -> int | None:
-    raw = os.environ.get("LENSWALL_MAX_P")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"LENSWALL_MAX_P must be an integer, got {raw!r}") from exc
-
-
-def _env_search_budget(default: int = 2_000_000) -> int:
-    raw = os.environ.get("LENSWALL_SEARCH_BUDGET")
+def _env_int(name: str, default: int | None = None) -> int | None:
+    raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError as exc:
-        raise ParameterError(f"LENSWALL_SEARCH_BUDGET must be an integer, got {raw!r}") from exc
+        raise ParameterError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _document(command: str, inputs: dict, results: dict, formula: str) -> dict:
@@ -73,7 +67,7 @@ def _document(command: str, inputs: dict, results: dict, formula: str) -> dict:
 
 
 def _cmd_rho(args) -> dict:
-    value = rho_lens(args.order, args.q, args.s, max_p=_env_max_p())
+    value = rho_lens(args.order, args.q, args.s, max_p=_env_int("LENSWALL_MAX_P"))
     results = {"value": format_rational(value)}
     if args.approx:
         results["value_approx"] = float(value)
@@ -86,7 +80,7 @@ def _cmd_rho(args) -> dict:
 
 
 def _cmd_eta(args) -> dict:
-    value = eta_variant(args.p, args.q, args.s, args.formula, max_p=_env_max_p())
+    value = eta_variant(args.p, args.q, args.s, args.formula, max_p=_env_int("LENSWALL_MAX_P"))
     results = {"value": format_rational(value)}
     if args.approx:
         results["value_approx"] = float(value)
@@ -99,7 +93,7 @@ def _cmd_eta(args) -> dict:
 
 
 def _cmd_distinguish(args) -> dict:
-    result = distinguish_metrics(args.p, args.q, args.qprime, max_p=_env_max_p())
+    result = distinguish_metrics(args.p, args.q, args.qprime, max_p=_env_int("LENSWALL_MAX_P"))
     return _document(
         "distinguish",
         {"p": args.p, "q": args.q, "qprime": args.qprime},
@@ -108,36 +102,19 @@ def _cmd_distinguish(args) -> dict:
     )
 
 
-def _sweep_cell(cell):
-    p, q, qp, max_p = cell
-    r = distinguish_metrics(p, q, qp, max_p=max_p)
-    return q, qp, list(r.matches)
-
-
 def _cmd_sweep(args) -> dict:
-    p = args.p
-    if p % 2 == 0:
-        raise ParameterError("p must be odd")
-    max_p = _env_max_p()
-    qs = [q for q in range(1, 2 * p) if q % 2 and gcd(q, 2 * p) == 1]
-    cells = [(p, q, qp, max_p) for q in qs for qp in qs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=8))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
-    table = [{"q": q, "qprime": qp, "matches": m} for q, qp, m in sorted(rows)]
-    classes = component_classes(p, max_p=max_p)
+    qs, table, classes = matching_sweep(args.p, max_p=_env_int("LENSWALL_MAX_P"))
+    rows = [{"q": q, "qprime": qp, "matches": list(m)} for (q, qp), m in table.items()]
     return _document(
         "sweep",
-        {"p": p, "jobs": args.jobs},
-        {"q_values": qs, "table": table, "classes": classes, "count": len(classes)},
+        {"p": args.p, "jobs": args.jobs},
+        {"q_values": qs, "table": rows, "classes": classes, "count": len(classes)},
         "eta-matching",
     )
 
 
 def _cmd_components(args) -> dict:
-    classes = component_classes(args.p, max_p=_env_max_p())
+    classes = component_classes(args.p, max_p=_env_int("LENSWALL_MAX_P"))
     return _document(
         "components",
         {"p": args.p},
@@ -152,7 +129,7 @@ def _scenario_inputs(args, scenario) -> dict:
 
 def _cmd_swtot(args) -> dict:
     scenario = load_scenario(args.scenario)
-    n_max = args.n_max or scenario.n_max
+    n_max = scenario.n_max if args.n_max is None else args.n_max
     summary = orbit_swtot(
         scenario.lattice(),
         scenario.isometry(),
@@ -178,7 +155,7 @@ def _cmd_orbit(args) -> dict:
     scenario = load_scenario(args.scenario)
     lat = scenario.lattice()
     f = scenario.isometry()
-    n_max = args.n_max or scenario.n_max
+    n_max = scenario.n_max if args.n_max is None else args.n_max
     status = spinc_orbit(lat, f, scenario.c1, bound=n_max)
     results = {
         "classification": classify_isometry(lat, f),
@@ -194,7 +171,8 @@ def _cmd_orbit(args) -> dict:
 def _cmd_metabolizer(args) -> dict:
     scenario = load_scenario(args.scenario)
     structure = double_structure(scenario.lattice(), scenario.isometry())
-    found = metabolizer_search(structure, args.bound, budget=_env_search_budget())
+    budget = _env_int("LENSWALL_SEARCH_BUDGET", 2_000_000)
+    found = metabolizer_search(structure, args.bound, budget=budget)
     results: dict = {"found": found is not None, "coefficient_bound": args.bound}
     if found is not None:
         results["vectors"] = [list(v) for v in found]
@@ -284,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="full matching table over all valid (q, q')")
     p_sweep.add_argument("--p", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="ignored; echoed as inputs.jobs")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_comp = sub.add_parser("components", help="moduli component classes for X(p)")

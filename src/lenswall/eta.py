@@ -37,6 +37,7 @@ __all__ = [
     "fourier_unit_ratio",
     "distinguish_metrics",
     "component_classes",
+    "matching_sweep",
 ]
 
 # Guards the field paths (half-roots, odd-p, Fourier), whose cost grows
@@ -262,56 +263,62 @@ def _odd_units(n: int) -> list[int]:
     return [a for a in range(1, n) if a % 2 == 1 and gcd(a, n) == 1]
 
 
-def distinguish_metrics(
-    p: int,
-    q: int,
-    q_prime: int,
-    max_p: int | None = None,
-    *,
-    experimental_even_p: bool = False,
-) -> MatchingResult:
+def _check_odd_p(p: int, max_p: int | None) -> None:
+    """The matching needs p odd, positive and within the size budget."""
+    if p % 2 == 0:
+        raise ParameterError("p must be odd")
+    if p < 1:
+        raise ParameterError(f"p must be positive, got {p}")
+    _check_budget(p, max_p)
+
+
+def _matches(n: int, table_q, table_qp) -> tuple[int, ...]:
+    """Every odd unit a mod n with table_q[s] == table_qp[a*s mod n] for all s."""
+    units = _odd_units(n)
+    return tuple(a for a in units if all(table_q[s] == table_qp[(a * s) % n] for s in range(n)))
+
+
+def _partition(units, related) -> list[list[int]]:
+    """Classes of units under the equivalence related(q, q'): each class is
+    the first remaining unit with every remaining unit related to it."""
+    remaining, classes = list(units), []
+    while remaining:
+        classes.append([q for q in remaining if related(remaining[0], q)])
+        remaining = [q for q in remaining if q not in classes[-1]]
+    return classes
+
+
+def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) -> MatchingResult:
     """Decide whether the metrics g_{p,q} and g_{p,q'} on X(p) can share a
     moduli-space component, by exhaustive exact comparison of eta tables.
 
     matches collects every unit a mod 2p with
     eta(p, q, s) = eta(p, q', a*s) for all s; the metrics are
     distinguishable iff no such a exists.  For odd p a match exists iff
-    q' = q^(+-1) mod 2p.  Even p is rejected unless the experimental flag
-    is set, in which case the match set is computed with no equivalence
-    asserted.
+    q' = q^(+-1) mod 2p.  Even p is rejected ("p must be odd").
     """
-    a_space = FlipSpun(p, q)
-    b_space = FlipSpun(p, q_prime)
-    if p % 2 == 0 and not experimental_even_p:
-        raise ParameterError(
-            "p must be odd (pass experimental_even_p=True to compute anyway)"
-        )
-    _check_budget(p, max_p)
-    n = 2 * p
-    table_q = eta_table(p, a_space.q, max_p)
-    table_qp = eta_table(p, b_space.q, max_p)
-    matches = tuple(
-        a
-        for a in _odd_units(n)
-        if all(table_q[s] == table_qp[(a * s) % n] for s in range(n))
-    )
-    return MatchingResult(p, a_space.q, b_space.q, matches)
+    left, right = FlipSpun(p, q), FlipSpun(p, q_prime)
+    _check_odd_p(p, max_p)
+    matches = _matches(2 * p, eta_table(p, left.q, max_p), eta_table(p, right.q, max_p))
+    return MatchingResult(p, left.q, right.q, matches)
 
 
 def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:
     """Partition of the valid rotation parameters q under the matching
     relation; the class count is a lower bound for the number of psc
     moduli-space components of X(p)."""
-    if p % 2 == 0:
-        raise ParameterError("p must be odd")
-    _check_budget(p, max_p)
-    remaining = _odd_units(2 * p)
-    classes: list[list[int]] = []
-    while remaining:
-        rep = remaining[0]
-        cls = [
-            q for q in remaining if not distinguish_metrics(p, rep, q, max_p).distinguishable
-        ]
-        classes.append(cls)
-        remaining = [q for q in remaining if q not in cls]
-    return classes
+    _check_odd_p(p, max_p)
+    units = _odd_units(2 * p)
+    tables = {q: eta_table(p, q, max_p) for q in units}
+    return _partition(units, lambda q, qp: bool(_matches(2 * p, tables[q], tables[qp])))
+
+
+def matching_sweep(p: int, max_p: int | None = None) -> tuple[list, dict, list]:
+    """The q values of X(p), the match set of every ordered pair (q, q')
+    in ascending order, and the component classes read off that table
+    (equal to component_classes(p))."""
+    _check_odd_p(p, max_p)
+    units = _odd_units(2 * p)
+    tables = {q: eta_table(p, q, max_p) for q in units}
+    table = {(q, qp): _matches(2 * p, tables[q], tables[qp]) for q in units for qp in units}
+    return units, table, _partition(units, lambda q, qp: bool(table[q, qp]))

@@ -180,12 +180,14 @@ def _unstable(n_max: int) -> StabilizationError:
     )
 
 
-def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
+def _check_orbit_inputs(lattice, f, spinc, n_max, stab_window) -> None:
     if alpha_invariant(f) != 1:
         raise ParameterError("orbit sums require an orientation-coherent map (alpha = +1)")
     spinc.validate(lattice)
     if n_max < 1:
         raise ParameterError("n_max must be positive")
+    if stab_window < 1:
+        raise ParameterError("stab_window must be positive")
 
 
 # An integer matrix of size <= 3 whose eigenvalues are roots of unity has
@@ -303,7 +305,7 @@ def _orbit_sweep(
     """orbit_swtot by stepping the orbit through every n in
     [-n_max, n_max + 1].  Used for maps with no unipotent power, and as the
     reference the certificate is tested against."""
-    _check_orbit_inputs(lattice, f, spinc, n_max)
+    _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
     window = min(stab_window, n_max)
     values = _orbit_pairings(lattice, f, wall, omega0, n_max)
     signs = {n: _sign(v) for n, v in values.items()}
@@ -331,6 +333,7 @@ def orbit_swtot(
     """Total signed wall-crossing count of the orbit of omega0, times the
     oracle invariant of the closed piece.
 
+    n_max and stab_window must be positive (ParameterError otherwise).
     The record covers the segments from step n to n+1 for n in
     [-n_max, n_max], so steps_used = 2*n_max + 1 whatever the method.  A
     point on the wall at a step in [-n_max, n_max + 1] raises
@@ -350,7 +353,7 @@ def orbit_swtot(
     Other maps are stepped through the range (method "sweep", stabilized
     always True).
     """
-    _check_orbit_inputs(lattice, f, spinc, n_max)
+    _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
     omega = _integerize(cone_point(lattice, omega0))
     w = _integerize(wall.vector())
     forward = f.adjoint().matrix

@@ -120,6 +120,16 @@ def test_exit_codes_parameter_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "swtot", "--scenario", "no-such-scenario")
     assert code == 2
+    for argv in (
+        ("components", "--p", "-3"),
+        ("sweep", "--p", "-3"),
+        ("sweep", "--p", "0"),
+        ("swtot", "--n-max", "0"),
+        ("orbit", "--n-max", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be" in json.loads(err)["error"]["message"]
 
 
 def test_exit_code_genericity(capsys, tmp_path):
@@ -224,3 +234,12 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["dimension"] == -2
+    # the sweep runs in one process, so the CLI loads no process-pool modules
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lenswall.cli; "
+         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

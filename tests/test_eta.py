@@ -18,6 +18,7 @@ from lenswall.eta import (
     fourier_closed_form,
     fourier_coefficient,
     fourier_unit_ratio,
+    matching_sweep,
     rho_lens,
     rho_table,
 )
@@ -177,10 +178,9 @@ def test_distinguish_symmetry():
 
 
 def test_distinguish_even_p():
-    with pytest.raises(ParameterError):
-        distinguish_metrics(4, 1, 3)
-    r = distinguish_metrics(4, 1, 1, experimental_even_p=True)
-    assert 1 in r.matches
+    for q, qp in ((1, 3), (1, 1)):
+        with pytest.raises(ParameterError, match="^p must be odd$"):
+            distinguish_metrics(4, q, qp)
 
 
 def test_component_classes():
@@ -202,6 +202,29 @@ def test_component_classes_equivalence_relation():
         for i, cls in enumerate(classes):
             for other in classes[i + 1 :]:
                 assert distinguish_metrics(p, cls[0], other[0]).distinguishable
+
+
+def test_matching_sweep_agrees_with_distinguish_and_classes():
+    """sweep's table, cell by cell, against the pairwise decision, and the
+    classes it reads off that table against component_classes."""
+    for p in range(1, 16, 2):
+        qs, table, classes = matching_sweep(p)
+        assert qs == [x for x in range(1, 2 * p) if x % 2 and gcd(x, 2 * p) == 1]
+        assert list(table) == [(q, qp) for q in qs for qp in qs]
+        for (q, qp), matches in table.items():
+            assert matches == distinguish_metrics(p, q, qp).matches, (p, q, qp)
+        assert classes == component_classes(p)
+
+
+def test_matching_rejects_nonpositive_p():
+    for p in (-5, -3, -1):
+        with pytest.raises(ParameterError, match="p must be positive"):
+            component_classes(p)
+        with pytest.raises(ParameterError, match="p must be positive"):
+            matching_sweep(p)
+    for p in (0, -4):
+        with pytest.raises(ParameterError, match="p must be odd"):
+            component_classes(p)
 
 
 def test_resource_bound():

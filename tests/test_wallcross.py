@@ -345,6 +345,21 @@ def test_orbit_swtot_hyperbolic_takes_the_sweep(lat, spinc, wall):
     assert summary.method == "sweep" and summary.stabilized
 
 
+@pytest.mark.parametrize("stab_window", [0, -1])
+def test_stab_window_must_be_positive(lat, parabolic, spinc, wall, stab_window):
+    """A window of no steps is a parameter error on both paths, not a
+    stabilization failure: paper-default takes the certificate, the
+    hyperbolic product the sweep."""
+    hyperbolic = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
+    args = (spinc, (3, 2, 2), wall, 50, stab_window)
+    for f in (parabolic, hyperbolic):
+        for run in (orbit_swtot, _orbit_sweep, unique_crossing_index):
+            with pytest.raises(ParameterError, match="stab_window must be positive"):
+                run(lat, f, *args)
+    with pytest.raises(ParameterError, match="stab_window must be positive"):
+        power_swtot(lat, parabolic, 2, *args)
+
+
 def test_paper_default_pairing_is_linear(lat, parabolic, wall):
     """<A^n omega0, w> = -1 + 4n for the default scenario, both as the
     certificate's coefficients and along the stepped orbit."""
