@@ -203,9 +203,8 @@ def _cmd_plot_disc(args) -> dict:
         points.append((n, omega))
         omega = action.apply(omega)
     omega = scenario.omega0
-    back = action.inverse()
     for n in range(1, args.orbit_steps + 1):
-        omega = back.apply(omega)
+        omega = f.apply(omega)
         points.append((-n, omega))
     try:
         crossing = unique_crossing_index(

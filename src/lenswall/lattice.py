@@ -5,12 +5,15 @@ doubled structures, and the index-theoretic formal dimension formula.
 Vectors are plain integer tuples; matrices are tuples of rows acting on
 column coordinate vectors, so the columns of an isometry matrix are the
 images of the basis vectors.
+
+All linear algebra is on integers: one division-free Gauss-Jordan kernel,
+`_echelon`, answers every rank, span and inverse question, and the
+signature diagonalizes the gram matrix by integer congruences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -64,73 +67,47 @@ def _transpose(m):
     return tuple(zip(*m))
 
 
-def _det(m) -> int:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+def _primitive(row):
+    """row divided by the gcd of its entries, signed so that its first
+    nonzero entry is positive; the zero row is returned as it is."""
+    g = gcd(*row)
+    if next((x for x in row if x), 0) < 0:
+        g = -g
+    return [x // g for x in row] if g else row
 
 
-def _mat_inverse(m):
-    """Exact inverse of a square matrix via Gauss-Jordan over Fraction."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ParameterError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _echelon(rows):
+    """Gauss-Jordan elimination on integer rows, without division.
 
-
-def _row_space(vectors):
-    """Reduced row-echelon basis of the rational span of integer/rational rows."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    basis = []
+    Returns (basis, pivots): the reduced row echelon basis of the rational
+    row span, each row scaled to a primitive integer vector with a positive
+    pivot, and the ascending pivot columns.  Every basis row vanishes in
+    the other rows' pivot columns, so the basis depends only on the span.
+    """
+    rows = [list(r) for r in rows]
     pivots = []
-    for row in rows:
-        for b, p in zip(basis, pivots):
-            if row[p] != 0:
-                factor = row[p]
-                row = [x - factor * y for x, y in zip(row, b)]
-        pivot = next((i for i, x in enumerate(row) if x != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        row = [x / row[pivot] for x in row]
-        basis.append(row)
-        pivots.append(pivot)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], sorted(pivots)
+        rows[pivot], rows[top] = rows[top], _primitive(rows[pivot])
+        p = rows[top]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = _primitive([p[col] * x - row[col] * y for x, y in zip(row, p)])
+        pivots.append(col)
+    return [tuple(r) for r in rows[: len(pivots)]], pivots
 
 
 def _in_span(basis, pivots, v):
-    row = [Fraction(x) for x in v]
+    """True iff v lies in the rational span of an _echelon basis."""
+    v = list(v)
     for b, p in zip(basis, pivots):
-        if row[p] != 0:
-            factor = row[p]
-            row = [x - factor * y for x, y in zip(row, b)]
-    return all(x == 0 for x in row)
+        c = v[p]
+        if c:
+            v = [b[p] * x - c * y for x, y in zip(v, b)]
+    return not any(v)
 
 
 class IntegralLattice:
@@ -167,9 +144,9 @@ class IntegralLattice:
         return self.pairing(v, v)
 
     def signature(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) inertia, by rational diagonalization."""
+        """(positive, negative, zero) inertia, by integer diagonalization."""
         n = self.rank
-        a = [[Fraction(self.gram[i][j]) for j in range(n)] for i in range(n)]
+        a = [list(row) for row in self.gram]
         pos = neg = zero = 0
         idx = list(range(n))
         while idx:
@@ -192,13 +169,16 @@ class IntegralLattice:
                 pos += 1
             else:
                 neg += 1
+            # row and column i become d*(row i) - a[i][k]*(row k): a congruence
+            # by an elementary matrix of determinant d != 0, so (Sylvester's
+            # law of inertia) the inertia is kept
             for i in idx[1:]:
-                f = a[i][k] / d
+                f = a[i][k]
                 if f:
                     for j in range(n):
-                        a[i][j] -= f * a[k][j]
+                        a[i][j] = d * a[i][j] - f * a[k][j]
                     for j in range(n):
-                        a[j][i] -= f * a[j][k]  # a stays symmetric
+                        a[j][i] = d * a[j][i] - f * a[j][k]  # a stays symmetric
             idx.pop(0)
         return pos, neg, zero
 
@@ -229,10 +209,15 @@ class Isometry:
         mt = _transpose(matrix)
         if _mat_mul(_mat_mul(mt, g), matrix) != g:
             raise ParameterError("matrix does not preserve the pairing")
-        if _det(matrix) not in (1, -1):
+        # [M | I] reduces to [I | M^-1] exactly when M^-1 is integral, which
+        # for an integer matrix M means det M = +-1
+        n = lattice.rank
+        rows, pivots = _echelon([row + e for row, e in zip(matrix, _identity(n))])
+        if pivots != list(range(n)) or any(rows[i][i] != 1 for i in range(n)):
             raise ParameterError("isometry must have determinant +-1")
         self.lattice = lattice
         self.matrix = matrix
+        self._inverse = tuple(row[n:] for row in rows)
 
     def apply(self, v):
         return _mat_vec(self.matrix, _as_vector(v, self.lattice.rank))
@@ -250,9 +235,7 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        inv = _mat_inverse(self.matrix)
-        assert all(x.denominator == 1 for row in inv for x in row)
-        return Isometry(self.lattice, tuple(tuple(int(x) for x in row) for row in inv))
+        return Isometry(self.lattice, self._inverse)
 
     def power(self, d: int) -> "Isometry":
         if d < 0:
@@ -268,13 +251,11 @@ class Isometry:
 
     def adjoint(self) -> "Isometry":
         """The pairing-adjoint gram^-1 f^T gram, the action induced on the
-        dual coordinates; equals the inverse for isometries."""
-        g = self.lattice.gram
-        ginv = _mat_inverse(g)
-        mt = _transpose(self.matrix)
-        prod = _mat_mul(_mat_mul(ginv, mt), tuple(tuple(Fraction(x) for x in row) for row in g))
-        assert all(x.denominator == 1 for row in prod for x in row)
-        return Isometry(self.lattice, tuple(tuple(int(x) for x in row) for row in prod))
+        dual coordinates.  It needs a nondegenerate gram, and is then the
+        inverse: f^T gram f = gram gives gram^-1 f^T gram = f^-1."""
+        if len(_echelon(self.lattice.gram)[1]) < self.lattice.rank:
+            raise ParameterError("matrix is singular")
+        return Isometry(self.lattice, self._inverse)
 
     def is_identity(self) -> bool:
         return self.matrix == _identity(self.lattice.rank)
@@ -317,7 +298,7 @@ def alpha_invariant(f: Isometry) -> int:
         raise ParameterError("lattice has no designated positive class")
     value = lattice.pairing(f.apply(v), v)
     if value == 0:
-        raise AssertionError("isometry sent the positive class orthogonal to itself")
+        raise ParameterError("isometry sent the positive class orthogonal to itself")
     return 1 if value > 0 else -1
 
 
@@ -374,7 +355,7 @@ def metabolizer_check(structure: IsometricStructure, vectors) -> bool:
     """
     lat = structure.lattice
     vecs = [_as_vector(v, lat.rank) for v in vectors]
-    basis, pivots = _row_space(vecs)
+    basis, pivots = _echelon(vecs)
     if 2 * len(basis) != lat.rank:
         return False
     for i, u in enumerate(basis):
@@ -398,14 +379,20 @@ def metabolizer_search(
     [-coefficient_bound, coefficient_bound], enumerated lexicographically;
     a depth-first search keeps partial families independent and isotropic
     and accepts once a half-rank family passes metabolizer_check.  Returns
-    None when no metabolizer exists within the bound.  The budget caps the
-    number of extension steps examined.
+    None when no metabolizer exists within the bound.  The budget caps both
+    the size of the coordinate grid, checked before it is enumerated, and
+    the number of extension steps examined.
     """
     if coefficient_bound < 1:
         raise ParameterError("coefficient bound must be >= 1")
     lat = structure.lattice
     rank = lat.rank
     half = rank // 2
+    grid = (2 * coefficient_bound + 1) ** rank
+    if grid > budget:
+        raise ResourceBoundError(
+            f"metabolizer search grid of {grid} coordinate tuples exceeds its budget of {budget}"
+        )
     span = range(-coefficient_bound, coefficient_bound + 1)
     candidates = []
     for coords in product(span, repeat=rank):
@@ -427,7 +414,7 @@ def metabolizer_search(
         nonlocal steps
         if len(chosen) == half:
             return list(chosen) if metabolizer_check(structure, chosen) else None
-        basis, pivots = _row_space(chosen) if chosen else ([], [])
+        basis, pivots = _echelon(chosen)
         for idx in range(start, len(candidates)):
             steps += 1
             if steps > budget:
@@ -435,11 +422,8 @@ def metabolizer_search(
                     f"metabolizer search exceeded its budget of {budget} steps"
                 )
             v = candidates[idx]
-            if chosen:
-                if any(lat.pairing(v, u) != 0 for u in chosen):
-                    continue
-                if _in_span(basis, pivots, v):
-                    continue
+            if any(lat.pairing(v, u) != 0 for u in chosen) or _in_span(basis, pivots, v):
+                continue
             found = extend(idx + 1, chosen + [v])
             if found is not None:
                 return found

@@ -5,7 +5,9 @@ class), the isometry (either an explicit matrix or a pair of square -1
 sphere classes whose reflections are composed), the spin-c class, an
 optional rational perturbation, the starting ray, the oracle value, and
 the step budget.  Rational entries are written as integers or "a/b"
-strings; floats are rejected to keep the exact path exact.
+strings; floats are rejected to keep the exact path exact.  Integer
+entries (gram, classes, isometry, spheres) are parsed the same way and
+must have denominator 1.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"cannot parse rational {value!r}") from exc
     raise ParameterError(f"cannot parse rational {value!r}")
+
+
+def _parse_integer(value) -> int:
+    number = parse_rational(value)
+    if number.denominator != 1:
+        raise ParameterError(f"expected an integer, got {value!r}")
+    return number.numerator
+
+
+def _integers(values) -> tuple[int, ...]:
+    return tuple(_parse_integer(x) for x in values)
 
 
 def format_rational(value: Fraction) -> str:
@@ -123,17 +136,17 @@ class Scenario:
             raise ParameterError("n_max must be a positive integer")
         return cls(
             name=name,
-            gram=tuple(tuple(int(x) for x in row) for row in doc["gram"]),
-            positive_class=tuple(int(x) for x in doc["positive_class"]),
-            c1=tuple(int(x) for x in doc["c1"]),
+            gram=tuple(_integers(row) for row in doc["gram"]),
+            positive_class=_integers(doc["positive_class"]),
+            c1=_integers(doc["c1"]),
             omega0=tuple(parse_rational(x) for x in doc["omega0"]),
             sw_x=doc["sw_x"],
             n_max=n_max,
             isometry_matrix=(
-                tuple(tuple(int(x) for x in row) for row in doc["isometry"]) if has_matrix else None
+                tuple(_integers(row) for row in doc["isometry"]) if has_matrix else None
             ),
-            sigma_plus=tuple(int(x) for x in doc["sigma_plus"]) if has_sigmas else None,
-            sigma_minus=tuple(int(x) for x in doc["sigma_minus"]) if has_sigmas else None,
+            sigma_plus=_integers(doc["sigma_plus"]) if has_sigmas else None,
+            sigma_minus=_integers(doc["sigma_minus"]) if has_sigmas else None,
             perturbation=(
                 tuple(parse_rational(x) for x in doc["perturbation"])
                 if "perturbation" in doc

@@ -108,7 +108,7 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial["results"] == parallel["results"]
 
 
-def test_exit_codes_parameter_errors(capsys):
+def test_exit_codes_parameter_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rho", "--order", "6", "--q", "2", "--s", "1")
     assert code == 2
     assert "coprime" in json.loads(err)["error"]["message"]
@@ -130,6 +130,23 @@ def test_exit_codes_parameter_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "must be" in json.loads(err)["error"]["message"]
+    # a quarter turn of the positive-definite plane sends the positive class
+    # orthogonal to itself, so its orientation sign is undefined; integer
+    # scenario entries are neither truncated nor left to int()
+    base = load_scenario("paper-default").to_dict()
+    for name, doc, message in (
+        ("orthogonal", {
+            "gram": [[1, 0], [0, 1]], "positive_class": [1, 0], "isometry": [[0, -1], [1, 0]],
+            "c1": [1, 1], "omega0": [1, 0], "sw_x": 1,
+        }, "orthogonal to itself"),
+        ("float", {**base, "c1": [1.7, 1, 1]}, "got 1.7"),
+        ("word", {**base, "gram": [["x", 0, 0], [0, -1, 0], [0, 0, -1]]}, "'x'"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "swtot", "--scenario", str(path))
+        assert (code, out) == (2, ""), name
+        assert message in json.loads(err)["error"]["message"], name
 
 
 def test_exit_code_genericity(capsys, tmp_path):
@@ -193,6 +210,21 @@ def test_scenario_validation(tmp_path):
     bad["omega0"] = [0.5, 1, 1]
     with pytest.raises(ParameterError, match="rational"):
         Scenario.from_dict(bad)
+    # integer entries are exact too: no truncation, no stray ValueError
+    for key, value in (
+        ("c1", [1.7, 1, 1]),
+        ("c1", [True, 1, 1]),
+        ("positive_class", ["3/2", 0, 0]),
+        ("gram", [["x", 0, 0], [0, -1, 0], [0, 0, -1]]),
+        ("sigma_plus", [1, 1.0, 1]),
+    ):
+        bad = dict(base)
+        bad[key] = value
+        with pytest.raises(ParameterError):
+            Scenario.from_dict(bad)
+    good = dict(base)
+    good["c1"] = ["1", 1, "2/2"]
+    assert Scenario.from_dict(good).c1 == (1, 1, 1)
 
 
 def test_rational_helpers():

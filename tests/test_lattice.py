@@ -1,9 +1,13 @@
 import random
 from itertools import product
+from math import gcd, lcm
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lenswall.errors import ParameterError
+from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -18,6 +22,7 @@ from lenswall.lattice import (
     standard_lattice,
     sw_formal_dimension,
 )
+from lenswall.lattice import _echelon, _in_span
 
 # the composed reflection on (S, E1, E2), rows as frozen below
 COMPOSED_ROWS = ((9, 4, -8), (4, 1, -4), (8, 4, -7))
@@ -199,3 +204,164 @@ def test_sw_formal_dimension():
     assert sw_formal_dimension(11, 4, 1) == 0
     with pytest.raises(ParameterError):
         sw_formal_dimension(0, 5, -1)
+
+
+# -- the integer elimination kernel against sympy's exact rational algebra --
+
+ENTRIES = st.integers(-3, 3)
+
+
+def _rows(n_rows, n_cols):
+    return st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+def _integer_rows(matrix):
+    return tuple(tuple(int(x) for x in row) for row in matrix.tolist())
+
+
+def _primitive_row(row):
+    """A rational sympy row scaled to a primitive integer row, same sign."""
+    scale = lcm(*(sympy.fraction(x)[1] for x in row))
+    ints = [int(x * scale) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_echelon_and_in_span_match_sympy(data):
+    n_rows, n_cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    rows = data.draw(_rows(n_rows, n_cols))
+    matrix = sympy.Matrix(n_rows, n_cols, [x for row in rows for x in row])
+    basis, pivots = _echelon(rows)
+    reduced, sympy_pivots = matrix.rref()
+    assert len(pivots) == matrix.rank()
+    assert pivots == list(sympy_pivots)
+    assert basis == [_primitive_row(reduced.row(i)) for i in range(len(pivots))]
+    v = data.draw(_rows(1, n_cols))[0]
+    assert _in_span(basis, pivots, v) == (sympy.Matrix([*rows, v]).rank() == matrix.rank())
+    coefficients = data.draw(_rows(1, n_rows))[0] if rows else []
+    combination = [sum(c * row[j] for c, row in zip(coefficients, rows)) for j in range(n_cols)]
+    assert _in_span(basis, pivots, combination)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square integer matrices of size <= 6: either arbitrary small entries
+    or a lower times an upper unitriangular matrix, which is unimodular."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(_rows(n, n))
+    lower, upper = (
+        [[1 if i == j else (draw(ENTRIES) if (i > j) == low else 0) for j in range(n)]
+         for i in range(n)]
+        for low in (True, False)
+    )
+    return _integer_rows(sympy.Matrix(lower) * sympy.Matrix(upper))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices())
+def test_isometry_determinant_and_inverse_match_sympy(matrix):
+    # every matrix preserves the zero form, so only the +-1 determinant
+    # check decides whether the constructor accepts it
+    n = len(matrix)
+    zero = IntegralLattice([[0] * n for _ in range(n)])
+    exact = sympy.Matrix(matrix)
+    if exact.det() in (1, -1):
+        f = Isometry(zero, matrix)
+        assert f.inverse().matrix == _integer_rows(exact.inv())
+        assert f.inverse().inverse() == f
+    else:
+        with pytest.raises(ParameterError, match="determinant"):
+            Isometry(zero, matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=6))
+def test_adjoint_matches_sympy_triple_product(word):
+    lat = standard_lattice()
+    generators = (reflection_sphere(lat, SIGMA_PLUS), reflection_sphere(lat, SIGMA_MINUS))
+    f = identity_isometry(lat)
+    for minus, exponent in word:
+        f = f * generators[minus].power(exponent)
+    g = sympy.Matrix(lat.gram)
+    assert f.adjoint().matrix == _integer_rows(g.inv() * sympy.Matrix(f.matrix).T * g)
+
+
+def test_adjoint_needs_a_nondegenerate_gram():
+    degenerate = IntegralLattice(((0, 0), (0, 0)))
+    swap = Isometry(degenerate, ((0, 1), (1, 0)))
+    assert swap.inverse() == swap
+    with pytest.raises(ParameterError, match="matrix is singular"):
+        swap.adjoint()
+
+
+def _sign_changes(coefficients):
+    signs = [c > 0 for c in coefficients if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 6: either arbitrary small
+    entries or B^T D B with D diagonal, of rank at most the rows of B."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        upper = {(i, j): draw(ENTRIES) for i in range(n) for j in range(i, n)}
+        return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    k = draw(st.integers(1, n))
+    b = sympy.Matrix(draw(_rows(k, n)))
+    d = sympy.diag(*draw(_rows(1, k))[0])
+    return [list(row) for row in _integer_rows(b.T * d * b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_matrices())
+def test_signature_matches_descartes_rule(gram):
+    # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+    # signs counts the positive and negative roots of its charpoly exactly
+    coefficients = sympy.Matrix(gram).charpoly().all_coeffs()
+    zero = next(k for k, c in enumerate(reversed(coefficients)) if c != 0)
+    trimmed = coefficients[: len(coefficients) - zero]
+    degree = len(trimmed) - 1
+    reflected = [c * (-1) ** (degree - i) for i, c in enumerate(trimmed)]
+    expected = (_sign_changes(trimmed), _sign_changes(reflected), zero)
+    assert IntegralLattice(gram).signature() == expected
+
+
+# -- metabolizer search: DFS order pinned, budget bounds the grid --
+
+# (map, coefficient bound) -> the metabolizer found on the paper lattice
+PINNED_METABOLIZERS = {
+    ("f", 1): [(0, 0, 0, 1, -1, 0), (0, 1, 0, -1, 1, -1), (1, -1, 1, -1, 1, 1)],
+    ("f", 2): [(0, 0, 0, 1, -1, 0), (0, 1, 0, -2, 2, -1), (1, -2, 1, -2, 2, 2)],
+    ("id", 1): [(0, 0, 0, 1, -1, 0), (0, 0, 1, -1, 1, -1), (1, -1, -1, -1, 1, 1)],
+    ("id", 2): [(0, 0, 0, 1, -1, 0), (0, 0, 1, -2, 2, -1), (1, -1, -2, -2, 2, 2)],
+    ("f^2", 1): [(0, 0, 0, 1, -1, 0), (0, 1, 0, -1, 1, -1), (1, -1, 1, -1, 1, 1)],
+    ("f^2", 2): [(0, 0, 0, 1, -1, 0), (0, 1, 0, -2, 2, -1), (1, -2, 1, -2, 2, 2)],
+    ("f^-1", 1): [(0, 0, 0, 1, -1, 0), (0, 1, 0, -1, 1, -1), (1, -1, 1, -1, 1, 1)],
+    ("f^-1", 2): [(0, 0, 0, 1, -1, 0), (0, 1, 0, -2, 2, -1), (1, -2, 1, -2, 2, 2)],
+}
+
+
+@pytest.mark.parametrize("name, bound", sorted(PINNED_METABOLIZERS))
+def test_metabolizer_search_pinned(lat, composed, name, bound):
+    maps = {
+        "f": composed,
+        "id": identity_isometry(lat),
+        "f^2": composed.power(2),
+        "f^-1": composed.inverse(),
+    }
+    structure = double_structure(lat, maps[name])
+    assert metabolizer_search(structure, bound) == PINNED_METABOLIZERS[name, bound]
+
+
+def test_metabolizer_search_budget_bounds_the_grid(lat, composed):
+    structure = double_structure(lat, composed)
+    with pytest.raises(
+        ResourceBoundError,
+        match="grid of 1771561 coordinate tuples exceeds its budget of 10$",
+    ):
+        metabolizer_search(structure, 5, budget=10)
