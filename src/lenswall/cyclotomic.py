@@ -1,10 +1,16 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
 Elements are represented on the power basis 1, z, ..., z^(phi(n)-1) of
-Q[x]/Phi_n(x) with Fraction coefficients, kept canonically reduced after
-every operation, so equality is structural.  The quotient is by the n-th
-cyclotomic polynomial (a field), not by x^n - 1: the eta sums downstream
-divide by cyclotomic units and need genuine inverses.
+Q[x]/Phi_n(x) as one tuple of integer numerators over one positive
+common denominator, normalized so that the denominator is coprime to the
+content of the numerators.  Equality and hashing are therefore
+structural, and every field operation is integer arithmetic (the
+numerator/denominator representation of Cohen, A Course in Computational
+Algebraic Number Theory, 1993, section 4.2).  Fractions appear only at
+the boundary: constructor input, scalar operands, `coeffs` and
+`as_rational`.  The quotient is by the n-th cyclotomic polynomial (a
+field), not by x^n - 1: the eta sums downstream divide by cyclotomic
+units and need genuine inverses.
 
 Coercion between orders is always explicit (lift_to / coerce); mixing
 orders in arithmetic raises OrderMismatchError.
@@ -15,7 +21,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotRationalError, OrderMismatchError, ParameterError
 
@@ -27,13 +33,23 @@ __all__ = [
     "coerce",
 ]
 
+_set = object.__setattr__
+
 
 def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    """Euler's totient, from the factorization of n by trial division."""
+    if n < 1:
+        return 0
+    result, rest, d = n, n, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            result -= result // d
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        result -= result // rest
+    return result
 
 
 def _poly_trim(coeffs):
@@ -44,25 +60,17 @@ def _poly_trim(coeffs):
 
 
 def _poly_divmod(num, den):
-    """Quotient and remainder of dense constant-first coefficient lists.
-
-    Exact over Fraction; den must be nonzero.
-    """
+    """Quotient and remainder of integer coefficient lists (constant term
+    first) by a monic integer divisor, so no division is needed."""
     num = list(num)
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
     dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
+    quot = [0] * max(len(num) - dn, 0)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
-        if c == 0:
-            continue
-        q = Fraction(c) / lead
-        quot[i - dn] = q
-        for j, d in enumerate(den):
-            num[i - dn + j] -= q * d
+        if c:
+            quot[i - dn] = c
+            for j, d in enumerate(den, i - dn):
+                num[j] -= c * d
     return quot, _poly_trim(num)
 
 
@@ -75,81 +83,68 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ParameterError(f"cyclotomic polynomial needs n >= 1, got {n}")
-    if n == 1:
-        return (-1, 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             assert not rem
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^e mod Phi_n for e = 0 .. phi(n)+n-2, as integer coefficient rows.
-
-    Covers every exponent produced by multiplying a reduced element by a
-    monomial z^j (j < n) and by full products of reduced elements.
-    """
-    phi_coeffs = cyclotomic_polynomial(n)
-    deg = len(phi_coeffs) - 1
-    rows = []
-    for e in range(deg):
-        row = [0] * deg
-        row[e] = 1
-        rows.append(tuple(row))
-    # x^e = x * x^(e-1), then fold the leading term back with
-    # x^deg = -(phi_coeffs[:-1]) since Phi_n is monic.
-    top = [-c for c in phi_coeffs[:-1]]
-    for _ in range(deg, deg + n - 1):
-        prev = rows[-1]
-        shifted = [0] + list(prev[:-1])
-        lead = prev[-1]
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^e mod Phi_n for e = 0 .. n-1, each row the (index, coefficient)
+    pairs of its nonzero power-basis coefficients."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rows, row = [], [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        # x * row, folding the leading term back with x^deg = -phi[:-1]
+        # since Phi_n is monic
+        lead, row = row[-1], [0] + row[:-1]
         if lead:
-            for i in range(deg):
-                shifted[i] += lead * top[i]
-        rows.append(tuple(shifted))
+            row = [c - lead * f for c, f in zip(row, phi)]
     return tuple(rows)
 
 
-def _reduce_mod_phi(n: int, coeffs) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list of degree < phi(n)+n-1 into the power basis."""
-    table = _power_table(n)
+def _wrap(n: int, coeffs) -> list:
+    """Coefficients of x^0 .. x^(n-1) of an integer polynomial mod x^n - 1."""
+    full = list(coeffs[:n]) + [0] * (n - len(coeffs))
+    for e in range(n, len(coeffs)):
+        full[e % n] += coeffs[e]
+    return full
+
+
+def _fold(n: int, full: list) -> tuple[int, ...]:
+    """Reduce the n coefficients of x^0 .. x^(n-1) into the power basis
+    of Q[x]/Phi_n (x^n = 1 there, so these exponents cover every power)."""
     deg = len(cyclotomic_polynomial(n)) - 1
-    out = [Fraction(0)] * deg
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        c = Fraction(c)
-        if e < deg:
-            out[e] += c
-        else:
-            # every caller stays below phi(n)+n-1: products of reduced
-            # elements reach 2*phi-2 <= phi+n-2, lifts and monomials reach n-1
-            for i, r in enumerate(table[e]):
-                if r:
-                    out[i] += c * r
+    table = _power_table(n)
+    out = full[:deg]
+    for e in range(deg, n):
+        c = full[e]
+        if c:
+            for i, r in table[e]:
+                out[i] += c * r
     return tuple(out)
 
 
 class Cyclotomic:
     """An exact element of Q(zeta_n) on the power basis of Q[x]/Phi_n."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs=()):
         if order < 1:
             raise ParameterError(f"order must be >= 1, got {order}")
-        deg = len(cyclotomic_polynomial(order)) - 1
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > deg:
-            reduced = _reduce_mod_phi(order, coeffs)
-        else:
-            reduced = tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", reduced)
+        values = [Fraction(c) for c in coeffs]
+        den = lcm(1, *(v.denominator for v in values))
+        num = [v.numerator * (den // v.denominator) for v in values]
+        num, den = _normalize(order, num, den)
+        _set(self, "order", order)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic elements are immutable")
@@ -157,11 +152,12 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, order: int, coeffs: tuple) -> "Cyclotomic":
-        # trusted fast path: coeffs already a canonical Fraction tuple
+    def _make(cls, order: int, num: tuple, den: int) -> "Cyclotomic":
+        # trusted fast path: num/den already canonical
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "order", order)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
         return self
 
     @classmethod
@@ -176,13 +172,19 @@ class Cyclotomic:
     def rational(cls, order: int, value) -> "Cyclotomic":
         return cls(order, (Fraction(value),))
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
     # -- basic predicates ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     # -- ring / field operations ----------------------------------------
 
@@ -202,7 +204,11 @@ class Cyclotomic:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        num = [a * fa + b * fb for a, b in zip(self._num, other._num)]
+        return Cyclotomic._make(self.order, *_normalize(self.order, num, da * fa))
 
     __radd__ = __add__
 
@@ -210,29 +216,33 @@ class Cyclotomic:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-a for a in self.coeffs])
+        return Cyclotomic._make(self.order, tuple(-a for a in self._num), self._den)
+
+    def _scale(self, value: Fraction) -> "Cyclotomic":
+        n, den = self.order, self._den * value.denominator
+        num = [a * value.numerator for a in self._num]
+        return Cyclotomic._make(n, *_normalize(n, num, den))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [a * other for a in self.coeffs])
+            return self._scale(Fraction(other))
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self._num, other._num
+        prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        return Cyclotomic(self.order, _reduce_mod_phi(self.order, prod))
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        n, den = self.order, self._den * other._den
+        return Cyclotomic._make(n, *_normalize(n, prod, den))
 
     __rmul__ = __mul__
 
@@ -240,7 +250,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of cyclotomic element by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self._scale(Fraction(1) / Fraction(other))
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
@@ -259,62 +269,52 @@ class Cyclotomic:
             e >>= 1
         return result
 
+    # times_root, galois and lift_to need no renormalization: multiplying
+    # by a unit of Z[zeta_n], a ring automorphism of Z[zeta_n] and the
+    # inclusion of Z[zeta_n] into Z[zeta_m] (whose elements lying in
+    # Q(zeta_n) are in Z[zeta_n]) all leave the numerators' content as it is.
+
     def times_root(self, k: int) -> "Cyclotomic":
         """Multiply by zeta_n^k.
 
-        Cheaper than a general product: a coefficient shift plus table
-        reduction, used heavily by the eta summations.
+        Cheaper than a general product: the coefficients rotate through
+        the exponents 0 .. n-1 and only those at or above phi(n) are
+        folded back by the power table; used heavily by the eta
+        summations.
         """
         n = self.order
         k %= n
         if k == 0:
             return self
-        table = _power_table(n)
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = i + k
-            if e < deg:
-                out[e] += c
-            else:
-                for j, r in enumerate(table[e]):
-                    if r:
-                        out[j] += c * r
-        return Cyclotomic._make(n, tuple(out))
+        full = list(self._num) + [0] * (n - len(self._num))
+        return Cyclotomic._make(n, _fold(n, full[-k:] + full[:-k]), self._den)
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm on
-        (representative, Phi_n) over Q."""
+        (numerator polynomial A, Phi_n) over Z.
+
+        Every remainder r is kept with a cofactor s such that
+        r = s * A mod Phi_n.  A leading term is cancelled with integer
+        multipliers, and each new remainder is divided, with its cofactor,
+        by their common content, so the denominators are cleared at every
+        step.  Since Phi_n is irreducible the sequence ends at a nonzero
+        constant c = s * A, and the inverse of A/d is d * s / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse in Q(zeta_n)")
-        if self.is_rational():
-            return Cyclotomic.rational(self.order, Fraction(1) / self.coeffs[0])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]  # coefficients of self in the Bezout combo
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            # s_next = s0 - q * s1
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi == 0:
-                    continue
-                for j, sj in enumerate(s1):
-                    if sj:
-                        qs1[i + j] += qi * sj
-            s_next = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                s_next[i] += c
-            for i, c in enumerate(qs1):
-                s_next[i] -= c
-            s0, s1 = s1, _poly_trim(s_next)
-        # r0 = gcd(self, Phi_n) is a nonzero constant since Phi_n is irreducible.
-        assert len(r0) == 1
-        scale = Fraction(1) / r0[0]
-        return Cyclotomic(self.order, [c * scale for c in s0])
+        r0, s0 = list(cyclotomic_polynomial(self.order)), []
+        r1, s1 = _poly_trim(list(self._num)), [1]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                shift = len(r0) - len(r1)
+                g = gcd(r0[-1], r1[-1])
+                a, b = r1[-1] // g, r0[-1] // g
+                r0 = _poly_trim(_cancel(a, r0, b, shift, r1))
+                s0 = _poly_trim(_cancel(a, s0, b, shift, s1))
+            g = gcd(*r0, *s0)
+            r0, s0, r1, s1 = r1, s1, [c // g for c in r0], [c // g for c in s0]
+        n, num = self.order, [self._den * c for c in s1]
+        return Cyclotomic._make(n, *_normalize(n, num, r1[0]))
 
     # -- Galois action, rationality, embedding ---------------------------
 
@@ -324,15 +324,10 @@ class Cyclotomic:
         k %= n
         if gcd(k, n) != 1:
             raise ParameterError(f"galois exponent {k} not coprime to order {n}")
-        table = _power_table(n)
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, r in enumerate(table[(i * k) % n]):
-                if r:
-                    out[j] += c * r
-        return Cyclotomic(n, out)
+        full = [0] * n
+        for i, c in enumerate(self._num):
+            full[(i * k) % n] = c
+        return Cyclotomic._make(n, _fold(n, full), self._den)
 
     def as_rational(self) -> Fraction:
         """The unique rational value, if the element lies in Q.
@@ -342,15 +337,15 @@ class Cyclotomic:
         """
         if not self.is_rational():
             raise NotRationalError(self)
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def approx_complex(self) -> complex:
         """Floating-point embedding sum(coeffs[i] * e^(2*pi*i*i/n))."""
-        n = self.order
+        n, den = self.order, self._den
         total = complex(0)
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                total += complex(c) * cmath.exp(2j * cmath.pi * i / n)
+        for i, c in enumerate(self._num):
+            if c:
+                total += complex(c / den) * cmath.exp(2j * cmath.pi * i / n)
         return total
 
     # -- order coercion ---------------------------------------------------
@@ -362,23 +357,29 @@ class Cyclotomic:
                 f"cannot lift order {self.order} into order {order}: not a multiple"
             )
         step = order // self.order
-        out = [Fraction(0)] * (len(cyclotomic_polynomial(order)) - 1 + order)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] += c
-        return Cyclotomic(order, _reduce_mod_phi(order, out))
+        full = [0] * order
+        for i, c in enumerate(self._num):
+            full[i * step] = c
+        return Cyclotomic._make(order, _fold(order, full), self._den)
 
     # -- dunder plumbing ---------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (
+                self.order == other.order
+                and self._den == other._den
+                and self._num == other._num
+            )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and Fraction(self._num[0], self._den) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # a rational element equals its scalar, so it hashes like it
+        if self.is_rational():
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self.order, self._num, self._den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -399,17 +400,39 @@ class Cyclotomic:
         return f"Cyclotomic({n}: {body})"
 
 
+def _normalize(order: int, num, den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical (numerators, denominator) of num/den in Q(zeta_order):
+    num is reduced into the power basis if longer than phi(order), den is
+    made positive and both are divided by gcd(content, den)."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    if len(num) > deg:
+        num = _fold(order, _wrap(order, num))
+    elif len(num) < deg:
+        num = list(num) + [0] * (deg - len(num))
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(c // g for c in num), den // g
+
+
+def _cancel(a: int, u: list, b: int, shift: int, v: list) -> list:
+    """a*u - b*x^shift*v on integer coefficient lists."""
+    out = [a * c for c in u] + [0] * max(0, len(v) + shift - len(u))
+    for i, c in enumerate(v, shift):
+        out[i] -= b * c
+    return out
+
+
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     """zeta_n^k in canonical reduced form; k is taken mod n."""
     if n < 1:
         raise ParameterError(f"root of unity needs n >= 1, got {n}")
-    k %= n
-    deg = len(cyclotomic_polynomial(n)) - 1
-    if k < deg:
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        return Cyclotomic(n, coeffs)
-    return Cyclotomic(n, _power_table(n)[k])
+    full = [0] * n
+    full[k % n] = 1
+    # a unit of Z[zeta_n]: its numerators have content 1
+    return Cyclotomic._make(n, _fold(n, full), 1)
 
 
 def coerce(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:

@@ -21,6 +21,8 @@ __all__ = ["sample_wall_points", "wall_ideal_endpoints", "render_disc_svg"]
 
 def _wall_plane_basis(lattice: IntegralLattice, wall: WallClass):
     """Two independent integer vectors spanning the plane <v, w> = 0."""
+    if lattice.rank != 3:
+        raise ParameterError("wall sampling needs a rank-3 lattice")
     w = wall.vector()
     denom = math.lcm(*(x.denominator for x in w))
     w_int = tuple(int(x * denom) for x in w)
@@ -66,8 +68,6 @@ def sample_wall_points(lattice: IntegralLattice, wall: WallClass, depth: int = 1
     the b1 direction itself), so the samples accumulate at the wall's
     ideal endpoints.  Returns [] when the wall misses the cone.
     """
-    if lattice.rank != 3:
-        raise ParameterError("wall sampling needs a rank-3 lattice")
     b0, b1 = _wall_plane_basis(lattice, wall)
     points = []
     ts = [Fraction(0)]

@@ -116,6 +116,23 @@ def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
     return (root_of_unity(n, m) + 1).inverse()
 
 
+# The s-independent weights of the two rewritten eta sums, cached on the
+# normalized (p, q mod 2p) like the tables below; each eta_variant call
+# still does its own summation and rationality check.
+@lru_cache(maxsize=None)
+def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
+    """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
+    the odd k are exactly the roots with lam^p = -1."""
+    n = 2 * p
+    return tuple(_unit_inverse(n, (k * q) % n) * _unit_inverse(n, k) for k in range(1, n, 2))
+
+
+@lru_cache(maxsize=None)
+def _odd_p_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
+    """1/((lam^q + 1)(lam + 1)) for lam = zeta_p^k, k = 0 .. p-1."""
+    return tuple(_plus_one_inverse(p, (k * q) % p) * _plus_one_inverse(p, k) for k in range(p))
+
+
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """Reduced eta invariants of L(n, q) for every character s = 0..n-1.
 
@@ -197,10 +214,8 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     if formula == "pinc-difference":
         return eta_flipspun(p, q, s, max_p)
     if formula == "half-roots":
-        n = 2 * p
-        acc = Cyclotomic.zero(n)
-        for k in range(1, n, 2):  # zeta_2p^k with k odd are exactly lam^p = -1
-            b = _unit_inverse(n, (k * q) % n) * _unit_inverse(n, k)
+        acc = Cyclotomic.zero(2 * p)
+        for k, b in zip(range(1, 2 * p, 2), _half_root_weights(p, q)):
             acc = acc + b.times_root(k * (s + q))
         return acc.as_rational() / p
     if formula == "odd-p":
@@ -208,9 +223,8 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
             raise ParameterError("the odd-p formula requires p odd")
         sign = -1 if s % 2 == 0 else 1
         acc = Cyclotomic.zero(p)
-        for k in range(p):
-            term = _plus_one_inverse(p, (k * q) % p) * _plus_one_inverse(p, k)
-            acc = acc + term.times_root(k * (s + q))
+        for k, b in enumerate(_odd_p_weights(p, q)):
+            acc = acc + b.times_root(k * (s + q))
         return sign * acc.as_rational() / p
     raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
 
@@ -230,11 +244,10 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
     p, q, j = _fourier_args(p, q, j)
     _check_budget(p, max_p)
     etas = eta_table(p, q, max_p)
-    acc = Cyclotomic.zero(p)
+    coeffs = [Fraction(0)] * p  # of omega^0 .. omega^(p-1)
     for s in range(p):
-        sign = 1 if s % 2 == 1 else -1
-        acc = acc + (root_of_unity(p, (-j * s) % p) * (sign * etas[s]))
-    return acc
+        coeffs[(-j * s) % p] += etas[s] if s % 2 == 1 else -etas[s]
+    return Cyclotomic(p, coeffs)
 
 
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:

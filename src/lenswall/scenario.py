@@ -7,7 +7,8 @@ optional rational perturbation, the starting ray, the oracle value, and
 the step budget.  Rational entries are written as integers or "a/b"
 strings; floats are rejected to keep the exact path exact.  Integer
 entries (gram, classes, isometry, spheres) are parsed the same way and
-must have denominator 1.
+must have denominator 1.  Vectors and matrices must be JSON lists (of
+lists).
 """
 
 from __future__ import annotations
@@ -57,8 +58,24 @@ def _parse_integer(value) -> int:
     return number.numerator
 
 
-def _integers(values) -> tuple[int, ...]:
-    return tuple(_parse_integer(x) for x in values)
+def _entries(values, what: str):
+    """values itself when it is a list; a number or a string is refused
+    rather than iterated."""
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"{what} must be a list, got {values!r}")
+    return values
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    return tuple(_parse_integer(x) for x in _entries(values, what))
+
+
+def _rationals(values, what: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(x) for x in _entries(values, what))
+
+
+def _matrix(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_integers(row, f"{what} row") for row in _entries(rows, what))
 
 
 def format_rational(value: Fraction) -> str:
@@ -136,21 +153,17 @@ class Scenario:
             raise ParameterError("n_max must be a positive integer")
         return cls(
             name=name,
-            gram=tuple(_integers(row) for row in doc["gram"]),
-            positive_class=_integers(doc["positive_class"]),
-            c1=_integers(doc["c1"]),
-            omega0=tuple(parse_rational(x) for x in doc["omega0"]),
+            gram=_matrix(doc["gram"], "gram"),
+            positive_class=_integers(doc["positive_class"], "positive_class"),
+            c1=_integers(doc["c1"], "c1"),
+            omega0=_rationals(doc["omega0"], "omega0"),
             sw_x=doc["sw_x"],
             n_max=n_max,
-            isometry_matrix=(
-                tuple(_integers(row) for row in doc["isometry"]) if has_matrix else None
-            ),
-            sigma_plus=_integers(doc["sigma_plus"]) if has_sigmas else None,
-            sigma_minus=_integers(doc["sigma_minus"]) if has_sigmas else None,
+            isometry_matrix=_matrix(doc["isometry"], "isometry") if has_matrix else None,
+            sigma_plus=_integers(doc["sigma_plus"], "sigma_plus") if has_sigmas else None,
+            sigma_minus=_integers(doc["sigma_minus"], "sigma_minus") if has_sigmas else None,
             perturbation=(
-                tuple(parse_rational(x) for x in doc["perturbation"])
-                if "perturbation" in doc
-                else None
+                _rationals(doc["perturbation"], "perturbation") if "perturbation" in doc else None
             ),
         )
 

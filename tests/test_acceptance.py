@@ -62,8 +62,8 @@ def odd_units(n):
 
 
 def test_criterion_1_formula_agreement():
-    with criterion(1, "exact formula agreement p <= 15", 60):
-        for p in range(3, 16, 2):
+    with criterion(1, "exact formula agreement p <= 25", 60):
+        for p in range(3, 26, 2):
             for q in odd_units(2 * p):
                 for s in range(2 * p):
                     pinc = eta_variant(p, q, s, "pinc-difference")
@@ -72,8 +72,8 @@ def test_criterion_1_formula_agreement():
 
 
 def test_criterion_2_fourier_identity():
-    with criterion(2, "Fourier identity p <= 25", 120):
-        for p in range(3, 26, 2):
+    with criterion(2, "Fourier identity p <= 41", 120):
+        for p in range(3, 42, 2):
             for q in odd_units(2 * p):
                 for j in range(1, p):
                     dft = fourier_coefficient(p, q, j)

@@ -147,6 +147,12 @@ def test_exit_codes_parameter_errors(capsys, tmp_path):
         code, out, err = run_cli(capsys, "swtot", "--scenario", str(path))
         assert (code, out) == (2, ""), name
         assert message in json.loads(err)["error"]["message"], name
+    # the disc model is drawn for rank-3 lattices only
+    code, out, err = run_cli(
+        capsys, "plot-disc", "--scenario", str(tmp_path / "orthogonal.json"), "--out", "-"
+    )
+    assert (code, out) == (2, "")
+    assert "rank-3" in json.loads(err)["error"]["message"]
 
 
 def test_exit_code_genericity(capsys, tmp_path):
@@ -217,11 +223,21 @@ def test_scenario_validation(tmp_path):
         ("positive_class", ["3/2", 0, 0]),
         ("gram", [["x", 0, 0], [0, -1, 0], [0, 0, -1]]),
         ("sigma_plus", [1, 1.0, 1]),
+        ("c1", 5),
+        ("c1", "111"),
+        ("gram", 5),
+        ("gram", [5, 5, 5]),
+        ("omega0", 3),
+        ("perturbation", "1/2"),
     ):
         bad = dict(base)
         bad[key] = value
         with pytest.raises(ParameterError):
             Scenario.from_dict(bad)
+    bad = {k: v for k, v in base.items() if not k.startswith("sigma")}
+    for value in (5, [5, 5, 5]):
+        with pytest.raises(ParameterError, match="must be a list"):
+            Scenario.from_dict({**bad, "isometry": value})
     good = dict(base)
     good["c1"] = ["1", 1, "2/2"]
     assert Scenario.from_dict(good).c1 == (1, 1, 1)

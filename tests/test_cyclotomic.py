@@ -3,6 +3,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenswall.cyclotomic import (
     Cyclotomic,
@@ -188,3 +191,74 @@ def test_equality_is_structural():
     # but both compare equal to the scalar
     assert Cyclotomic.one(3) == 1 and Cyclotomic.one(6) == 1
     assert hash(Cyclotomic.one(5)) == hash(Cyclotomic.rational(5, 1))
+    # equal objects hash equal, scalars included
+    halves = {Fraction(-1, 2), Cyclotomic.rational(7, Fraction(-2, 4))}
+    assert len({Cyclotomic.one(3), 1, *halves}) == 2
+
+
+# -- sympy as the oracle for the integer representation --------------------
+
+X = sympy.Symbol("x")
+_RATIONALS = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+def _sympy_poly(coeffs):
+    """The polynomial sum coeffs[i] * x^i over QQ."""
+    high_first = [sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) for c in coeffs]
+    return sympy.Poly(high_first[::-1] or [0], X, domain="QQ")
+
+
+def _phi(n):
+    return sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+
+
+def _power_basis(n, poly):
+    """Constant-first Fractions of poly mod Phi_n, padded to phi(n) entries."""
+    rem = poly.rem(_phi(n))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (int(sympy.totient(n)) - len(coeffs)))
+
+
+@st.composite
+def _field_elements(draw):
+    """An order n <= 30 and two coefficient lists of any length up to
+    phi(n) + n, so the constructor's reduction is drawn too."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    size = st.integers(min_value=0, max_value=int(sympy.totient(n)) + n)
+    a = draw(st.lists(_RATIONALS, max_size=draw(size)))
+    b = draw(st.lists(_RATIONALS, max_size=draw(size)))
+    return n, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_elements(), st.data())
+def test_arithmetic_matches_sympy(case, data):
+    n, a_in, b_in = case
+    pa, pb = _sympy_poly(a_in), _sympy_poly(b_in)
+    a, b = Cyclotomic(n, a_in), Cyclotomic(n, b_in)
+    assert a.coeffs == _power_basis(n, pa)
+    assert b.coeffs == _power_basis(n, pb)
+    product = a * b
+    assert product.coeffs == _power_basis(n, pa * pb)
+    assert (a + b).coeffs == _power_basis(n, pa + pb)
+    if not a.is_zero():
+        expected = sympy.invert(pa.rem(_phi(n)), _phi(n))
+        assert a.inverse().coeffs == _power_basis(n, expected)
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    k = data.draw(st.sampled_from(units))
+    assert a.galois(k).coeffs == _power_basis(n, pa.compose(sympy.Poly(X**k, X, domain="QQ")))
+    step = data.draw(st.integers(min_value=1, max_value=3))
+    lifted = a.lift_to(n * step)
+    assert lifted.coeffs == _power_basis(n * step, pa.compose(sympy.Poly(X**step, X, domain="QQ")))
+    # two constructions of the same value are equal and hash equal
+    for left, right in (
+        (product, Cyclotomic(n, _power_basis(n, pa * pb))),
+        ((a + b) - b, a),
+        ((a * 6) / 4, a * Fraction(3, 2)),
+        (a.times_root(k), a * root_of_unity(n, k)),
+        (lifted, Cyclotomic(n * step, lifted.coeffs)),
+    ):
+        assert left == right and hash(left) == hash(right)

@@ -22,6 +22,7 @@ from lenswall.eta import (
     rho_lens,
     rho_table,
 )
+from lenswall.eta import _half_root_weights, _odd_p_weights
 from oracles import (
     eta_float,
     eta_half_roots_float,
@@ -60,9 +61,9 @@ def test_rho_matches_float_oracle():
 
 def test_rho_table_matches_cyclotomic_sum():
     """The integer recurrence equals the exact root-of-unity sum in
-    Q(zeta_n) for every n in 1..20 and every q coprime to n (128 pairs)."""
-    pairs = [(n, q) for n in range(1, 21) for q in range(n) if gcd(q, n) == 1]
-    assert len(pairs) == 128
+    Q(zeta_n) for every n in 1..40 and every q coprime to n (490 pairs)."""
+    pairs = [(n, q) for n in range(1, 41) for q in range(n) if gcd(q, n) == 1]
+    assert len(pairs) == 490
     for n, q in pairs:
         assert rho_table(n, q) == rho_table_cyclotomic(n, q), (n, q)
 
@@ -247,6 +248,13 @@ def test_table_caches_key_on_normalized_parameters():
     assert eta_table(3, 1) is eta_table(3, 7)
     info = eta_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # the field sums' s-independent weights are computed once per (p, q mod 2p)
+    for weights, formula in ((_half_root_weights, "half-roots"), (_odd_p_weights, "odd-p")):
+        weights.cache_clear()
+        values = [eta_variant(7, q, s, formula) for q in (3, 17, -11) for s in range(14)]
+        assert values == [eta_flipspun(7, 3, s) for s in range(14)] * 3
+        info = weights.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_cached_table_keeps_the_budget():
