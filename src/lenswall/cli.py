@@ -35,7 +35,14 @@ from .eta import (
 )
 from .lattice import double_structure, metabolizer_check, metabolizer_search, sw_formal_dimension
 from .scenario import format_rational, load_scenario
-from .wallcross import classify_isometry, orbit_swtot, spinc_orbit, unique_crossing_index
+from .wallcross import (
+    _integerize,
+    classify_isometry,
+    cone_point,
+    orbit_swtot,
+    spinc_orbit,
+    unique_crossing_index,
+)
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -197,12 +204,14 @@ def _cmd_plot_disc(args) -> dict:
     f = scenario.isometry()
     wall = scenario.wall()
     action = f.adjoint()
+    # the integer ray through omega0 has the same disc image and can be stepped exactly
+    start = _integerize(cone_point(lat, scenario.omega0))
     points = []
-    omega = scenario.omega0
+    omega = start
     for n in range(0, args.orbit_steps + 1):
         points.append((n, omega))
         omega = action.apply(omega)
-    omega = scenario.omega0
+    omega = start
     for n in range(1, args.orbit_steps + 1):
         omega = f.apply(omega)
         points.append((-n, omega))

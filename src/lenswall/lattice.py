@@ -41,8 +41,16 @@ SIGMA_PLUS = (1, 1, 1)
 SIGMA_MINUS = (1, -1, 1)
 
 
+def _as_int(x) -> int:
+    """x as an int; a value that int() would truncate is rejected."""
+    n = int(x)
+    if n != x:
+        raise ParameterError(f"expected an integer, got {x}")
+    return n
+
+
 def _as_vector(v, rank: int) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in v)
+    vec = tuple(_as_int(x) for x in v)
     if len(vec) != rank:
         raise ParameterError(f"vector length {len(vec)} does not match rank {rank}")
     return vec
@@ -119,7 +127,7 @@ class IntegralLattice:
     """
 
     def __init__(self, gram, positive_class=None):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = tuple(tuple(_as_int(x) for x in row) for row in gram)
         rank = len(gram)
         if any(len(row) != rank for row in gram):
             raise ParameterError("gram matrix must be square")
@@ -202,7 +210,7 @@ class Isometry:
     """An integer matrix preserving the lattice pairing exactly."""
 
     def __init__(self, lattice: IntegralLattice, matrix):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(_as_int(x) for x in row) for row in matrix)
         if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
             raise ParameterError("isometry matrix does not match lattice rank")
         g = lattice.gram

@@ -7,12 +7,15 @@ under the dual action of an isometry crosses the wall of reducibles, and
 the signed count of crossings times the oracle invariant of the closed
 piece is the total one-parameter invariant.  Walls and period points use
 dual (H^2) coordinates throughout: an isometry f acts on them by the
-pairing-adjoint gram^-1 f^T gram.
+pairing-adjoint gram^-1 f^T gram.  orbit_swtot reads every wall-side
+question off one list of sign segments, taken from a closed form when the
+action has a unipotent power and from the stepped orbit otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -28,6 +31,8 @@ from .lattice import (
     STANDARD_GRAM,
     IntegralLattice,
     Isometry,
+    _as_int,
+    _as_vector,
     _identity,
     _mat_mul,
     _mat_vec,
@@ -270,57 +275,6 @@ def _samples(segments, lo: int, hi: int, every_step: bool = False):
             yield last, pattern[(last - start) % period]
 
 
-def _orbit_pairings(lattice, f, wall, omega0, n_max):
-    """Pairings <A^n omega0, w> for n = -n_max .. n_max+1 with A the dual
-    action of f; all integer arithmetic after clearing denominators."""
-    omega = _integerize(cone_point(lattice, omega0))
-    w = _integerize(wall.vector())
-    forward = f.adjoint().matrix
-    backward = f.matrix  # inverse of the adjoint
-    pair = lambda v: lattice.pairing(v, w)
-    values = {0: pair(omega)}
-    v = omega
-    for n in range(1, n_max + 2):
-        v = _mat_vec(forward, v)
-        values[n] = pair(v)
-    v = omega
-    for n in range(1, n_max + 1):
-        v = _mat_vec(backward, v)
-        values[-n] = pair(v)
-    for n in range(-n_max, n_max + 2):
-        if values[n] == 0:
-            raise _on_wall(n)
-    return values
-
-
-def _orbit_sweep(
-    lattice: IntegralLattice,
-    f: Isometry,
-    spinc: SpinCData,
-    omega0,
-    wall: WallClass,
-    n_max: int = 1000,
-    stab_window: int = 16,
-) -> OrbitSummary:
-    """orbit_swtot by stepping the orbit through every n in
-    [-n_max, n_max + 1].  Used for maps with no unipotent power, and as the
-    reference the certificate is tested against."""
-    _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
-    window = min(stab_window, n_max)
-    values = _orbit_pairings(lattice, f, wall, omega0, n_max)
-    signs = {n: _sign(v) for n, v in values.items()}
-    crossings = {}
-    for n in range(-n_max, n_max + 1):
-        c = (signs[n + 1] - signs[n]) // 2
-        if c and spinc.sw_x:
-            crossings[n] = c * spinc.sw_x
-    low = [signs[n] for n in range(-n_max, -n_max + window)]
-    high = [signs[n] for n in range(n_max + 2 - window, n_max + 2)]
-    if len(set(low)) != 1 or len(set(high)) != 1:
-        raise _unstable(n_max)
-    return OrbitSummary(crossings=crossings, steps_used=2 * n_max + 1)
-
-
 def orbit_swtot(
     lattice: IntegralLattice,
     f: Isometry,
@@ -350,8 +304,10 @@ def orbit_swtot(
     depends on r alone; so a few closed-form evaluations certify the whole
     range in time independent of n_max (method "certificate"), and
     stabilized says whether the sign provably stays fixed beyond both ends.
-    Other maps are stepped through the range (method "sweep", stabilized
-    always True).
+    Other maps are stepped through the range (method "sweep"): the range
+    is then one bracket whose ends are the reading's ends, so stabilized is
+    always True.  Both methods take the on-wall check, the windows, the
+    crossings and stabilized from the same sign segments.
     """
     _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
     omega = _integerize(cone_point(lattice, omega0))
@@ -359,25 +315,40 @@ def orbit_swtot(
     forward = f.adjoint().matrix
     certificate = _unipotent_power(forward)
     if certificate is None:
-        return _orbit_sweep(lattice, f, spinc, omega0, wall, n_max, stab_window)
-    m, nil, square = certificate
-    coeffs, brackets = [], []
-    v = omega
-    for r in range(m):
-        a, b, c = (lattice.pairing(u, w) for u in (v, _mat_vec(nil, v), _mat_vec(square, v)))
-        coeffs.append((a, b, c))
-        brackets += [(m * lo + r, m * hi + r) for lo, hi in _root_brackets(a, b, c)]
-        v = _mat_vec(forward, v)
+        first = _sign(lattice.pairing(omega, w))  # which also checks the wall's length
+        dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
 
-    def sign(n):
-        k, r = divmod(n, m)
-        a, b, c = coeffs[r]
-        return _sign(a + b * k + c * (k * (k - 1) // 2))
+        def signs(mat, count):
+            v, out = omega, [first]
+            for _ in range(count):
+                v = _mat_vec(mat, v)
+                out.append(_sign(sum(map(operator.mul, v, dual))))
+            return out
 
-    # m steps past every bracket and past both ends show the sign of each
-    # residue on the unbounded stretches beyond
-    lo = min([-n_max] + [x for x, _ in brackets]) - m
-    hi = max([n_max + 1] + [y for _, y in brackets]) + m
+        # f inverts its adjoint; list index n is step n for n in [-n_max, n_max + 1]
+        sign = (signs(forward, n_max + 1) + signs(f.matrix, n_max)[:0:-1]).__getitem__
+        m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
+        brackets = [(lo, hi)]
+    else:
+        m, nil, square = certificate
+        coeffs, brackets = [], []
+        v = omega
+        for r in range(m):
+            a, b, c = (lattice.pairing(u, w) for u in (v, _mat_vec(nil, v), _mat_vec(square, v)))
+            coeffs.append((a, b, c))
+            brackets += [(m * lo + r, m * hi + r) for lo, hi in _root_brackets(a, b, c)]
+            v = _mat_vec(forward, v)
+
+        def sign(n):
+            k, r = divmod(n, m)
+            a, b, c = coeffs[r]
+            return _sign(a + b * k + c * (k * (k - 1) // 2))
+
+        # m steps past every bracket and past both ends show the sign of
+        # each residue on the unbounded stretches beyond
+        lo = min([-n_max] + [x for x, _ in brackets]) - m
+        hi = max([n_max + 1] + [y for _, y in brackets]) + m
+        method = "certificate"
     segments = _sign_segments(sign, brackets, lo, hi, m)
     for n, s in _samples(segments, -n_max, n_max + 1):
         if s == 0:
@@ -397,7 +368,7 @@ def orbit_swtot(
         crossings=crossings,
         stabilized=len(sides(lo, -n_max)) == 1 and len(sides(n_max + 1, hi)) == 1,
         steps_used=2 * n_max + 1,
-        method="certificate",
+        method=method,
     )
 
 
@@ -466,7 +437,7 @@ def finite_orbit_swtot(orbit_size: int, edge_values, d: int) -> int:
     """
     if orbit_size < 1 or d < 1:
         raise ParameterError("orbit size and power must be positive")
-    edges = [int(x) for x in edge_values]
+    edges = [_as_int(x) for x in edge_values]
     if len(edges) != orbit_size:
         raise ParameterError(f"expected {orbit_size} edge values, got {len(edges)}")
     n = orbit_size
@@ -494,7 +465,7 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
     are stepped up to the bound."""
     if bound < 1:
         raise ParameterError("bound must be positive")
-    start = tuple(int(x) for x in c1)
+    start = _as_vector(c1, lattice.rank)
     mat = f.adjoint().matrix
     certificate = _unipotent_power(mat)
     steps = bound if certificate is None else min(bound, certificate[0])

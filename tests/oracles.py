@@ -1,9 +1,14 @@
-"""Independent reference evaluations of the rho and eta sums.
+"""Independent reference evaluations of the rho and eta sums and of the
+orbit crossing sum.
 
 The float oracles evaluate the same sums as the exact code but entirely
 in complex double arithmetic, with no use of the package's field
 machinery.  rho_table_cyclotomic is the exact reference for the integer
 rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
+_orbit_sweep is the reference for wallcross.orbit_swtot: it steps the
+orbit through the whole range and reads the signs directly; it shares
+the input check, the error messages and the ray helpers with the package,
+but not the package's sign reader.
 """
 
 import cmath
@@ -11,6 +16,18 @@ from fractions import Fraction
 
 from lenswall.cyclotomic import Cyclotomic
 from lenswall.eta import LensSpace, _unit_inverse
+from lenswall.lattice import IntegralLattice, Isometry, _mat_vec
+from lenswall.wallcross import (
+    OrbitSummary,
+    SpinCData,
+    WallClass,
+    _check_orbit_inputs,
+    _integerize,
+    _on_wall,
+    _sign,
+    _unstable,
+    cone_point,
+)
 
 
 def rho_table_cyclotomic(n: int, q: int) -> tuple[Fraction, ...]:
@@ -74,3 +91,54 @@ def eta_odd_p_float(p: int, q: int, s: int) -> float:
     total /= p
     assert abs(total.imag) < 1e-9
     return total.real
+
+
+def _orbit_pairings(lattice, f, wall, omega0, n_max):
+    """Pairings <A^n omega0, w> for n = -n_max .. n_max+1 with A the dual
+    action of f; all integer arithmetic after clearing denominators."""
+    omega = _integerize(cone_point(lattice, omega0))
+    w = _integerize(wall.vector())
+    forward = f.adjoint().matrix
+    backward = f.matrix  # inverse of the adjoint
+    pair = lambda v: lattice.pairing(v, w)
+    values = {0: pair(omega)}
+    v = omega
+    for n in range(1, n_max + 2):
+        v = _mat_vec(forward, v)
+        values[n] = pair(v)
+    v = omega
+    for n in range(1, n_max + 1):
+        v = _mat_vec(backward, v)
+        values[-n] = pair(v)
+    for n in range(-n_max, n_max + 2):
+        if values[n] == 0:
+            raise _on_wall(n)
+    return values
+
+
+def _orbit_sweep(
+    lattice: IntegralLattice,
+    f: Isometry,
+    spinc: SpinCData,
+    omega0,
+    wall: WallClass,
+    n_max: int = 1000,
+    stab_window: int = 16,
+) -> OrbitSummary:
+    """orbit_swtot by stepping the orbit through every n in
+    [-n_max, n_max + 1], for every map: the reference the package's
+    certificate and stepped paths are tested against."""
+    _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
+    window = min(stab_window, n_max)
+    values = _orbit_pairings(lattice, f, wall, omega0, n_max)
+    signs = {n: _sign(v) for n, v in values.items()}
+    crossings = {}
+    for n in range(-n_max, n_max + 1):
+        c = (signs[n + 1] - signs[n]) // 2
+        if c and spinc.sw_x:
+            crossings[n] = c * spinc.sw_x
+    low = [signs[n] for n in range(-n_max, -n_max + window)]
+    high = [signs[n] for n in range(n_max + 2 - window, n_max + 2)]
+    if len(set(low)) != 1 or len(set(high)) != 1:
+        raise _unstable(n_max)
+    return OrbitSummary(crossings=crossings, steps_used=2 * n_max + 1)

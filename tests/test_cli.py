@@ -70,6 +70,25 @@ def test_orbit_command(capsys):
     assert doc["results"]["crossing_index"] == 0
 
 
+def test_swtot_and_orbit_hyperbolic_scenario(capsys, tmp_path):
+    """reflection(sigma_plus) after the quarter turn about S is hyperbolic,
+    so swtot steps the orbit; its one crossing is at step 0."""
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(json.dumps({
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "positive_class": [1, 0, 0],
+        "isometry": [[3, -2, 2], [2, -2, 1], [2, -1, 2]], "c1": [1, 1, 1],
+        "omega0": [3, 2, 2], "sw_x": 1, "n_max": 200,
+    }))
+    for argv, steps_used in (((), 401), (("--n-max", "1"), 3)):
+        doc = run_json(capsys, "swtot", "--scenario", str(path), *argv)
+        assert doc["results"] == {
+            "total": 1, "crossings": {"0": 1}, "stabilized": True, "steps_used": steps_used,
+        }
+    doc = run_json(capsys, "orbit", "--scenario", str(path))
+    assert doc["results"]["classification"] == "hyperbolic"
+    assert doc["results"]["crossing_index"] == 0
+
+
 def test_metabolizer_command(capsys):
     doc = run_json(capsys, "metabolizer", "--bound", "1")
     assert doc["results"]["found"] is True
@@ -271,6 +290,19 @@ def test_plot_disc_stdout(capsys):
     code, out, _ = run_cli(capsys, "plot-disc", "--out", "-")
     assert code == 0
     assert out.startswith("<?xml") and out.rstrip().endswith("</svg>")
+
+
+def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):
+    """omega0 = (7/2, 2, 2) is the ray of (7, 4, 4), and the disc image
+    does not depend on scale, so the two figures are the same."""
+    svgs = []
+    for name, omega0 in (("rational", ["7/2", 2, 2]), ("integer", [7, 4, 4])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**load_scenario("paper-default").to_dict(), "omega0": omega0}))
+        code, out, _ = run_cli(capsys, "plot-disc", "--scenario", str(path), "--out", "-")
+        assert code == 0
+        svgs.append(out)
+    assert svgs[0] == svgs[1]
 
 
 def test_cli_subprocess_entry():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -97,6 +98,19 @@ def test_isometry_validation(lat):
         f.power(d)  # constructor revalidates
 
 
+def test_integer_entries_are_checked_not_truncated(lat, composed):
+    """Vectors, grams and isometry matrices take integral values of any
+    numeric type, and reject a value that int() would truncate."""
+    action = composed.adjoint()
+    with pytest.raises(ParameterError, match="expected an integer, got 7/2"):
+        action.apply((Fraction(7, 2), 2, 2))
+    assert action.apply((Fraction(6, 2), 2.0, 2)) == action.apply((3, 2, 2))
+    with pytest.raises(ParameterError, match="got 1/2"):
+        IntegralLattice(((1, 0), (0, Fraction(1, 2))))
+    with pytest.raises(ParameterError, match="got 1.5"):
+        Isometry(lat, ((1.5, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def test_compose_inverse_powers(lat, composed):
     assert (composed * composed.inverse()).is_identity()
     rng = random.Random(11)
@@ -144,6 +158,14 @@ def test_metabolizer_paper_vectors(lat, composed):
     assert metabolizer_check(structure, mixed)
     # a single vector cannot span half of rank 6
     assert not metabolizer_check(structure, [vectors[0]])
+
+
+def test_metabolizer_check_rejects_non_integral_vectors(lat, composed):
+    # 1.5 in place of the first paper vector's leading 1 must not pass as it
+    structure = double_structure(lat, composed)
+    vectors = [(1.5, 0, 1, 0, 0, 0), (0, 1, 0, 0, 1, 0), (1, 0, 1, 1, 0, 1)]
+    with pytest.raises(ParameterError, match="got 1.5"):
+        metabolizer_check(structure, vectors)
 
 
 def test_metabolizer_diagonal(lat):

@@ -39,7 +39,8 @@ from lenswall.wallcross import (
     unique_crossing_index,
     wall_evaluate,
 )
-from lenswall.wallcross import _orbit_pairings, _orbit_sweep, _unipotent_power
+from lenswall.wallcross import _unipotent_power
+from oracles import _orbit_pairings, _orbit_sweep
 
 C1 = (1, 1, 1)
 
@@ -237,12 +238,27 @@ def test_finite_orbit_swtot():
             assert finite_orbit_swtot(n, edges, d) == math.lcm(d, n) // n * sum(edges)
 
 
+def test_finite_orbit_swtot_rejects_non_integral_edges():
+    with pytest.raises(ParameterError, match="got 0.5"):
+        finite_orbit_swtot(2, [0.5, 1.7], 1)
+    assert finite_orbit_swtot(2, [Fraction(4, 2), 1.0], 1) == 3
+
+
 def test_spinc_orbit(lat, parabolic):
     assert spinc_orbit(lat, identity_isometry(lat), C1).period == 1
     status = spinc_orbit(lat, parabolic, C1, bound=1000)
     assert not status.finite and status.period is None and status.bound == 1000
     refl = reflection_sphere(lat, SIGMA_PLUS)
     assert spinc_orbit(lat, refl, (0, 1, -1)).period in (1, 2)
+
+
+def test_spinc_orbit_checks_c1(lat, parabolic):
+    """A c1 of the wrong length or with a fractional entry is an error, not
+    a class that never returns."""
+    with pytest.raises(ParameterError, match="vector length 2 does not match rank 3"):
+        spinc_orbit(lat, parabolic, (1, 1))
+    with pytest.raises(ParameterError, match="got 1/2"):
+        spinc_orbit(lat, parabolic, (Fraction(1, 2), 1, 1))
 
 
 def test_classify_isometry(lat, parabolic):
@@ -280,7 +296,7 @@ ROTATION = ((1, 0, 0), (0, 0, -1), (0, 1, 0))  # order 4, fixes (1, 0, 0)
 
 def orbit_maps(lat):
     """Maps with a unipotent power of exponent 1, 2 and 4 (parabolic and
-    elliptic), and two hyperbolic products, which take the sweep."""
+    elliptic), and two hyperbolic products, which orbit_swtot steps."""
     f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
     rotation = Isometry(lat, ROTATION)
     refl = reflection_sphere(lat, SIGMA_PLUS)
@@ -321,9 +337,10 @@ def orbit_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(orbit_cases())
 def test_orbit_certificate_matches_sweep(case):
-    """The closed-form certificate and the step-by-step sweep agree on the
+    """orbit_swtot (the closed-form certificate, or for hyperbolic maps the
+    stepped orbit read as one bracket) and the reference sweep agree on the
     crossings (in order), the total, steps_used, and the type and message
-    of any exception, for parabolic, elliptic and hyperbolic maps."""
+    of any exception."""
     assert outcome(orbit_swtot, **case) == outcome(_orbit_sweep, **case)
 
 
