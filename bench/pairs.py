@@ -11,7 +11,9 @@ change was better (ties count for neither side).
         --workload wallcross-orbits --pairs 10 --out BENCH_example.json
 
 The checkouts must each hold `perfbench/` and `src/`; the directions of
-the metrics are read from the change's BENCHMARK.json.  When the output
+the metrics are read from the change's BENCHMARK.json.  With `--trace`,
+each side also makes one `--trace 1` run per workload (at the first seed),
+and the document keeps its per-layer metrics under "trace".  When the output
 file exists, the workloads it holds that this run does not measure are
 kept, so several runs can fill one document.
 """
@@ -28,10 +30,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -81,6 +83,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--seed-base", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", action="store_true",
+                        help="also record one traced run per side and workload")
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -114,6 +118,11 @@ def main() -> int:
             "metrics": summarize(runs, better),
             "runs": runs,
         }
+        if args.trace:
+            doc["workloads"][workload]["trace"] = {
+                side: run_once(getattr(args, side), workload, args.seed_base, args.seconds, 1)
+                for side in ("parent", "change")
+            }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -11,7 +11,8 @@ classes off its own table and runs in one process (--jobs is accepted and
 echoed but changes nothing).
 
 Environment: LENSWALL_MAX_P overrides the eta-side size budget,
-LENSWALL_SEARCH_BUDGET the metabolizer enumeration budget.
+LENSWALL_SEARCH_BUDGET the metabolizer search budget (the half-vector
+table, then the isotropic pairs and extension steps examined).
 """
 
 from __future__ import annotations

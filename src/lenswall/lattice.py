@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .errors import ParameterError, ResourceBoundError
 
@@ -75,11 +76,16 @@ def _transpose(m):
     return tuple(zip(*m))
 
 
+def _leading(v) -> int:
+    """The first nonzero entry of v, or 0 for the zero vector."""
+    return next((x for x in v if x), 0)
+
+
 def _primitive(row):
     """row divided by the gcd of its entries, signed so that its first
     nonzero entry is positive; the zero row is returned as it is."""
     g = gcd(*row)
-    if next((x for x in row if x), 0) < 0:
+    if _leading(row) < 0:
         g = -g
     return [x // g for x in row] if g else row
 
@@ -313,14 +319,28 @@ def alpha_invariant(f: Isometry) -> int:
 @dataclass(frozen=True)
 class IsometricStructure:
     """(L + L, f + id, q + -q): the doubled lattice with block-diagonal
-    pairing q + -q and the block map f + id."""
+    pairing q + -q and the block map f + id.  The constructor refuses a
+    gram or a map that is not in this block form."""
 
     lattice: IntegralLattice
     map: Isometry
 
     def __post_init__(self):
-        if self.lattice.rank % 2 != 0:
+        rank = self.lattice.rank
+        if rank % 2 != 0:
             raise ParameterError("doubled structure must have even rank")
+        if self.map.lattice.gram != self.lattice.gram:
+            raise ParameterError("doubled structure map must act on its lattice")
+        n = rank // 2
+        gram, matrix = self.lattice.gram, self.map.matrix
+        for i in range(n):
+            for j in range(n):
+                if gram[i][n + j] or gram[n + i][j]:
+                    raise ParameterError("doubled structure gram needs zero off-diagonal blocks")
+                if gram[n + i][n + j] != -gram[i][j]:
+                    raise ParameterError("doubled structure gram must be q + -q")
+                if matrix[i][n + j] or matrix[n + i][j] or matrix[n + i][n + j] != int(i == j):
+                    raise ParameterError("doubled structure map must be f + id")
 
 
 def double_structure(lattice: IntegralLattice, f: Isometry) -> IsometricStructure:
@@ -376,6 +396,10 @@ def metabolizer_check(structure: IsometricStructure, vectors) -> bool:
     return True
 
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def metabolizer_search(
     structure: IsometricStructure,
     coefficient_bound: int = 1,
@@ -383,61 +407,85 @@ def metabolizer_search(
 ) -> list[tuple[int, ...]] | None:
     """Bounded exhaustive search for a metabolizer.
 
-    Candidates are primitive vectors with coordinates in
-    [-coefficient_bound, coefficient_bound], enumerated lexicographically;
-    a depth-first search keeps partial families independent and isotropic
-    and accepts once a half-rank family passes metabolizer_check.  Returns
-    None when no metabolizer exists within the bound.  The budget caps both
-    the size of the coordinate grid, checked before it is enumerated, and
-    the number of extension steps examined.
+    Candidates are the primitive isotropic vectors v = (x, y) with
+    coordinates in [-coefficient_bound, coefficient_bound] and first
+    nonzero coordinate positive, in lexicographic order; a depth-first
+    search keeps partial families independent and accepts once a
+    half-rank family passes metabolizer_check.  Returns None when no
+    metabolizer exists within the bound.
+
+    The search runs on the half-lattice.  The form is q + -q, so v is
+    isotropic iff q(x) = q(y), and each x is paired with the y of its norm.
+    A vector of an F-invariant isotropic subspace, F = f + id, has
+    <v, Fv> = x.q f x - q(y) = 0, so an x with x.q f x != q(x) is dropped
+    before pairing; and a new v must satisfy <v, u> = <v, Fu> = <v, F^-1 u>
+    = 0 for every chosen u.  Both prunings drop only families that cannot
+    pass metabolizer_check, so the first family found is the one the
+    search over the full coordinate grid would find.
+
+    The budget caps the half-vector table, (2b+1)^(rank/2) entries checked
+    before it is built, and the isotropic pairs plus extension steps the
+    search examines.
     """
     if coefficient_bound < 1:
         raise ParameterError("coefficient bound must be >= 1")
-    lat = structure.lattice
-    rank = lat.rank
-    half = rank // 2
-    grid = (2 * coefficient_bound + 1) ** rank
-    if grid > budget:
+    n = structure.lattice.rank // 2
+    table = (2 * coefficient_bound + 1) ** n
+    if table > budget:
         raise ResourceBoundError(
-            f"metabolizer search grid of {grid} coordinate tuples exceeds its budget of {budget}"
+            f"metabolizer search table of {table} half-vectors exceeds its budget of {budget}"
         )
+    q = tuple(row[:n] for row in structure.lattice.gram[:n])
+    qf = _mat_mul(q, tuple(row[:n] for row in structure.map.matrix[:n]))
+    qf_inv = _mat_mul(q, tuple(row[:n] for row in structure.map.inverse().matrix[:n]))
     span = range(-coefficient_bound, coefficient_bound + 1)
-    candidates = []
-    for coords in product(span, repeat=rank):
-        vec = tuple(coords)
-        nonzero = [abs(x) for x in vec if x]
-        if not nonzero:
-            continue
-        if next(x for x in vec if x) < 0:  # keep one vector per +-pair
-            continue
-        if gcd(*nonzero) != 1:
-            continue
-        if lat.norm(vec) != 0:
-            continue
-        candidates.append(vec)
+    halves = list(product(span, repeat=n))
+    duals = [_mat_vec(q, h) for h in halves]
+    norms = [_dot(h, qh) for h, qh in zip(halves, duals)]
+    by_norm: dict[int, list[int]] = {}
+    for j, norm in enumerate(norms):
+        by_norm.setdefault(norm, []).append(j)
 
     steps = 0
 
-    def extend(start: int, chosen: list[tuple[int, ...]]):
+    def step():
         nonlocal steps
-        if len(chosen) == half:
-            return list(chosen) if metabolizer_check(structure, chosen) else None
+        steps += 1
+        if steps > budget:
+            raise ResourceBoundError(f"metabolizer search exceeded its budget of {budget} steps")
+
+    # each candidate v = (x, y) carries the forms <., v>, <., Fv> and
+    # <., F^-1 v> as rows: (q x, -q y), (q f x, -q y) and (q f^-1 x, -q y)
+    candidates = []
+    for i, x in enumerate(halves):
+        if _leading(x) < 0:  # keep one vector per +-pair
+            continue
+        qfx = _mat_vec(qf, x)
+        if _dot(x, qfx) != norms[i]:  # <v, Fv> != 0 for every partner y
+            continue
+        x_duals = (duals[i], qfx, _mat_vec(qf_inv, x))
+        for j in by_norm[norms[i]]:
+            step()
+            y = halves[j]
+            if (any(x) or _leading(y) > 0) and gcd(*x, *y) == 1:
+                minus_qy = tuple(-c for c in duals[j])
+                candidates.append((x + y, tuple(d + minus_qy for d in x_duals)))
+
+    def extend(start: int, chosen: list[tuple[int, ...]], rows: list[tuple[int, ...]]):
+        if len(chosen) == n:
+            return chosen if metabolizer_check(structure, chosen) else None
         basis, pivots = _echelon(chosen)
         for idx in range(start, len(candidates)):
-            steps += 1
-            if steps > budget:
-                raise ResourceBoundError(
-                    f"metabolizer search exceeded its budget of {budget} steps"
-                )
-            v = candidates[idx]
-            if any(lat.pairing(v, u) != 0 for u in chosen) or _in_span(basis, pivots, v):
+            step()
+            v, v_rows = candidates[idx]
+            if any(_dot(r, v) for r in rows) or _in_span(basis, pivots, v):
                 continue
-            found = extend(idx + 1, chosen + [v])
+            found = extend(idx + 1, chosen + [v], rows + list(v_rows))
             if found is not None:
                 return found
         return None
 
-    return extend(0, [])
+    return extend(0, [], [])
 
 
 def sw_formal_dimension(c1_square: int, euler: int, signature: int) -> int:

@@ -8,7 +8,7 @@ the step budget.  Rational entries are written as integers or "a/b"
 strings; floats are rejected to keep the exact path exact.  Integer
 entries (gram, classes, isometry, spheres) are parsed the same way and
 must have denominator 1.  Vectors and matrices must be JSON lists (of
-lists).
+lists), and every vector must have the gram's rank.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class Scenario:
         n_max = doc.get("n_max", 1000)
         if not isinstance(n_max, int) or n_max < 1:
             raise ParameterError("n_max must be a positive integer")
-        return cls(
+        scenario = cls(
             name=name,
             gram=_matrix(doc["gram"], "gram"),
             positive_class=_integers(doc["positive_class"], "positive_class"),
@@ -166,6 +166,14 @@ class Scenario:
                 _rationals(doc["perturbation"], "perturbation") if "perturbation" in doc else None
             ),
         )
+        rank = len(scenario.gram)
+        for what in ("positive_class", "c1", "omega0", "sigma_plus", "sigma_minus", "perturbation"):
+            vector = getattr(scenario, what)
+            if vector is not None and len(vector) != rank:
+                raise ParameterError(
+                    f"{what} has length {len(vector)}, but the gram has rank {rank}"
+                )
+        return scenario
 
 
 BUILTIN_SCENARIOS = {

@@ -1,5 +1,5 @@
-"""Independent reference evaluations of the rho and eta sums and of the
-orbit crossing sum.
+"""Independent reference evaluations of the rho and eta sums, of the
+orbit crossing sum and of the metabolizer search.
 
 The float oracles evaluate the same sums as the exact code but entirely
 in complex double arithmetic, with no use of the package's field
@@ -8,15 +8,28 @@ rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
 _orbit_sweep is the reference for wallcross.orbit_swtot: it steps the
 orbit through the whole range and reads the signs directly; it shares
 the input check, the error messages and the ray helpers with the package,
-but not the package's sign reader.
+but not the package's sign reader.  metabolizer_search_grid is the
+reference for lattice.metabolizer_search: it walks the whole coordinate
+grid of the doubled lattice and pairs candidates with the full form.
 """
 
 import cmath
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 from lenswall.cyclotomic import Cyclotomic
+from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import LensSpace, _unit_inverse
-from lenswall.lattice import IntegralLattice, Isometry, _mat_vec
+from lenswall.lattice import (
+    IntegralLattice,
+    IsometricStructure,
+    Isometry,
+    _echelon,
+    _in_span,
+    _mat_vec,
+    metabolizer_check,
+)
 from lenswall.wallcross import (
     OrbitSummary,
     SpinCData,
@@ -142,3 +155,66 @@ def _orbit_sweep(
     if len(set(low)) != 1 or len(set(high)) != 1:
         raise _unstable(n_max)
     return OrbitSummary(crossings=crossings, steps_used=2 * n_max + 1)
+
+
+def metabolizer_search_grid(
+    structure: IsometricStructure,
+    coefficient_bound: int = 1,
+    budget: int = 2_000_000,
+) -> list[tuple[int, ...]] | None:
+    """metabolizer_search by walking all (2b+1)^rank coordinate tuples.
+
+    Candidates are primitive isotropic vectors with coordinates in
+    [-coefficient_bound, coefficient_bound], first nonzero coordinate
+    positive, enumerated lexicographically; a depth-first search keeps
+    partial families independent and isotropic and accepts once a
+    half-rank family passes metabolizer_check.  The budget caps the grid,
+    checked before it is enumerated, and the extension steps examined.
+    """
+    if coefficient_bound < 1:
+        raise ParameterError("coefficient bound must be >= 1")
+    lat = structure.lattice
+    rank = lat.rank
+    half = rank // 2
+    grid = (2 * coefficient_bound + 1) ** rank
+    if grid > budget:
+        raise ResourceBoundError(
+            f"metabolizer search grid of {grid} coordinate tuples exceeds its budget of {budget}"
+        )
+    span = range(-coefficient_bound, coefficient_bound + 1)
+    candidates = []
+    for coords in product(span, repeat=rank):
+        vec = tuple(coords)
+        nonzero = [abs(x) for x in vec if x]
+        if not nonzero:
+            continue
+        if next(x for x in vec if x) < 0:  # keep one vector per +-pair
+            continue
+        if gcd(*nonzero) != 1:
+            continue
+        if lat.norm(vec) != 0:
+            continue
+        candidates.append(vec)
+
+    steps = 0
+
+    def extend(start: int, chosen: list[tuple[int, ...]]):
+        nonlocal steps
+        if len(chosen) == half:
+            return list(chosen) if metabolizer_check(structure, chosen) else None
+        basis, pivots = _echelon(chosen)
+        for idx in range(start, len(candidates)):
+            steps += 1
+            if steps > budget:
+                raise ResourceBoundError(
+                    f"metabolizer search exceeded its budget of {budget} steps"
+                )
+            v = candidates[idx]
+            if any(lat.pairing(v, u) != 0 for u in chosen) or _in_span(basis, pivots, v):
+                continue
+            found = extend(idx + 1, chosen + [v])
+            if found is not None:
+                return found
+        return None
+
+    return extend(0, [])

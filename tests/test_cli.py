@@ -172,6 +172,15 @@ def test_exit_codes_parameter_errors(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert "rank-3" in json.loads(err)["error"]["message"]
+    # every scenario vector must have the gram's rank, whichever command
+    # reads it (plot-disc indexed a short c1 and ended in an IndexError)
+    path = tmp_path / "short_c1.json"
+    path.write_text(json.dumps({**base, "c1": [1, 1]}))
+    for command in (("swtot",), ("orbit",), ("metabolizer",), ("plot-disc", "--out", "-")):
+        code, out, err = run_cli(capsys, *command, "--scenario", str(path))
+        assert (code, out) == (2, ""), command
+        message = json.loads(err)["error"]["message"]
+        assert message == "c1 has length 2, but the gram has rank 3", command
 
 
 def test_exit_code_genericity(capsys, tmp_path):
@@ -253,6 +262,15 @@ def test_scenario_validation(tmp_path):
         bad[key] = value
         with pytest.raises(ParameterError):
             Scenario.from_dict(bad)
+    for key, value in (
+        ("positive_class", [1, 0]),
+        ("c1", [1, 1, 1, 1]),
+        ("omega0", [3, 2]),
+        ("sigma_minus", [1, -1]),
+        ("perturbation", ["1/2", 0]),
+    ):
+        with pytest.raises(ParameterError, match=f"^{key} has length {len(value)}, but the gram"):
+            Scenario.from_dict({**base, key: value})
     bad = {k: v for k, v in base.items() if not k.startswith("sigma")}
     for value in (5, [5, 5, 5]):
         with pytest.raises(ParameterError, match="must be a list"):

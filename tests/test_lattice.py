@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 
 import pytest
@@ -8,11 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenswall import lattice
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.lattice import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     IntegralLattice,
+    IsometricStructure,
     Isometry,
     alpha_invariant,
     double_structure,
@@ -24,6 +26,7 @@ from lenswall.lattice import (
     sw_formal_dimension,
 )
 from lenswall.lattice import _echelon, _in_span
+from oracles import metabolizer_search_grid
 
 # the composed reflection on (S, E1, E2), rows as frozen below
 COMPOSED_ROWS = ((9, 4, -8), (4, 1, -4), (8, 4, -7))
@@ -384,6 +387,105 @@ def test_metabolizer_search_budget_bounds_the_grid(lat, composed):
     structure = double_structure(lat, composed)
     with pytest.raises(
         ResourceBoundError,
-        match="grid of 1771561 coordinate tuples exceeds its budget of 10$",
+        match="table of 1331 half-vectors exceeds its budget of 10$",
     ):
         metabolizer_search(structure, 5, budget=10)
+
+
+def test_metabolizer_search_budget_counts_pairs_and_steps(lat):
+    # r_- at bound 2: a 125-entry table, then 46728 isotropic pairs and
+    # extension steps before the search answers None
+    structure = double_structure(lat, reflection_sphere(lat, SIGMA_MINUS))
+    assert metabolizer_search(structure, 2, budget=46_728) is None
+    with pytest.raises(ResourceBoundError, match="exceeded its budget of 46727 steps$"):
+        metabolizer_search(structure, 2, budget=46_727)
+
+
+def test_metabolizer_search_checks_only_the_family_it_returns(lat, composed, monkeypatch):
+    # the pruning leaves one family for metabolizer_check (the grid search
+    # made 1154 checks for f at bound 2) and none when there is no answer
+    calls = []
+    check = lattice.metabolizer_check
+    monkeypatch.setattr(lattice, "metabolizer_check", lambda s, v: calls.append(v) or check(s, v))
+    found = metabolizer_search(double_structure(lat, composed), 2)
+    assert calls == [found]
+    calls.clear()
+    assert metabolizer_search(double_structure(lat, reflection_sphere(lat, SIGMA_MINUS)), 2) is None
+    assert calls == []
+
+
+def test_metabolizer_search_pinned_beyond_the_grid(lat, composed):
+    # r_- has no metabolizer at bound 1 (the grid reference takes 105719
+    # steps to say so); f at bound 6 lies beyond the grid's 2M budget
+    reflection = double_structure(lat, reflection_sphere(lat, SIGMA_MINUS))
+    assert metabolizer_search(reflection, 1) is None
+    assert metabolizer_search(double_structure(lat, composed), 6) == [
+        (0, 0, 0, 1, -1, 0), (0, 1, 0, -6, 6, -1), (1, -6, 1, -6, 6, 6),
+    ]
+
+
+ROTATION = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(("r_+", "r_-", "rotation")), max_size=3), st.integers(1, 2))
+def test_metabolizer_search_matches_grid_reference(word, bound):
+    lat = standard_lattice()
+    generators = {
+        "r_+": reflection_sphere(lat, SIGMA_PLUS),
+        "r_-": reflection_sphere(lat, SIGMA_MINUS),
+        "rotation": Isometry(lat, ROTATION),
+    }
+    f = identity_isometry(lat)
+    for name in word:
+        f = f * generators[name]
+    structure = double_structure(lat, f)
+    # the reference's budget caps its grid too, so it gets the grid plus
+    # 1000 steps; a draw it cannot finish within that is skipped
+    try:
+        expected = metabolizer_search_grid(structure, bound, budget=(2 * bound + 1) ** 6 + 1000)
+    except ResourceBoundError:
+        return
+    assert metabolizer_search(structure, bound) == expected
+
+
+def test_metabolizer_search_matches_grid_reference_on_rank_two():
+    """Every signed permutation that is an isometry of four rank-2 forms,
+    at bounds 1-3: the reference finishes within its default budget here,
+    so the cases without a metabolizer are compared too."""
+    outcomes = []
+    for gram in (((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((2, 1), (1, -1))):
+        lat2 = IntegralLattice(gram)
+        for perm, signs in product(permutations(range(2)), product((1, -1), repeat=2)):
+            matrix = tuple(tuple(signs[i] * (perm[i] == j) for j in range(2)) for i in range(2))
+            try:
+                f = Isometry(lat2, matrix)
+            except ParameterError:
+                continue
+            structure = double_structure(lat2, f)
+            for bound in (1, 2, 3):
+                expected = metabolizer_search_grid(structure, bound)
+                assert metabolizer_search(structure, bound) == expected, (gram, matrix, bound)
+                outcomes.append(expected is None)
+    assert (len(outcomes), sum(outcomes)) == (54, 36)
+
+
+def test_isometric_structure_requires_block_form(lat, composed):
+    doubled = double_structure(lat, composed)
+    # the doubled map on the swapped blocks, id + f, preserves q + -q
+    swapped = tuple(row[3:] + row[:3] for row in doubled.map.matrix[3:]) + tuple(
+        row[3:] + row[:3] for row in doubled.map.matrix[:3]
+    )
+    plane = IntegralLattice(((1, 0), (0, 1)))
+    cases = (
+        (IntegralLattice(((1, 0, 0), (0, -1, 0), (0, 0, -1))), "even rank"),
+        (IntegralLattice(((1, 1), (1, -1))), "needs zero off-diagonal blocks"),
+        (plane, "q \\+ -q"),
+    )
+    for bad, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            IsometricStructure(bad, identity_isometry(bad))
+    with pytest.raises(ParameterError, match="f \\+ id"):
+        IsometricStructure(doubled.lattice, Isometry(doubled.lattice, swapped))
+    with pytest.raises(ParameterError, match="act on its lattice"):
+        IsometricStructure(doubled.lattice, identity_isometry(plane))
