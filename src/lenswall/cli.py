@@ -200,6 +200,8 @@ def _cmd_dimension(args) -> dict:
 
 
 def _cmd_plot_disc(args) -> dict:
+    if args.orbit_steps < 0:
+        raise ParameterError(f"orbit steps must be >= 0, got {args.orbit_steps}")
     scenario = load_scenario(args.scenario)
     lat = scenario.lattice()
     f = scenario.isometry()

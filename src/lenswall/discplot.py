@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 
 from .errors import ParameterError
-from .lattice import IntegralLattice
-from .wallcross import WallClass, disc_project
+from .lattice import IntegralLattice, _as_vector, _mat_vec
+from .wallcross import WallClass, _integerize, disc_project
 
 __all__ = ["sample_wall_points", "wall_ideal_endpoints", "render_disc_svg"]
 
@@ -23,14 +23,8 @@ def _wall_plane_basis(lattice: IntegralLattice, wall: WallClass):
     """Two independent integer vectors spanning the plane <v, w> = 0."""
     if lattice.rank != 3:
         raise ParameterError("wall sampling needs a rank-3 lattice")
-    w = wall.vector()
-    denom = math.lcm(*(x.denominator for x in w))
-    w_int = tuple(int(x * denom) for x in w)
-    # <v, w> = v . (G w)
-    u = tuple(
-        sum(lattice.gram[i][j] * w_int[j] for j in range(lattice.rank))
-        for i in range(lattice.rank)
-    )
+    w = _as_vector(_integerize(wall.vector()), lattice.rank)
+    u = _mat_vec(lattice.gram, w)  # <v, w> = v . u
     candidates = [
         (-u[1], u[0], 0),
         (-u[2], 0, u[0]),

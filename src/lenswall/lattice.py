@@ -1,6 +1,6 @@
 """Integral lattices with symmetric pairings, their isometries, sphere
 reflections, the orientation sign on the positive part, metabolizers of
-doubled structures, and the index-theoretic formal dimension formula.
+doubled structures kept as their half, and the formal dimension formula.
 
 Vectors are plain integer tuples; matrices are tuples of rows acting on
 column coordinate vectors, so the columns of an isometry matrix are the
@@ -318,60 +318,36 @@ def alpha_invariant(f: Isometry) -> int:
 
 @dataclass(frozen=True)
 class IsometricStructure:
-    """(L + L, f + id, q + -q): the doubled lattice with block-diagonal
-    pairing q + -q and the block map f + id.  The constructor refuses a
-    gram or a map that is not in this block form."""
+    """The doubled structure (L + L, f + id, q + -q), stored as its half:
+    the lattice L = (H, q) and an isometry f of L.  A vector of the doubled
+    lattice is one tuple v = (x, y) of length 2 rank(L); the block form is
+    built into the derived pairing and map."""
 
     lattice: IntegralLattice
     map: Isometry
 
     def __post_init__(self):
-        rank = self.lattice.rank
-        if rank % 2 != 0:
-            raise ParameterError("doubled structure must have even rank")
         if self.map.lattice.gram != self.lattice.gram:
-            raise ParameterError("doubled structure map must act on its lattice")
-        n = rank // 2
-        gram, matrix = self.lattice.gram, self.map.matrix
-        for i in range(n):
-            for j in range(n):
-                if gram[i][n + j] or gram[n + i][j]:
-                    raise ParameterError("doubled structure gram needs zero off-diagonal blocks")
-                if gram[n + i][n + j] != -gram[i][j]:
-                    raise ParameterError("doubled structure gram must be q + -q")
-                if matrix[i][n + j] or matrix[n + i][j] or matrix[n + i][n + j] != int(i == j):
-                    raise ParameterError("doubled structure map must be f + id")
+            raise ParameterError("isometry does not act on the given lattice")
+
+    @property
+    def rank(self) -> int:
+        return 2 * self.lattice.rank
+
+    def pairing(self, u, v) -> int:
+        """(q + -q)(u, v) = q(x, x') - q(y, y')."""
+        n, q = self.lattice.rank, self.lattice.pairing
+        return q(u[:n], v[:n]) - q(u[n:], v[n:])
+
+    def apply(self, v) -> tuple[int, ...]:
+        """(f + id)(x, y) = (f x, y)."""
+        n, v = self.lattice.rank, _as_vector(v, self.rank)
+        return _mat_vec(self.map.matrix, v[:n]) + v[n:]
 
 
 def double_structure(lattice: IntegralLattice, f: Isometry) -> IsometricStructure:
-    """Build (H + H, f + id, q + -q) from a lattice and an isometry of it."""
-    if f.lattice.gram != lattice.gram:
-        raise ParameterError("isometry does not act on the given lattice")
-    n = lattice.rank
-    gram = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j < n:
-                row.append(lattice.gram[i][j])
-            elif i >= n and j >= n:
-                row.append(-lattice.gram[i - n][j - n])
-            else:
-                row.append(0)
-        gram.append(tuple(row))
-    doubled = IntegralLattice(tuple(gram))
-    matrix = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j < n:
-                row.append(f.matrix[i][j])
-            elif i >= n and j >= n:
-                row.append(int(i == j))
-            else:
-                row.append(0)
-        matrix.append(tuple(row))
-    return IsometricStructure(doubled, Isometry(doubled, tuple(matrix)))
+    """(H + H, f + id, q + -q) from a lattice and an isometry of it."""
+    return IsometricStructure(lattice, f)
 
 
 def metabolizer_check(structure: IsometricStructure, vectors) -> bool:
@@ -381,17 +357,16 @@ def metabolizer_check(structure: IsometricStructure, vectors) -> bool:
     The criterion is a subspace condition, so it is unchanged by row
     operations on the spanning set; integral primitivity is not required.
     """
-    lat = structure.lattice
-    vecs = [_as_vector(v, lat.rank) for v in vectors]
+    vecs = [_as_vector(v, structure.rank) for v in vectors]
     basis, pivots = _echelon(vecs)
-    if 2 * len(basis) != lat.rank:
+    if 2 * len(basis) != structure.rank:
         return False
     for i, u in enumerate(basis):
         for v in basis[i:]:
-            if lat.pairing(u, v) != 0:
+            if structure.pairing(u, v) != 0:
                 return False
     for u in basis:
-        if not _in_span(basis, pivots, _mat_vec(structure.map.matrix, u)):
+        if not _in_span(basis, pivots, structure.apply(u)):
             return False
     return True
 
@@ -414,7 +389,7 @@ def metabolizer_search(
     half-rank family passes metabolizer_check.  Returns None when no
     metabolizer exists within the bound.
 
-    The search runs on the half-lattice.  The form is q + -q, so v is
+    The search runs on the half lattice L.  The form is q + -q, so v is
     isotropic iff q(x) = q(y), and each x is paired with the y of its norm.
     A vector of an F-invariant isotropic subspace, F = f + id, has
     <v, Fv> = x.q f x - q(y) = 0, so an x with x.q f x != q(x) is dropped
@@ -423,21 +398,21 @@ def metabolizer_search(
     pass metabolizer_check, so the first family found is the one the
     search over the full coordinate grid would find.
 
-    The budget caps the half-vector table, (2b+1)^(rank/2) entries checked
+    The budget caps the half-vector table, (2b+1)^rank(L) entries checked
     before it is built, and the isotropic pairs plus extension steps the
     search examines.
     """
     if coefficient_bound < 1:
         raise ParameterError("coefficient bound must be >= 1")
-    n = structure.lattice.rank // 2
+    n = structure.lattice.rank
     table = (2 * coefficient_bound + 1) ** n
     if table > budget:
         raise ResourceBoundError(
             f"metabolizer search table of {table} half-vectors exceeds its budget of {budget}"
         )
-    q = tuple(row[:n] for row in structure.lattice.gram[:n])
-    qf = _mat_mul(q, tuple(row[:n] for row in structure.map.matrix[:n]))
-    qf_inv = _mat_mul(q, tuple(row[:n] for row in structure.map.inverse().matrix[:n]))
+    q, f = structure.lattice.gram, structure.map
+    qf = _mat_mul(q, f.matrix)
+    qf_inv = _mat_mul(q, f.inverse().matrix)
     span = range(-coefficient_bound, coefficient_bound + 1)
     halves = list(product(span, repeat=n))
     duals = [_mat_vec(q, h) for h in halves]

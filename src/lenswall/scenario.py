@@ -149,7 +149,7 @@ class Scenario:
         if not isinstance(doc["sw_x"], int) or isinstance(doc["sw_x"], bool):
             raise ParameterError("sw_x must be an integer")
         n_max = doc.get("n_max", 1000)
-        if not isinstance(n_max, int) or n_max < 1:
+        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise ParameterError("n_max must be a positive integer")
         scenario = cls(
             name=name,

@@ -10,7 +10,8 @@ orbit through the whole range and reads the signs directly; it shares
 the input check, the error messages and the ray helpers with the package,
 but not the package's sign reader.  metabolizer_search_grid is the
 reference for lattice.metabolizer_search: it walks the whole coordinate
-grid of the doubled lattice and pairs candidates with the full form.
+grid of the doubled lattice and pairs candidates with the full form
+q + -q, which it builds from the half lattice itself.
 """
 
 import cmath
@@ -173,9 +174,14 @@ def metabolizer_search_grid(
     """
     if coefficient_bound < 1:
         raise ParameterError("coefficient bound must be >= 1")
-    lat = structure.lattice
+    # the full form q + -q on the doubled lattice, built here from the half
+    q = structure.lattice.gram
+    half = len(q)
+    zeros = (0,) * half
+    lat = IntegralLattice(
+        tuple(row + zeros for row in q) + tuple(zeros + tuple(-x for x in row) for row in q)
+    )
     rank = lat.rank
-    half = rank // 2
     grid = (2 * coefficient_bound + 1) ** rank
     if grid > budget:
         raise ResourceBoundError(

@@ -145,6 +145,7 @@ def test_exit_codes_parameter_errors(capsys, tmp_path):
         ("sweep", "--p", "0"),
         ("swtot", "--n-max", "0"),
         ("orbit", "--n-max", "0"),
+        ("plot-disc", "--out", "-", "--orbit-steps", "-2"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -257,6 +258,8 @@ def test_scenario_validation(tmp_path):
         ("gram", [5, 5, 5]),
         ("omega0", 3),
         ("perturbation", "1/2"),
+        ("n_max", True),
+        ("sw_x", True),
     ):
         bad = dict(base)
         bad[key] = value
@@ -302,6 +305,9 @@ def test_plot_disc(capsys, tmp_path):
     out2 = tmp_path / "disc2.svg"
     run_json(capsys, "plot-disc", "--out", str(out2), "--orbit-steps", "4")
     assert out2.read_text() == svg
+    # zero steps draw the single point n = 0
+    doc = run_json(capsys, "plot-disc", "--out", str(out2), "--orbit-steps", "0")
+    assert doc["results"]["orbit_points"] == 1
 
 
 def test_plot_disc_stdout(capsys):

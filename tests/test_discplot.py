@@ -1,7 +1,10 @@
 import math
 import re
 
+import pytest
+
 from lenswall.discplot import render_disc_svg, sample_wall_points, wall_ideal_endpoints
+from lenswall.errors import ParameterError
 from lenswall.lattice import SIGMA_MINUS, SIGMA_PLUS, reflection_sphere, standard_lattice
 from lenswall.wallcross import WallClass, disc_project
 
@@ -62,3 +65,12 @@ def test_orbit_points_render_inside_circle():
         assert float(cx) ** 2 + float(cy) ** 2 < 1
     assert "<line" in svg  # highlighted crossing segment
     assert svg.count("<text") == 6
+
+
+def test_wall_of_the_wrong_length_is_refused():
+    # a short wall and a long one are both refused, not indexed or truncated
+    lat = standard_lattice()
+    for wall in (WallClass((1, 1)), WallClass((1, 1, 1, 1))):
+        for sample in (sample_wall_points, wall_ideal_endpoints):
+            with pytest.raises(ParameterError, match=f"vector length {len(wall.vector())} "):
+                sample(lat, wall)

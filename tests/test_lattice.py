@@ -425,11 +425,11 @@ def test_metabolizer_search_pinned_beyond_the_grid(lat, composed):
 
 
 ROTATION = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
+WORDS = st.lists(st.sampled_from(("r_+", "r_-", "rotation")), max_size=3)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.sampled_from(("r_+", "r_-", "rotation")), max_size=3), st.integers(1, 2))
-def test_metabolizer_search_matches_grid_reference(word, bound):
+def _word_map(word):
+    """The product of r_+, r_- and the quarter turn named in word."""
     lat = standard_lattice()
     generators = {
         "r_+": reflection_sphere(lat, SIGMA_PLUS),
@@ -439,7 +439,51 @@ def test_metabolizer_search_matches_grid_reference(word, bound):
     f = identity_isometry(lat)
     for name in word:
         f = f * generators[name]
-    structure = double_structure(lat, f)
+    return f
+
+
+def _rank_two_isometries():
+    """Every signed permutation that is an isometry of one of four rank-2 forms."""
+    maps = []
+    for gram in (((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((2, 1), (1, -1))):
+        lat2 = IntegralLattice(gram)
+        for perm, signs in product(permutations(range(2)), product((1, -1), repeat=2)):
+            matrix = tuple(tuple(signs[i] * (perm[i] == j) for j in range(2)) for i in range(2))
+            try:
+                maps.append(Isometry(lat2, matrix))
+            except ParameterError:
+                continue
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(WORDS.map(_word_map), st.sampled_from(_rank_two_isometries())), st.data())
+def test_structure_pairing_and_apply_match_blocks(f, data):
+    # the doubled gram q + -q and map f + id, assembled block by block
+    n, q = f.lattice.rank, f.lattice.gram
+    gram = [[0] * (2 * n) for _ in range(2 * n)]
+    matrix = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            gram[i][j], gram[n + i][n + j] = q[i][j], -q[i][j]
+            matrix[i][j] = f.matrix[i][j]
+    vector = st.tuples(*[st.integers(-9, 9)] * (2 * n))
+    u, v = data.draw(vector), data.draw(vector)
+    structure = double_structure(f.lattice, f)
+    assert structure.rank == 2 * n
+    assert structure.pairing(u, v) == sum(
+        u[i] * gram[i][j] * v[j] for i in range(2 * n) for j in range(2 * n)
+    )
+    assert structure.apply(u) == tuple(
+        sum(matrix[i][j] * u[j] for j in range(2 * n)) for i in range(2 * n)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(WORDS, st.integers(1, 2))
+def test_metabolizer_search_matches_grid_reference(word, bound):
+    lat = standard_lattice()
+    structure = double_structure(lat, _word_map(word))
     # the reference's budget caps its grid too, so it gets the grid plus
     # 1000 steps; a draw it cannot finish within that is skipped
     try:
@@ -454,38 +498,18 @@ def test_metabolizer_search_matches_grid_reference_on_rank_two():
     at bounds 1-3: the reference finishes within its default budget here,
     so the cases without a metabolizer are compared too."""
     outcomes = []
-    for gram in (((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((2, 1), (1, -1))):
-        lat2 = IntegralLattice(gram)
-        for perm, signs in product(permutations(range(2)), product((1, -1), repeat=2)):
-            matrix = tuple(tuple(signs[i] * (perm[i] == j) for j in range(2)) for i in range(2))
-            try:
-                f = Isometry(lat2, matrix)
-            except ParameterError:
-                continue
-            structure = double_structure(lat2, f)
-            for bound in (1, 2, 3):
-                expected = metabolizer_search_grid(structure, bound)
-                assert metabolizer_search(structure, bound) == expected, (gram, matrix, bound)
-                outcomes.append(expected is None)
+    for f in _rank_two_isometries():
+        structure = double_structure(f.lattice, f)
+        for bound in (1, 2, 3):
+            expected = metabolizer_search_grid(structure, bound)
+            assert metabolizer_search(structure, bound) == expected, (f.lattice, f, bound)
+            outcomes.append(expected is None)
     assert (len(outcomes), sum(outcomes)) == (54, 36)
 
 
-def test_isometric_structure_requires_block_form(lat, composed):
-    doubled = double_structure(lat, composed)
-    # the doubled map on the swapped blocks, id + f, preserves q + -q
-    swapped = tuple(row[3:] + row[:3] for row in doubled.map.matrix[3:]) + tuple(
-        row[3:] + row[:3] for row in doubled.map.matrix[:3]
-    )
+def test_isometric_structure_requires_block_form(lat):
+    # the structure stores (L, f), so a gram or map outside the block form
+    # cannot be built; what remains to refuse is a map on another lattice
     plane = IntegralLattice(((1, 0), (0, 1)))
-    cases = (
-        (IntegralLattice(((1, 0, 0), (0, -1, 0), (0, 0, -1))), "even rank"),
-        (IntegralLattice(((1, 1), (1, -1))), "needs zero off-diagonal blocks"),
-        (plane, "q \\+ -q"),
-    )
-    for bad, message in cases:
-        with pytest.raises(ParameterError, match=message):
-            IsometricStructure(bad, identity_isometry(bad))
-    with pytest.raises(ParameterError, match="f \\+ id"):
-        IsometricStructure(doubled.lattice, Isometry(doubled.lattice, swapped))
-    with pytest.raises(ParameterError, match="act on its lattice"):
-        IsometricStructure(doubled.lattice, identity_isometry(plane))
+    with pytest.raises(ParameterError, match="does not act on the given lattice"):
+        IsometricStructure(lat, identity_isometry(plane))
