@@ -38,6 +38,7 @@ from .lattice import double_structure, metabolizer_check, metabolizer_search, sw
 from .scenario import format_rational, load_scenario
 from .wallcross import (
     _integerize,
+    _orbit_walk,
     classify_isometry,
     cone_point,
     orbit_swtot,
@@ -209,15 +210,7 @@ def _cmd_plot_disc(args) -> dict:
     action = f.adjoint()
     # the integer ray through omega0 has the same disc image and can be stepped exactly
     start = _integerize(cone_point(lat, scenario.omega0))
-    points = []
-    omega = start
-    for n in range(0, args.orbit_steps + 1):
-        points.append((n, omega))
-        omega = action.apply(omega)
-    omega = start
-    for n in range(1, args.orbit_steps + 1):
-        omega = f.apply(omega)
-        points.append((-n, omega))
+    points = list(_orbit_walk(action, start, -args.orbit_steps, args.orbit_steps))
     try:
         crossing = unique_crossing_index(
             lat, f, scenario.spinc(), scenario.omega0, wall, n_max=scenario.n_max

@@ -55,17 +55,17 @@ def _orient(lattice, v):
     return tuple(v)
 
 
-def sample_wall_points(lattice: IntegralLattice, wall: WallClass, depth: int = 12):
+def sample_wall_points(lattice: IntegralLattice, wall: WallClass):
     """Exact rational rays on the wall inside the positive cone.
 
-    Rays are taken along b0 + t*b1 for t on a two-sided dyadic grid (plus
-    the b1 direction itself), so the samples accumulate at the wall's
-    ideal endpoints.  Returns [] when the wall misses the cone.
+    Rays are taken along b0 + t*b1 for t = 0, +-2^k and +-(3/2)*2^k with
+    |k| <= 12 (plus the b1 direction itself), so the samples accumulate at
+    the wall's ideal endpoints.  Returns [] when the wall misses the cone.
     """
     b0, b1 = _wall_plane_basis(lattice, wall)
     points = []
     ts = [Fraction(0)]
-    for k in range(-depth, depth + 1):
+    for k in range(-12, 13):
         ts.append(Fraction(2) ** k)
         ts.append(-(Fraction(2) ** k))
         ts.append(Fraction(3, 2) * Fraction(2) ** k)

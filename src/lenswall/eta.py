@@ -40,11 +40,11 @@ __all__ = [
     "matching_sweep",
 ]
 
-# Guards the field paths (half-roots, odd-p, Fourier), whose cost grows
-# with the degree phi(2p), so larger inputs are rejected with a resource
-# error instead of running unbounded.  The integer rho tables are cheap,
-# but every eta entry point keeps this one bound so that one p is either
-# accepted or rejected everywhere.
+# Guards the field paths (half-roots, odd-p, fourier_coefficient), whose
+# cost grows with the degree phi(2p), with a resource error.  The integer
+# tables and the matching are cheap but keep the same bound, so that one p
+# is accepted or rejected by all of them; the closed forms
+# fourier_closed_form and fourier_unit_ratio take no budget and never check it.
 DEFAULT_MAX_P = 50
 
 ETA_FORMULAS = ("pinc-difference", "half-roots", "odd-p")

@@ -85,7 +85,6 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     gram: tuple[tuple[int, ...], ...]
     positive_class: tuple[int, ...]
     c1: tuple[int, ...]
@@ -131,7 +130,7 @@ class Scenario:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict, name: str = "custom") -> "Scenario":
+    def from_dict(cls, doc: dict) -> "Scenario":
         unknown = set(doc) - _SCENARIO_KEYS
         if unknown:
             raise ParameterError(f"unknown scenario keys: {sorted(unknown)}")
@@ -152,7 +151,6 @@ class Scenario:
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise ParameterError("n_max must be a positive integer")
         scenario = cls(
-            name=name,
             gram=_matrix(doc["gram"], "gram"),
             positive_class=_integers(doc["positive_class"], "positive_class"),
             c1=_integers(doc["c1"], "c1"),
@@ -195,7 +193,7 @@ BUILTIN_SCENARIOS = {
 def load_scenario(source: str) -> Scenario:
     """A built-in scenario by name, or a JSON scenario file by path."""
     if source in BUILTIN_SCENARIOS:
-        return Scenario.from_dict(BUILTIN_SCENARIOS[source], name=source)
+        return Scenario.from_dict(BUILTIN_SCENARIOS[source])
     path = Path(source)
     if not path.exists():
         raise ParameterError(
@@ -206,4 +204,4 @@ def load_scenario(source: str) -> Scenario:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParameterError(f"scenario file {source} is not valid JSON: {exc}") from exc
-    return Scenario.from_dict(doc, name=path.stem)
+    return Scenario.from_dict(doc)

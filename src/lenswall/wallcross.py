@@ -7,7 +7,8 @@ under the dual action of an isometry crosses the wall of reducibles, and
 the signed count of crossings times the oracle invariant of the closed
 piece is the total one-parameter invariant.  Walls and period points use
 dual (H^2) coordinates throughout: an isometry f acts on them by the
-pairing-adjoint gram^-1 f^T gram.  orbit_swtot reads every wall-side
+pairing-adjoint gram^-1 f^T gram, and _orbit_walk is the one place that
+steps a ray through that action.  orbit_swtot reads every wall-side
 question off one list of sign segments, taken from a closed form when the
 action has a unipotent power and from the stepped orbit otherwise.
 """
@@ -57,6 +58,10 @@ __all__ = [
     "disc_project",
 ]
 
+# orbit_swtot needs the wall side constant over this many steps at both
+# ends of its range (over the whole range when that is shorter).
+STAB_WINDOW = 16
+
 
 @dataclass(frozen=True)
 class WallClass:
@@ -80,17 +85,13 @@ class WallClass:
 
 @dataclass(frozen=True)
 class SpinCData:
-    """The spin-c bookkeeping: c1 on the b+=1 summand, the oracle value of
-    the closed-piece invariant, and the (necessarily zero) formal dimension
-    of the closed piece."""
+    """The spin-c bookkeeping: c1 on the b+=1 summand and the oracle value
+    of the closed-piece invariant, whose moduli space has dimension 0."""
 
     c1: tuple[int, ...]
     sw_x: int
-    dim_x: int = 0
 
     def validate(self, lattice: IntegralLattice) -> None:
-        if self.dim_x != 0:
-            raise ParameterError(f"closed-piece moduli dimension must be 0, got {self.dim_x}")
         c1_square = lattice.norm(self.c1)
         # chi = 5 and sigma = -1 for the b+=1 summand carrying the wall
         if sw_formal_dimension(c1_square, 5, -1) != -2:
@@ -185,14 +186,25 @@ def _unstable(n_max: int) -> StabilizationError:
     )
 
 
-def _check_orbit_inputs(lattice, f, spinc, n_max, stab_window) -> None:
+def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
     if alpha_invariant(f) != 1:
         raise ParameterError("orbit sums require an orientation-coherent map (alpha = +1)")
     spinc.validate(lattice)
     if n_max < 1:
         raise ParameterError("n_max must be positive")
-    if stab_window < 1:
-        raise ParameterError("stab_window must be positive")
+
+
+def _orbit_walk(action: Isometry, omega, lo: int, hi: int):
+    """(n, A^n omega) for n = 0, 1, ..., hi and then n = -1, -2, ..., lo,
+    where A = action is the dual action f.adjoint() of a map f (so A^-1 is
+    f itself).  The rays are yielded one at a time and never stored, since
+    the integers of a hyperbolic orbit grow exponentially."""
+    yield 0, omega
+    for mat, steps in ((action.matrix, range(1, hi + 1)), (action._inverse, range(-1, lo - 1, -1))):
+        v = omega
+        for n in steps:
+            v = _mat_vec(mat, v)
+            yield n, v
 
 
 # An integer matrix of size <= 3 whose eigenvalues are roots of unity has
@@ -282,17 +294,16 @@ def orbit_swtot(
     omega0,
     wall: WallClass,
     n_max: int = 1000,
-    stab_window: int = 16,
 ) -> OrbitSummary:
     """Total signed wall-crossing count of the orbit of omega0, times the
     oracle invariant of the closed piece.
 
-    n_max and stab_window must be positive (ParameterError otherwise).
-    The record covers the segments from step n to n+1 for n in
-    [-n_max, n_max], so steps_used = 2*n_max + 1 whatever the method.  A
-    point on the wall at a step in [-n_max, n_max + 1] raises
-    GenericityError for the first such step.  The wall side must then be
-    constant over the last min(stab_window, n_max) steps at both ends,
+    n_max must be positive (ParameterError otherwise).  The record covers
+    the segments from step n to n+1 for n in [-n_max, n_max], so
+    steps_used = 2*n_max + 1 whatever the method.  A point on the wall at a
+    step in [-n_max, n_max + 1] raises GenericityError for the first such
+    step.  The wall side must then be constant over the last
+    min(STAB_WINDOW, n_max) steps at both ends,
     otherwise StabilizationError is raised (no total is reported for an
     uncertified orbit).
 
@@ -309,35 +320,25 @@ def orbit_swtot(
     always True.  Both methods take the on-wall check, the windows, the
     crossings and stabilized from the same sign segments.
     """
-    _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
+    _check_orbit_inputs(lattice, f, spinc, n_max)
     omega = _integerize(cone_point(lattice, omega0))
     w = _integerize(wall.vector())
-    forward = f.adjoint().matrix
-    certificate = _unipotent_power(forward)
+    action = f.adjoint()
+    certificate = _unipotent_power(action.matrix)
     if certificate is None:
-        first = _sign(lattice.pairing(omega, w))  # which also checks the wall's length
+        lattice.pairing(omega, w)  # checks the wall's length for the dot products below
         dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
-
-        def signs(mat, count):
-            v, out = omega, [first]
-            for _ in range(count):
-                v = _mat_vec(mat, v)
-                out.append(_sign(sum(map(operator.mul, v, dual))))
-            return out
-
-        # f inverts its adjoint; list index n is step n for n in [-n_max, n_max + 1]
-        sign = (signs(forward, n_max + 1) + signs(f.matrix, n_max)[:0:-1]).__getitem__
         m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
+        walk = _orbit_walk(action, omega, lo, hi)
+        sign = {n: _sign(sum(map(operator.mul, v, dual))) for n, v in walk}.__getitem__
         brackets = [(lo, hi)]
     else:
         m, nil, square = certificate
         coeffs, brackets = [], []
-        v = omega
-        for r in range(m):
+        for r, v in _orbit_walk(action, omega, 0, m - 1):
             a, b, c = (lattice.pairing(u, w) for u in (v, _mat_vec(nil, v), _mat_vec(square, v)))
             coeffs.append((a, b, c))
             brackets += [(m * lo + r, m * hi + r) for lo, hi in _root_brackets(a, b, c)]
-            v = _mat_vec(forward, v)
 
         def sign(n):
             k, r = divmod(n, m)
@@ -354,7 +355,7 @@ def orbit_swtot(
         if s == 0:
             raise _on_wall(n)
     sides = lambda first, last: {s for _, s in _samples(segments, first, last)}
-    window = min(stab_window, n_max)
+    window = min(STAB_WINDOW, n_max)
     low = sides(-n_max, -n_max + window - 1)
     high = sides(n_max + 2 - window, n_max + 1)
     if len(low) != 1 or len(high) != 1:
@@ -379,14 +380,13 @@ def unique_crossing_index(
     omega0,
     wall: WallClass,
     n_max: int = 1000,
-    stab_window: int = 16,
 ) -> int:
     """Index n of the single segment where the orbit crosses the wall.
 
     Raises UniquenessViolationError when the orbit crosses zero times or
     more than once (the configuration is not parabolic-with-one-crossing).
     """
-    summary = orbit_swtot(lattice, f, spinc, omega0, wall, n_max, stab_window)
+    summary = orbit_swtot(lattice, f, spinc, omega0, wall, n_max)
     hits = sorted(summary.crossings)
     if spinc.sw_x == 0:
         raise ParameterError("crossing index is undefined when the oracle value is zero")
@@ -405,7 +405,6 @@ def power_swtot(
     omega0,
     wall: WallClass,
     n_max: int = 1000,
-    stab_window: int = 16,
 ) -> int:
     """Total for the d-th power of the map, in the infinite-orbit regime.
 
@@ -421,8 +420,8 @@ def power_swtot(
             f"spin-c orbit is finite (period {status.period}); "
             "use finite_orbit_swtot for the cyclic bookkeeping"
         )
-    base = orbit_swtot(lattice, f, spinc, omega0, wall, n_max, stab_window)
-    powered = orbit_swtot(lattice, f.power(d), spinc, omega0, wall, n_max, stab_window)
+    base = orbit_swtot(lattice, f, spinc, omega0, wall, n_max)
+    powered = orbit_swtot(lattice, f.power(d), spinc, omega0, wall, n_max)
     assert powered.total == base.total, "power invariance violated: arithmetic bug"
     return powered.total
 
@@ -466,13 +465,11 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
     if bound < 1:
         raise ParameterError("bound must be positive")
     start = _as_vector(c1, lattice.rank)
-    mat = f.adjoint().matrix
-    certificate = _unipotent_power(mat)
+    action = f.adjoint()
+    certificate = _unipotent_power(action.matrix)
     steps = bound if certificate is None else min(bound, certificate[0])
-    v = start
-    for n in range(1, steps + 1):
-        v = _mat_vec(mat, v)
-        if v == start:
+    for n, v in _orbit_walk(action, start, 0, steps):
+        if n and v == start:
             return OrbitStatus(finite=True, period=n, bound=bound)
     return OrbitStatus(finite=False, period=None, bound=bound)
 

@@ -6,12 +6,13 @@ in complex double arithmetic, with no use of the package's field
 machinery.  rho_table_cyclotomic is the exact reference for the integer
 rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
 _orbit_sweep is the reference for wallcross.orbit_swtot: it steps the
-orbit through the whole range and reads the signs directly; it shares
-the input check, the error messages and the ray helpers with the package,
-but not the package's sign reader.  metabolizer_search_grid is the
-reference for lattice.metabolizer_search: it walks the whole coordinate
-grid of the doubled lattice and pairs candidates with the full form
-q + -q, which it builds from the half lattice itself.
+orbit through the whole range with its own loop and reads the signs
+directly; it shares the input check, the error messages, the ray helpers
+and STAB_WINDOW with the package, but not the package's orbit walk or its
+sign reader.  metabolizer_search_grid is the reference for
+lattice.metabolizer_search: it walks the whole coordinate grid of the
+doubled lattice and pairs candidates with the full form q + -q, which it
+builds from the half lattice itself.
 """
 
 import cmath
@@ -32,6 +33,7 @@ from lenswall.lattice import (
     metabolizer_check,
 )
 from lenswall.wallcross import (
+    STAB_WINDOW,
     OrbitSummary,
     SpinCData,
     WallClass,
@@ -137,13 +139,12 @@ def _orbit_sweep(
     omega0,
     wall: WallClass,
     n_max: int = 1000,
-    stab_window: int = 16,
 ) -> OrbitSummary:
     """orbit_swtot by stepping the orbit through every n in
     [-n_max, n_max + 1], for every map: the reference the package's
     certificate and stepped paths are tested against."""
-    _check_orbit_inputs(lattice, f, spinc, n_max, stab_window)
-    window = min(stab_window, n_max)
+    _check_orbit_inputs(lattice, f, spinc, n_max)
+    window = min(STAB_WINDOW, n_max)
     values = _orbit_pairings(lattice, f, wall, omega0, n_max)
     signs = {n: _sign(v) for n, v in values.items()}
     crossings = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -314,6 +315,18 @@ def test_plot_disc_stdout(capsys):
     code, out, _ = run_cli(capsys, "plot-disc", "--out", "-")
     assert code == 0
     assert out.startswith("<?xml") and out.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("steps, digest", [
+    ((), "b6bd304234da1770b06d176e3048d0e4a7a7d4f46f135076ea6d2b7439228e5f"),
+    (("--orbit-steps", "12"), "7ab5b1e302c9181e162ce8278b3708cbaedb1739e00813ec9122937a7060b81a"),
+    (("--orbit-steps", "0"), "34ece160a7b1c82d3aa2a55ec715b4a3959b6e7afa264444304b789b9dad58f2"),
+], ids=["default", "steps-12", "steps-0"])
+def test_plot_disc_figure_is_pinned(capsys, steps, digest):
+    """The paper-default figure, byte for byte (sha256 of the SVG text)."""
+    code, out, _ = run_cli(capsys, "plot-disc", "--out", "-", *steps)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):

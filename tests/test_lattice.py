@@ -401,6 +401,18 @@ def test_metabolizer_search_budget_counts_pairs_and_steps(lat):
         metabolizer_search(structure, 2, budget=46_727)
 
 
+def test_metabolizer_search_budget_sees_the_inverse_pruning_row(lat):
+    # r_+ after the quarter turn is no involution, so the <v, F^-1 u> = 0
+    # row prunes other extensions than the <v, F u> = 0 row: at bound 1 the
+    # search answers None after 1415 pairs and steps (1745 when the row is
+    # built from F instead of F^-1)
+    f = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
+    structure = double_structure(lat, f)
+    assert metabolizer_search(structure, 1, budget=1415) is None
+    with pytest.raises(ResourceBoundError, match="exceeded its budget of 1414 steps$"):
+        metabolizer_search(structure, 1, budget=1414)
+
+
 def test_metabolizer_search_checks_only_the_family_it_returns(lat, composed, monkeypatch):
     # the pruning leaves one family for metabolizer_check (the grid search
     # made 1154 checks for f at bound 2) and none when there is no answer
@@ -491,6 +503,16 @@ def test_metabolizer_search_matches_grid_reference(word, bound):
     except ResourceBoundError:
         return
     assert metabolizer_search(structure, bound) == expected
+
+
+def test_metabolizer_search_matches_grid_reference_without_a_metabolizer(lat):
+    # the property above skips the None draws on the paper lattice, whose
+    # grid reference outruns its budget there; this one gets a budget of
+    # 10^7 and is compared
+    f = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
+    structure = double_structure(lat, f)
+    assert metabolizer_search_grid(structure, 1, budget=10**7) is None
+    assert metabolizer_search(structure, 1) is None
 
 
 def test_metabolizer_search_matches_grid_reference_on_rank_two():
