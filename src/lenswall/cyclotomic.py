@@ -12,44 +12,21 @@ the boundary: constructor input, scalar operands, `coeffs` and
 field), not by x^n - 1: the eta sums downstream divide by cyclotomic
 units and need genuine inverses.
 
-Coercion between orders is always explicit (lift_to / coerce); mixing
-orders in arithmetic raises OrderMismatchError.
+Elements of different orders are never combined: mixing orders in
+arithmetic raises OrderMismatchError.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import NotRationalError, OrderMismatchError, ParameterError
 
-__all__ = [
-    "Cyclotomic",
-    "cyclotomic_polynomial",
-    "euler_phi",
-    "root_of_unity",
-    "coerce",
-]
+__all__ = ["Cyclotomic", "cyclotomic_polynomial", "root_of_unity"]
 
 _set = object.__setattr__
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient, from the factorization of n by trial division."""
-    if n < 1:
-        return 0
-    result, rest, d = n, n, 2
-    while d * d <= rest:
-        if rest % d == 0:
-            result -= result // d
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        result -= result // rest
-    return result
 
 
 def _poly_trim(coeffs):
@@ -191,10 +168,7 @@ class Cyclotomic:
     def _coerce_operand(self, other):
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
-                raise OrderMismatchError(
-                    f"orders differ ({self.order} vs {other.order}); "
-                    "lift explicitly with lift_to/coerce"
-                )
+                raise OrderMismatchError(f"orders differ ({self.order} vs {other.order})")
             return other
         if isinstance(other, (int, Fraction)):
             return Cyclotomic.rational(self.order, other)
@@ -218,20 +192,15 @@ class Cyclotomic:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return Cyclotomic._make(self.order, tuple(-a for a in self._num), self._den)
 
-    def _scale(self, value: Fraction) -> "Cyclotomic":
-        n, den = self.order, self._den * value.denominator
-        num = [a * value.numerator for a in self._num]
-        return Cyclotomic._make(n, *_normalize(n, num, den))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scale(Fraction(other))
+            value = Fraction(other)
+            n, den = self.order, self._den * value.denominator
+            num = [a * value.numerator for a in self._num]
+            return Cyclotomic._make(n, *_normalize(n, num, den))
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
@@ -246,16 +215,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of cyclotomic element by zero")
-            return self._scale(Fraction(1) / Fraction(other))
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
@@ -269,18 +228,14 @@ class Cyclotomic:
             e >>= 1
         return result
 
-    # times_root, galois and lift_to need no renormalization: multiplying
-    # by a unit of Z[zeta_n], a ring automorphism of Z[zeta_n] and the
-    # inclusion of Z[zeta_n] into Z[zeta_m] (whose elements lying in
-    # Q(zeta_n) are in Z[zeta_n]) all leave the numerators' content as it is.
-
     def times_root(self, k: int) -> "Cyclotomic":
         """Multiply by zeta_n^k.
 
         Cheaper than a general product: the coefficients rotate through
         the exponents 0 .. n-1 and only those at or above phi(n) are
         folded back by the power table; used heavily by the eta
-        summations.
+        summations.  No renormalization is needed: multiplying by a unit
+        of Z[zeta_n] leaves the numerators' content as it is.
         """
         n = self.order
         k %= n
@@ -316,18 +271,7 @@ class Cyclotomic:
         n, num = self.order, [self._den * c for c in s1]
         return Cyclotomic._make(n, *_normalize(n, num, r1[0]))
 
-    # -- Galois action, rationality, embedding ---------------------------
-
-    def galois(self, k: int) -> "Cyclotomic":
-        """Apply the automorphism zeta -> zeta^k; requires gcd(k, order) = 1."""
-        n = self.order
-        k %= n
-        if gcd(k, n) != 1:
-            raise ParameterError(f"galois exponent {k} not coprime to order {n}")
-        full = [0] * n
-        for i, c in enumerate(self._num):
-            full[(i * k) % n] = c
-        return Cyclotomic._make(n, _fold(n, full), self._den)
+    # -- rationality -----------------------------------------------------
 
     def as_rational(self) -> Fraction:
         """The unique rational value, if the element lies in Q.
@@ -338,29 +282,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise NotRationalError(self)
         return Fraction(self._num[0], self._den)
-
-    def approx_complex(self) -> complex:
-        """Floating-point embedding sum(coeffs[i] * e^(2*pi*i*i/n))."""
-        n, den = self.order, self._den
-        total = complex(0)
-        for i, c in enumerate(self._num):
-            if c:
-                total += complex(c / den) * cmath.exp(2j * cmath.pi * i / n)
-        return total
-
-    # -- order coercion ---------------------------------------------------
-
-    def lift_to(self, order: int) -> "Cyclotomic":
-        """Image in Q(zeta_order) under zeta_n -> zeta_order^(order/n)."""
-        if order % self.order != 0:
-            raise ParameterError(
-                f"cannot lift order {self.order} into order {order}: not a multiple"
-            )
-        step = order // self.order
-        full = [0] * order
-        for i, c in enumerate(self._num):
-            full[i * step] = c
-        return Cyclotomic._make(order, _fold(order, full), self._den)
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -434,8 +355,3 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
     # a unit of Z[zeta_n]: its numerators have content 1
     return Cyclotomic._make(n, _fold(n, full), 1)
 
-
-def coerce(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
-    """Lift both elements into Q(zeta_lcm) so they can be combined."""
-    n = a.order * b.order // gcd(a.order, b.order)
-    return a.lift_to(n), b.lift_to(n)

@@ -16,8 +16,7 @@ class ParameterError(LenswallError):
 
 
 class OrderMismatchError(ParameterError):
-    """Field operation on cyclotomic elements of different orders without
-    an explicit coercion."""
+    """Field operation on cyclotomic elements of different orders."""
 
 
 class ConeError(ParameterError):

@@ -233,6 +233,14 @@ class Isometry:
         self.matrix = matrix
         self._inverse = tuple(row[n:] for row in rows)
 
+    @classmethod
+    def _checked(cls, lattice: IntegralLattice, matrix, inverse) -> "Isometry":
+        # trusted fast path: matrix is an isometry of lattice and inverse its
+        # integral inverse, so both checks of __init__ hold already
+        self = object.__new__(cls)
+        self.lattice, self.matrix, self._inverse = lattice, matrix, inverse
+        return self
+
     def apply(self, v):
         return _mat_vec(self.matrix, _as_vector(v, self.lattice.rank))
 
@@ -249,7 +257,7 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        return Isometry(self.lattice, self._inverse)
+        return Isometry._checked(self.lattice, self._inverse, self.matrix)
 
     def power(self, d: int) -> "Isometry":
         if d < 0:
@@ -269,7 +277,7 @@ class Isometry:
         inverse: f^T gram f = gram gives gram^-1 f^T gram = f^-1."""
         if len(_echelon(self.lattice.gram)[1]) < self.lattice.rank:
             raise ParameterError("matrix is singular")
-        return Isometry(self.lattice, self._inverse)
+        return self.inverse()
 
     def is_identity(self) -> bool:
         return self.matrix == _identity(self.lattice.rank)

@@ -131,6 +131,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        if not isinstance(doc, dict):
+            raise ParameterError(f"a scenario must be a JSON object, got {doc!r}")
         unknown = set(doc) - _SCENARIO_KEYS
         if unknown:
             raise ParameterError(f"unknown scenario keys: {sorted(unknown)}")

@@ -228,6 +228,15 @@ def test_scenario_file_round_trip(capsys, tmp_path):
     assert doc["results"]["total"] == 1
 
 
+def test_scenario_file_must_be_an_object(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    for text in ("5", "null", '[1, "a"]', '"gram"'):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "swtot", "--scenario", str(path))
+        assert (code, out) == (2, ""), text
+        assert "must be a JSON object" in json.loads(err)["error"]["message"]
+
+
 def test_scenario_validation(tmp_path):
     base = load_scenario("paper-default").to_dict()
     bad = dict(base)
