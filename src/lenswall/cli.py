@@ -6,9 +6,8 @@ document on stdout with exact rationals serialized as "num/den" strings;
 success, 2 for parameter errors, 3 for genericity/stabilization errors,
 4 for resource-bound errors.
 
-sweep and components share one matching pass in eta; sweep reads its
-classes off its own table and runs in one process (--jobs is accepted and
-echoed but changes nothing).
+sweep reports the classes of components and runs in one process (--jobs
+is accepted and echoed but changes nothing).
 
 Environment: LENSWALL_MAX_P overrides the eta-side size budget,
 LENSWALL_SEARCH_BUDGET the metabolizer search budget (the half-vector
@@ -217,7 +216,8 @@ def _cmd_plot_disc(args) -> dict:
         )
     except (GenericityError, ParameterError):
         crossing = None
-    svg = render_disc_svg(lat, wall, points, crossing_index=crossing)
+    samples = sample_wall_points(lat, wall)
+    svg = render_disc_svg(lat, wall, samples, points, crossing_index=crossing)
     if args.out == "-":
         sys.stdout.write(svg)
     else:
@@ -229,7 +229,7 @@ def _cmd_plot_disc(args) -> dict:
         {
             "out": args.out,
             "orbit_points": len(points),
-            "wall_samples": len(sample_wall_points(lat, wall)),
+            "wall_samples": len(samples),
             "crossing_index": crossing,
         },
         "disc-model",

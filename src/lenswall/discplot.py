@@ -64,13 +64,10 @@ def sample_wall_points(lattice: IntegralLattice, wall: WallClass):
     """
     b0, b1 = _wall_plane_basis(lattice, wall)
     points = []
-    ts = [Fraction(0)]
+    ts = {Fraction(0)}
     for k in range(-12, 13):
-        ts.append(Fraction(2) ** k)
-        ts.append(-(Fraction(2) ** k))
-        ts.append(Fraction(3, 2) * Fraction(2) ** k)
-        ts.append(-Fraction(3, 2) * Fraction(2) ** k)
-    for t in sorted(set(ts)):
+        ts |= {sign * c * Fraction(2) ** k for sign in (1, -1) for c in (1, Fraction(3, 2))}
+    for t in sorted(ts):
         v = tuple(Fraction(a) + t * b for a, b in zip(b0, b1))
         if lattice.norm(v) > 0:
             points.append(_orient(lattice, v))
@@ -114,12 +111,13 @@ def _fmt(x: float) -> str:
 def render_disc_svg(
     lattice: IntegralLattice,
     wall: WallClass,
+    wall_points,
     orbit_points=(),
     crossing_index: int | None = None,
 ) -> str:
-    """SVG text: unit circle, wall geodesic, labeled orbit points, and the
-    crossing segment highlighted.  orbit_points is a sequence of
-    (step index, cone point) pairs."""
+    """SVG text: unit circle, wall geodesic through wall_points (the rays of
+    sample_wall_points), labeled orbit points, and the crossing segment
+    highlighted.  orbit_points is a sequence of (step index, cone point) pairs."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.15 -1.15 2.3 2.3" '
@@ -134,7 +132,7 @@ def render_disc_svg(
         # the geodesic arc is a graph over its chord, so chord projection
         # orders the samples monotonically along the arc
         samples = sorted(
-            (disc_project(lattice, v) for v in sample_wall_points(lattice, wall)),
+            (disc_project(lattice, v) for v in wall_points),
             key=lambda p: (p[0] - ax) * chord[0] + (p[1] - ay) * chord[1],
         )
         arc = [ends[0], *samples, ends[1]]

@@ -2,14 +2,12 @@
 lens spaces, Fourier coefficients of the eta sequence, and the matching
 condition that separates components of the psc moduli space.
 
-The rho tables, and so the eta tables, the matching and the component
-classes built on them, run on integers: each table comes from a
-Dedekind-sum style recurrence with no field arithmetic.  The rewritten
-eta sums ("half-roots", "odd-p") and the Fourier closed forms are
-evaluated inside a single cyclotomic field (Q(zeta_2p), or Q(zeta_p))
-and only then collapsed to exact rationals, so they are independent
-checks of the integer path.  Comparisons downstream are exact equality
-of Fractions, never tolerance-based.
+The rho and eta tables are the integers 2n * rho and 4p * eta of a
+Dedekind-sum style recurrence, so the matching and the component classes
+compare integers exactly.  The rewritten eta sums ("half-roots",
+"odd-p") and the Fourier closed forms are evaluated inside a single
+cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
+exact rationals, so they are independent checks of the integer path.
 """
 
 from __future__ import annotations
@@ -40,11 +38,10 @@ __all__ = [
     "matching_sweep",
 ]
 
-# Guards the field paths (half-roots, odd-p, fourier_coefficient), whose
-# cost grows with the degree phi(2p), with a resource error.  The integer
-# tables and the matching are cheap but keep the same bound, so that one p
-# is accepted or rejected by all of them; the closed forms
-# fourier_closed_form and fourier_unit_ratio take no budget and never check it.
+# Guards the field paths (half-roots, odd-p, fourier_coefficient), whose cost
+# grows with the degree phi(2p), with a resource error.  The integer tables and
+# the matching are cheap but keep the same bound, so that one p is accepted or
+# rejected by all of them; fourier_closed_form and fourier_unit_ratio take none.
 DEFAULT_MAX_P = 50
 
 ETA_FORMULAS = ("pinc-difference", "half-roots", "odd-p")
@@ -116,9 +113,8 @@ def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
     return (root_of_unity(n, m) + 1).inverse()
 
 
-# The s-independent weights of the two rewritten eta sums, cached on the
-# normalized (p, q mod 2p) like the tables below; each eta_variant call
-# still does its own summation and rationality check.
+# The s-independent weights of the rewritten eta sums, cached per (p, q mod 2p)
+# like the tables below; each eta_variant call still sums and checks itself.
 @lru_cache(maxsize=None)
 def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
     """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
@@ -152,16 +148,16 @@ def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """
     space = LensSpace(n, q)
     _check_budget((n + 1) // 2, max_p)
-    return _rho_values(space.n, space.q)
+    return tuple(Fraction(a, 2 * n) for a in _rho_values(space.n, space.q))
 
 
 @lru_cache(maxsize=None)
-def _rho_values(n: int, q: int) -> tuple[Fraction, ...]:
+def _rho_values(n: int, q: int) -> tuple[int, ...]:
     q_inv = pow(q, -1, n)
     values = []
     acc = 0  # 2n * rho(s)
     for s in range(n):
-        values.append(Fraction(acc, 2 * n))
+        values.append(acc)
         acc += 2 * ((-s * q_inv - 1) % n) - n + 1
     return tuple(values)
 
@@ -176,19 +172,18 @@ def eta_table(p: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     lens-space rho invariants at characters s and s+p."""
     space = FlipSpun(p, q)
     _check_budget(space.p, max_p)
-    return _eta_values(space.p, space.q)
+    return tuple(Fraction(a, 4 * p) for a in _eta_values(space.p, space.q))
 
 
 @lru_cache(maxsize=None)
-def _eta_values(p: int, q: int) -> tuple[Fraction, ...]:
-    n = 2 * p
+def _eta_values(p: int, q: int) -> tuple[int, ...]:
+    n = 2 * p  # 4p * eta(s) = 2n * (rho(s) - rho(s + p))
     rho = _rho_values(n, q)
     return tuple(rho[s] - rho[(s + p) % n] for s in range(n))
 
 
-# The tables are cached on the normalized (n, q mod n) and (p, q mod 2p)
-# only, so the budget check above runs on every call.  The public names
-# expose the caches for inspection and reset.
+# The integer tables are cached on (n, q mod n) and (p, q mod 2p) only, so
+# the budget check runs on every call; the public names expose the caches.
 rho_table.cache_info = _rho_values.cache_info
 rho_table.cache_clear = _rho_values.cache_clear
 eta_table.cache_info = _eta_values.cache_info
@@ -243,11 +238,11 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
     sum_{s=0}^{p-1} (-1)^(s+1) eta(X(p), g_{p,q}, alpha_s) omega^(-js)."""
     p, q, j = _fourier_args(p, q, j)
     _check_budget(p, max_p)
-    etas = eta_table(p, q, max_p)
-    coeffs = [Fraction(0)] * p  # of omega^0 .. omega^(p-1)
+    etas = _eta_values(p, q)  # 4p * eta
+    coeffs = [0] * p  # of omega^0 .. omega^(p-1)
     for s in range(p):
         coeffs[(-j * s) % p] += etas[s] if s % 2 == 1 else -etas[s]
-    return Cyclotomic(p, coeffs)
+    return Cyclotomic(p, coeffs) * Fraction(1, 4 * p)
 
 
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:
@@ -291,16 +286,6 @@ def _matches(n: int, table_q, table_qp) -> tuple[int, ...]:
     return tuple(a for a in units if all(table_q[s] == table_qp[(a * s) % n] for s in range(n)))
 
 
-def _partition(units, related) -> list[list[int]]:
-    """Classes of units under the equivalence related(q, q'): each class is
-    the first remaining unit with every remaining unit related to it."""
-    remaining, classes = list(units), []
-    while remaining:
-        classes.append([q for q in remaining if related(remaining[0], q)])
-        remaining = [q for q in remaining if q not in classes[-1]]
-    return classes
-
-
 def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) -> MatchingResult:
     """Decide whether the metrics g_{p,q} and g_{p,q'} on X(p) can share a
     moduli-space component, by exhaustive exact comparison of eta tables.
@@ -312,26 +297,34 @@ def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) 
     """
     left, right = FlipSpun(p, q), FlipSpun(p, q_prime)
     _check_odd_p(p, max_p)
-    matches = _matches(2 * p, eta_table(p, left.q, max_p), eta_table(p, right.q, max_p))
+    matches = _matches(2 * p, _eta_values(p, left.q), _eta_values(p, right.q))
     return MatchingResult(p, left.q, right.q, matches)
 
 
 def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:
     """Partition of the valid rotation parameters q under the matching
     relation; the class count is a lower bound for the number of psc
-    moduli-space components of X(p)."""
+    moduli-space components of X(p).
+
+    q ~ q' iff E_q = E_q' o a, (E o a)(s) = E(a*s), for some a in the group U
+    of odd units mod 2p; so q is filed under K(q) = min over a in U of E_q o a.
+    E_q = E_q' o a gives K(q) = min over b of E_q' o ab = K(q'), as ab runs over
+    U; E_q o b = E_q' o c gives E_q = E_q' o cb^-1.  Classes list by least q."""
     _check_odd_p(p, max_p)
-    units = _odd_units(2 * p)
-    tables = {q: eta_table(p, q, max_p) for q in units}
-    return _partition(units, lambda q, qp: bool(_matches(2 * p, tables[q], tables[qp])))
+    n, classes = 2 * p, {}
+    units = _odd_units(n)
+    for q in units:
+        table = _eta_values(p, q)
+        key = min(tuple(table[(a * s) % n] for s in range(n)) for a in units)
+        classes.setdefault(key, []).append(q)
+    return list(classes.values())
 
 
 def matching_sweep(p: int, max_p: int | None = None) -> tuple[list, dict, list]:
     """The q values of X(p), the match set of every ordered pair (q, q')
-    in ascending order, and the component classes read off that table
-    (equal to component_classes(p))."""
+    in ascending order, and the component classes, component_classes(p)."""
     _check_odd_p(p, max_p)
     units = _odd_units(2 * p)
-    tables = {q: eta_table(p, q, max_p) for q in units}
+    tables = {q: _eta_values(p, q) for q in units}
     table = {(q, qp): _matches(2 * p, tables[q], tables[qp]) for q in units for qp in units}
-    return units, table, _partition(units, lambda q, qp: bool(table[q, qp]))
+    return units, table, component_classes(p, max_p)

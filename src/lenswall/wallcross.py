@@ -186,7 +186,13 @@ def _unstable(n_max: int) -> StabilizationError:
     )
 
 
+def _check_acts_on(lattice: IntegralLattice, f: Isometry) -> None:
+    if f.lattice != lattice:
+        raise ParameterError("isometry does not act on the given lattice")
+
+
 def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
+    _check_acts_on(lattice, f)
     if alpha_invariant(f) != 1:
         raise ParameterError("orbit sums require an orientation-coherent map (alpha = +1)")
     spinc.validate(lattice)
@@ -462,6 +468,7 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
     k*N c1 + k(k-1)/2 * N^2 c1 = 0 would give N^2 c1 = 0, hence
     k*N c1 = 0; so a finite orbit has N c1 = 0 and A^m c1 = c1.  Other maps
     are stepped up to the bound."""
+    _check_acts_on(lattice, f)
     if bound < 1:
         raise ParameterError("bound must be positive")
     start = _as_vector(c1, lattice.rank)
@@ -479,6 +486,7 @@ def classify_isometry(lattice: IntegralLattice, f: Isometry) -> str:
     on the unit circle) or hyperbolic (spectral radius > 1), decided with
     exact integer arithmetic on a signature (1,2) lattice: f is elliptic iff
     its unipotent power is the identity, and hyperbolic iff it has none."""
+    _check_acts_on(lattice, f)
     if lattice.signature() != (1, 2, 0):
         raise ParameterError(f"classification needs signature (1,2), got {lattice.signature()}")
     certificate = _unipotent_power(f.matrix)

@@ -5,6 +5,9 @@ The float oracles evaluate the same sums as the exact code but entirely
 in complex double arithmetic, with no use of the package's field
 machinery.  rho_table_cyclotomic is the exact reference for the integer
 rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
+eta_matches and matching_classes are the reference for the matching:
+an all-pairs scan over the public eta_table Fractions and a pairwise
+partition, with none of the package's integer tables or canonical forms.
 _orbit_sweep is the reference for wallcross.orbit_swtot: it steps the
 orbit through the whole range with its own loop and reads the signs
 directly; it shares the input check, the error messages, the ray helpers
@@ -22,7 +25,7 @@ from math import gcd
 
 from lenswall.cyclotomic import Cyclotomic
 from lenswall.errors import ParameterError, ResourceBoundError
-from lenswall.eta import LensSpace, _unit_inverse
+from lenswall.eta import LensSpace, _unit_inverse, eta_table
 from lenswall.lattice import (
     IntegralLattice,
     IsometricStructure,
@@ -107,6 +110,33 @@ def eta_odd_p_float(p: int, q: int, s: int) -> float:
     total /= p
     assert abs(total.imag) < 1e-9
     return total.real
+
+
+def eta_matches(p: int, q: int, q_prime: int) -> tuple[int, ...]:
+    """Every odd unit a mod 2p with eta(p, q, s) == eta(p, q', a*s) for all
+    s, compared as Fractions; p must be within the default budget."""
+    n = 2 * p
+    left, right = eta_table(p, q), eta_table(p, q_prime)
+    return tuple(
+        a for a in range(1, n, 2)
+        if gcd(a, n) == 1 and all(left[s] == right[(a * s) % n] for s in range(n))
+    )
+
+
+def partition(units, related) -> list[list[int]]:
+    """Classes of units under the equivalence related(q, q'): each class is
+    the first remaining unit with every remaining unit related to it."""
+    remaining, classes = list(units), []
+    while remaining:
+        classes.append([q for q in remaining if related(remaining[0], q)])
+        remaining = [q for q in remaining if q not in classes[-1]]
+    return classes
+
+
+def matching_classes(p: int) -> list[list[int]]:
+    """The component classes of X(p), odd p, by pairwise matching."""
+    units = [a for a in range(1, 2 * p, 2) if gcd(a, 2 * p) == 1]
+    return partition(units, lambda q, qp: bool(eta_matches(p, q, qp)))
 
 
 def _orbit_pairings(lattice, f, wall, omega0, n_max):

@@ -320,6 +320,25 @@ def test_plot_disc(capsys, tmp_path):
     assert doc["results"]["orbit_points"] == 1
 
 
+def test_plot_disc_samples_the_wall_once(capsys, monkeypatch, tmp_path):
+    """The arc and the wall_samples count come from one sampling."""
+    import lenswall.cli
+    import lenswall.discplot
+
+    calls = []
+    original = lenswall.discplot.sample_wall_points
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (lenswall.cli, lenswall.discplot):
+        monkeypatch.setattr(module, "sample_wall_points", counted)
+    doc = run_json(capsys, "plot-disc", "--out", str(tmp_path / "disc.svg"))
+    assert len(calls) == 1
+    assert doc["results"]["wall_samples"] == len(original(*calls[0])) == 50
+
+
 def test_plot_disc_stdout(capsys):
     code, out, _ = run_cli(capsys, "plot-disc", "--out", "-")
     assert code == 0

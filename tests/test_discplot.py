@@ -11,7 +11,8 @@ from lenswall.wallcross import WallClass, disc_project
 
 def test_empty_point_list_gives_circle_and_wall_only():
     lat = standard_lattice()
-    svg = render_disc_svg(lat, WallClass((1, 1, 1)), [])
+    wall = WallClass((1, 1, 1))
+    svg = render_disc_svg(lat, wall, sample_wall_points(lat, wall), [])
     assert svg.count("<circle") == 1
     assert svg.count("<polyline") == 1
     assert "<text" not in svg
@@ -45,7 +46,7 @@ def test_wall_missing_the_cone():
     wall = WallClass((1, 0, 0))
     assert sample_wall_points(lat, wall) == []
     assert wall_ideal_endpoints(lat, wall) == []
-    svg = render_disc_svg(lat, wall, [])
+    svg = render_disc_svg(lat, wall, [], [])
     assert "<polyline" not in svg
 
 
@@ -58,7 +59,8 @@ def test_orbit_points_render_inside_circle():
     for n in range(6):
         pts.append((n, omega))
         omega = action.apply(omega)
-    svg = render_disc_svg(lat, WallClass((1, 1, 1)), pts, crossing_index=0)
+    wall = WallClass((1, 1, 1))
+    svg = render_disc_svg(lat, wall, sample_wall_points(lat, wall), pts, crossing_index=0)
     dots = re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)" r="0.018"', svg)
     assert len(dots) == 6
     for cx, cy in dots:

@@ -26,7 +26,10 @@ from lenswall.eta import _half_root_weights, _odd_p_weights
 from oracles import (
     eta_float,
     eta_half_roots_float,
+    eta_matches,
     eta_odd_p_float,
+    matching_classes,
+    partition,
     rho_float,
     rho_table_cyclotomic,
 )
@@ -206,15 +209,47 @@ def test_component_classes_equivalence_relation():
 
 
 def test_matching_sweep_agrees_with_distinguish_and_classes():
-    """sweep's table, cell by cell, against the pairwise decision, and the
-    classes it reads off that table against component_classes."""
+    """sweep's table, cell by cell, against the pairwise decision, and its
+    classes (component_classes) against the partition of that table."""
     for p in range(1, 16, 2):
         qs, table, classes = matching_sweep(p)
         assert qs == [x for x in range(1, 2 * p) if x % 2 and gcd(x, 2 * p) == 1]
         assert list(table) == [(q, qp) for q in qs for qp in qs]
         for (q, qp), matches in table.items():
             assert matches == distinguish_metrics(p, q, qp).matches, (p, q, qp)
-        assert classes == component_classes(p)
+        assert classes == component_classes(p) == partition(qs, lambda q, qp: bool(table[q, qp]))
+
+
+def test_matching_agrees_with_reference_scan():
+    """The reference Fraction scan against distinguish_metrics and every
+    matching_sweep cell, odd p <= 15."""
+    for p in range(1, 16, 2):
+        _, table, _ = matching_sweep(p)
+        for (q, qp), matches in table.items():
+            assert eta_matches(p, q, qp) == matches == distinguish_metrics(p, q, qp).matches
+
+
+def test_component_classes_agree_with_reference_partition():
+    for p in range(1, 26, 2):
+        assert component_classes(p) == matching_classes(p), p
+
+
+def test_component_classes_are_the_inverse_pairs():
+    """The classes are {q, q^-1 mod 2p} in order of least member, for every
+    odd p <= 101 (a check of the theorem, which the package never uses)."""
+    for p in range(1, 102, 2):
+        n, expected = 2 * p, []
+        for q in range(1, n, 2):
+            if gcd(q, n) == 1 and all(q not in cls for cls in expected):
+                expected.append(sorted({q, pow(q, -1, n)}))
+        assert component_classes(p, max_p=101) == expected, p
+
+
+def test_public_values_are_fractions():
+    """Fraction(0) == 0, so the value tests alone cannot see an int leak out."""
+    values = [rho_lens(6, 1, 3), eta_flipspun(5, 3, 0), eta_variant(5, 3, 0, "pinc-difference")]
+    values += [*rho_table(6, 1), *rho_table(1, 0), *eta_table(5, 3)]
+    assert all(type(v) is Fraction for v in values)
 
 
 def test_matching_rejects_nonpositive_p():
@@ -242,10 +277,10 @@ def test_resource_bound():
 def test_table_caches_key_on_normalized_parameters():
     rho_table.cache_clear()
     eta_table.cache_clear()
-    assert rho_table(6, 1) is rho_table(6, 1, 50) is rho_table(6, 7)
+    assert rho_table(6, 1) == rho_table(6, 1, 50) == rho_table(6, 7)
     info = rho_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    assert eta_table(3, 1) is eta_table(3, 7)
+    assert eta_table(3, 1) == eta_table(3, 7)
     info = eta_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     # the field sums' s-independent weights are computed once per (p, q mod 2p)

@@ -273,6 +273,32 @@ def test_classify_isometry(lat, parabolic):
         classify_isometry(IntegralLattice(((1, 0), (0, -1))), identity_isometry(IntegralLattice(((1, 0), (0, -1)))))
 
 
+_OTHER = IntegralLattice(((2, 0, 0), (0, -1, 0), (0, 0, -1)), positive_class=(1, 0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat, f, g, wall, spinc: orbit_swtot(lat, g, spinc, (3, 2, 2), wall),
+    lambda lat, f, g, wall, spinc: unique_crossing_index(lat, g, spinc, (3, 2, 2), wall),
+    lambda lat, f, g, wall, spinc: power_swtot(lat, g, 2, spinc, (3, 2, 2), wall),
+    lambda lat, f, g, wall, spinc: spinc_orbit(lat, g, C1),
+    lambda lat, f, g, wall, spinc: classify_isometry(_OTHER, f),
+], ids=["orbit_swtot", "unique_crossing_index", "power_swtot", "spinc_orbit", "classify_isometry"])
+def test_entry_points_refuse_a_map_of_another_lattice(lat, parabolic, wall, spinc, call):
+    """A map of diag(2,-1,-1) on diag(1,-1,-1), or the paper map on
+    diag(2,-1,-1), is refused rather than read through the wrong form."""
+    g = identity_isometry(_OTHER)
+    with pytest.raises(ParameterError, match="^isometry does not act on the given lattice$"):
+        call(lat, parabolic, g, wall, spinc)
+
+
+def test_entry_points_accept_a_map_of_an_equal_lattice(lat, parabolic, wall, spinc):
+    """The lattices are compared by value, not by identity."""
+    same = Isometry(standard_lattice(), parabolic.matrix)
+    assert classify_isometry(lat, same) == "parabolic"
+    assert orbit_swtot(lat, same, spinc, (3, 2, 2), wall).total == 1
+    assert not spinc_orbit(lat, same, C1).finite
+
+
 def test_disc_project(lat):
     assert disc_project(lat, (1, 0, 0)) == (0.0, 0.0)
     for omega in random_cone_points(20, seed=31, odd_pairing=False):
