@@ -12,6 +12,9 @@ the boundary: constructor input, scalar operands, `coeffs` and
 field), not by x^n - 1: the eta sums downstream divide by cyclotomic
 units and need genuine inverses.
 
+A sum of terms b * zeta_n^e (`root_sum`, used by the eta sums) adds the
+rotated numerators over one denominator and reduces mod Phi_n once.
+
 Elements of different orders are never combined: mixing orders in
 arithmetic raises OrderMismatchError.
 """
@@ -24,7 +27,7 @@ from math import gcd, lcm
 
 from .errors import NotRationalError, OrderMismatchError, ParameterError
 
-__all__ = ["Cyclotomic", "cyclotomic_polynomial", "root_of_unity"]
+__all__ = ["Cyclotomic", "cyclotomic_polynomial", "root_of_unity", "root_sum"]
 
 _set = object.__setattr__
 
@@ -165,30 +168,30 @@ class Cyclotomic:
 
     # -- ring / field operations ----------------------------------------
 
-    def _coerce_operand(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise OrderMismatchError(f"orders differ ({self.order} vs {other.order})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.rational(self.order, other)
-        return NotImplemented
+    def _check_order(self, other: "Cyclotomic") -> None:
+        if other.order != self.order:
+            raise OrderMismatchError(f"orders differ ({self.order} vs {other.order})")
 
     def __add__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        n, da = self.order, self._den
+        if isinstance(other, (int, Fraction)):
+            # a scalar only moves the constant numerator
+            num = [a * other.denominator for a in self._num]
+            num[0] += other.numerator * da
+            return Cyclotomic._make(n, *_normalize(n, num, da * other.denominator))
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        da, db = self._den, other._den
+        self._check_order(other)
+        db = other._den
         g = gcd(da, db)
         fa, fb = db // g, da // g
         num = [a * fa + b * fb for a, b in zip(self._num, other._num)]
-        return Cyclotomic._make(self.order, *_normalize(self.order, num, da * fa))
+        return Cyclotomic._make(n, *_normalize(n, num, da * fa))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction, Cyclotomic)):
             return NotImplemented
         return self + (-other)
 
@@ -201,9 +204,9 @@ class Cyclotomic:
             n, den = self.order, self._den * value.denominator
             num = [a * value.numerator for a in self._num]
             return Cyclotomic._make(n, *_normalize(n, num, den))
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
+        self._check_order(other)
         a, b = self._num, other._num
         prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -229,20 +232,10 @@ class Cyclotomic:
         return result
 
     def times_root(self, k: int) -> "Cyclotomic":
-        """Multiply by zeta_n^k.
-
-        Cheaper than a general product: the coefficients rotate through
-        the exponents 0 .. n-1 and only those at or above phi(n) are
-        folded back by the power table; used heavily by the eta
-        summations.  No renormalization is needed: multiplying by a unit
-        of Z[zeta_n] leaves the numerators' content as it is.
-        """
-        n = self.order
-        k %= n
-        if k == 0:
-            return self
-        full = list(self._num) + [0] * (n - len(self._num))
-        return Cyclotomic._make(n, _fold(n, full[-k:] + full[:-k]), self._den)
+        """Multiply by zeta_n^k: the one-term `root_sum`, so the
+        coefficients rotate through the exponents 0 .. n-1 and are folded
+        back by the power table instead of multiplied out."""
+        return root_sum(self.order, ((self, k),))
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm on
@@ -344,6 +337,23 @@ def _cancel(a: int, u: list, b: int, shift: int, v: list) -> list:
     for i, c in enumerate(v, shift):
         out[i] -= b * c
     return out
+
+
+def root_sum(order: int, terms) -> Cyclotomic:
+    """sum of b * zeta_order^e over the (b, e) pairs in terms: each b's
+    numerators, scaled to the lcm of the denominators and shifted by
+    e mod order, add into one buffer, wrapped, folded and normalized once."""
+    terms = list(terms)
+    for b, _ in terms:
+        if b.order != order:
+            raise OrderMismatchError(f"orders differ ({order} vs {b.order})")
+    den = lcm(1, *(b._den for b, _ in terms))
+    full = [0] * (2 * order)
+    for b, e in terms:
+        scale = den // b._den
+        for i, c in enumerate(b._num, e % order):
+            full[i] += c * scale
+    return Cyclotomic._make(order, *_normalize(order, full, den))
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity, root_sum
 from .errors import ParameterError, ResourceBoundError
 
 __all__ = [
@@ -114,7 +114,8 @@ def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
 
 
 # The s-independent weights of the rewritten eta sums, cached per (p, q mod 2p)
-# like the tables below; each eta_variant call still sums and checks itself.
+# like the tables below; each eta_variant call still takes its own root_sum of
+# them (one reduction mod Phi_n per value) and checks that it is rational.
 @lru_cache(maxsize=None)
 def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
     """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
@@ -164,7 +165,9 @@ def _rho_values(n: int, q: int) -> tuple[int, ...]:
 
 def rho_lens(n: int, q: int, s: int, max_p: int | None = None) -> Fraction:
     """rho_{alpha_s}(L(n, q)) as an exact rational."""
-    return rho_table(n, q, max_p)[s % n if n > 1 else 0]
+    space = LensSpace(n, q)
+    _check_budget((n + 1) // 2, max_p)
+    return Fraction(_rho_values(space.n, space.q)[s % n], 2 * n)
 
 
 def eta_table(p: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
@@ -191,7 +194,9 @@ eta_table.cache_clear = _eta_values.cache_clear
 
 
 def eta_flipspun(p: int, q: int, s: int, max_p: int | None = None) -> Fraction:
-    return eta_table(p, q, max_p)[s % (2 * p)]
+    space = FlipSpun(p, q)
+    _check_budget(space.p, max_p)
+    return Fraction(_eta_values(space.p, space.q)[s % (2 * p)], 4 * p)
 
 
 def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) -> Fraction:
@@ -209,18 +214,14 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     if formula == "pinc-difference":
         return eta_flipspun(p, q, s, max_p)
     if formula == "half-roots":
-        acc = Cyclotomic.zero(2 * p)
-        for k, b in zip(range(1, 2 * p, 2), _half_root_weights(p, q)):
-            acc = acc + b.times_root(k * (s + q))
-        return acc.as_rational() / p
+        weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q))
+        return root_sum(2 * p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
     if formula == "odd-p":
         if p % 2 == 0:
             raise ParameterError("the odd-p formula requires p odd")
         sign = -1 if s % 2 == 0 else 1
-        acc = Cyclotomic.zero(p)
-        for k, b in enumerate(_odd_p_weights(p, q)):
-            acc = acc + b.times_root(k * (s + q))
-        return sign * acc.as_rational() / p
+        weights = enumerate(_odd_p_weights(p, q))
+        return sign * root_sum(p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
     raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
 
 

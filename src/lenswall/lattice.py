@@ -324,6 +324,12 @@ def alpha_invariant(f: Isometry) -> int:
     return 1 if value > 0 else -1
 
 
+def _check_acts_on(lattice: IntegralLattice, f: Isometry) -> None:
+    """f must be an isometry of this lattice: same gram, same positive class."""
+    if f.lattice != lattice:
+        raise ParameterError("isometry does not act on the given lattice")
+
+
 @dataclass(frozen=True)
 class IsometricStructure:
     """The doubled structure (L + L, f + id, q + -q), stored as its half:
@@ -335,8 +341,7 @@ class IsometricStructure:
     map: Isometry
 
     def __post_init__(self):
-        if self.map.lattice.gram != self.lattice.gram:
-            raise ParameterError("isometry does not act on the given lattice")
+        _check_acts_on(self.lattice, self.map)
 
     @property
     def rank(self) -> int:

@@ -34,6 +34,7 @@ from .lattice import (
     Isometry,
     _as_int,
     _as_vector,
+    _check_acts_on,
     _identity,
     _mat_mul,
     _mat_vec,
@@ -184,11 +185,6 @@ def _unstable(n_max: int) -> StabilizationError:
         f"wall side has not stabilized within {n_max} steps; "
         "the map may not be parabolic for this wall"
     )
-
-
-def _check_acts_on(lattice: IntegralLattice, f: Isometry) -> None:
-    if f.lattice != lattice:
-        raise ParameterError("isometry does not act on the given lattice")
 
 
 def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:

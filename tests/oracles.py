@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from lenswall.cyclotomic import Cyclotomic
+from lenswall.cyclotomic import root_sum
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import LensSpace, _unit_inverse, eta_table
 from lenswall.lattice import (
@@ -60,22 +60,16 @@ def rho_table_cyclotomic(n: int, q: int) -> tuple[Fraction, ...]:
     n, q = space.n, space.q
     if n == 1:
         return (Fraction(0),)
-    base = []
-    for k in range(1, n):
-        b = _unit_inverse(n, (k * q) % n) * _unit_inverse(n, k)
-        base.append(b.times_root(k * q))
-    total = Cyclotomic.zero(n)
-    for b in base:
-        total = total + b
-    values = []
-    for s in range(n):
-        acc = Cyclotomic.zero(n)
-        for k, b in enumerate(base, start=1):
-            acc = acc + b.times_root(k * s)
-        # NotRationalError here would mean an arithmetic bug: the summation
-        # set is Galois-stable, so the value is forced into Q.
-        values.append((acc - total).as_rational() / n)
-    return tuple(values)
+    base = [_unit_inverse(n, (k * q) % n) * _unit_inverse(n, k) for k in range(1, n)]
+
+    def lam_sum(s):
+        """sum over lam = zeta_n^k, k = 1 .. n-1, of lam^(s+q) * base."""
+        return root_sum(n, ((b, k * (s + q)) for k, b in enumerate(base, start=1)))
+
+    total = lam_sum(0)
+    # NotRationalError here would mean an arithmetic bug: the summation
+    # set is Galois-stable, so the value is forced into Q.
+    return tuple((lam_sum(s) - total).as_rational() / n for s in range(n))
 
 
 def rho_float(n: int, q: int, s: int) -> float:

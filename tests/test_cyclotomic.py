@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lenswall.cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
+from lenswall.cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity, root_sum
 from lenswall.errors import NotRationalError, OrderMismatchError
 
 
@@ -71,8 +71,14 @@ def test_order_mismatch_and_explicit_coercion():
     z3 = root_of_unity(3)
     z6 = root_of_unity(6)
     # zeta_3 = zeta_6^2, but elements of different orders are never combined
-    for mixed in (lambda: z3 + z6, lambda: z3 - z6, lambda: z3 * z6):
-        with pytest.raises(OrderMismatchError):
+    for mixed in (
+        lambda: z3 + z6,
+        lambda: z3 - z6,
+        lambda: z3 * z6,
+        lambda: root_sum(6, [(z6, 1), (z3, 2)]),
+        lambda: root_sum(3, [(z6, 0)]),
+    ):
+        with pytest.raises(OrderMismatchError, match=r"^orders differ \((3 vs 6|6 vs 3)\)$"):
             mixed()
 
 
@@ -218,11 +224,52 @@ def test_arithmetic_matches_sympy(case, data):
         expected = sympy.invert(pa.rem(_phi(n)), _phi(n))
         assert a.inverse().coeffs == _power_basis(n, expected)
     k = data.draw(st.integers(min_value=0, max_value=2 * n))
+    r = Fraction(data.draw(_RATIONALS))
     # two constructions of the same value are equal and hash equal
     for left, right in (
+        (a + r, a + Cyclotomic.rational(n, r)),
+        (a - 3, a - Cyclotomic.rational(n, 3)),
+        (3 + a, Cyclotomic.rational(n, 3) + a),
         (product, Cyclotomic(n, _power_basis(n, pa * pb))),
         ((a + b) - b, a),
         ((a * 6) * Fraction(1, 4), a * Fraction(3, 2)),
         (a.times_root(k), a * root_of_unity(n, k)),
     ):
         assert left == right and hash(left) == hash(right)
+
+
+@st.composite
+def _root_terms(draw):
+    """An order n <= 30 and up to six (coefficients, exponent) terms: each
+    element has its own denominators, and exponents are drawn negative,
+    zero, below n and at or above n."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    coeffs = st.lists(_RATIONALS, max_size=int(sympy.totient(n)))
+    exponents = st.one_of(
+        st.integers(min_value=-3 * n, max_value=-1),
+        st.just(0),
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=n, max_value=3 * n),
+    )
+    return n, draw(st.lists(st.tuples(coeffs, exponents), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_terms())
+@example((6, []))
+@example((12, [([Fraction(1, 2), 3], -5), ([Fraction(2, 3)], 0), ([1, 0, Fraction(-1, 4)], 29)]))
+def test_root_sum_matches_sympy(case):
+    n, raw = case
+    terms = [(Cyclotomic(n, coeffs), e) for coeffs, e in raw]
+    total = root_sum(n, terms)
+    # x^n = 1 mod Phi_n, so x^e is x^(e mod n) there
+    expected = sum((_sympy_poly(c) * sympy.Poly(X ** (e % n), X) for c, e in raw), _sympy_poly([]))
+    assert total.coeffs == _power_basis(n, expected)
+    by_root, by_product = Cyclotomic.zero(n), Cyclotomic.zero(n)
+    for b, e in terms:
+        by_root = by_root + b.times_root(e)
+        by_product = by_product + b * root_of_unity(n, e)
+    for other in (by_root, by_product):
+        assert total == other and hash(total) == hash(other)
+    if not raw:
+        assert total == Cyclotomic.zero(n) and total.is_zero()

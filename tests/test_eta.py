@@ -302,6 +302,24 @@ def test_cached_table_keeps_the_budget():
         eta_table(51, 1)
 
 
+def test_single_entries_match_the_tables():
+    # one entry is read from the cached integers, at any s, negative and
+    # out of range included; the order runs over n <= 40 for both
+    for n in range(1, 41):
+        for q in (q for q in range(n) if gcd(q, n) == 1 or n == 1):
+            table = rho_table(n, q)
+            for s in range(-2 * n - 1, 2 * n + 2):
+                assert rho_lens(n, q, s) == table[s % n]
+    for p in range(1, 21):
+        for q in range(1, 2 * p, 2):
+            if gcd(q, p) != 1:
+                continue
+            table = eta_table(p, q)
+            for s in range(-4 * p - 1, 4 * p + 2):
+                value = eta_flipspun(p, q, s)
+                assert value == table[s % (2 * p)] == eta_variant(p, q, s, "pinc-difference")
+
+
 def test_eta_table_consistency():
     table = eta_table(5, 3)
     assert len(table) == 10

@@ -26,6 +26,7 @@ from lenswall.lattice import (
     sw_formal_dimension,
 )
 from lenswall.lattice import _echelon, _in_span
+from lenswall.wallcross import classify_isometry
 from oracles import metabolizer_search_grid
 
 # the composed reflection on (S, E1, E2), rows as frozen below
@@ -535,3 +536,17 @@ def test_isometric_structure_requires_block_form(lat):
     plane = IntegralLattice(((1, 0), (0, 1)))
     with pytest.raises(ParameterError, match="does not act on the given lattice"):
         IsometricStructure(lat, identity_isometry(plane))
+
+
+def test_structure_and_classification_share_the_acts_on_check(lat, composed):
+    """A map of the standard lattice, offered on the same gram without its
+    positive class, is refused by both entries with one message."""
+    bare = IntegralLattice(lat.gram)
+    messages = []
+    for call in (double_structure, classify_isometry):
+        with pytest.raises(ParameterError) as exc:
+            call(bare, composed)
+        messages.append(str(exc.value))
+    assert messages == ["isometry does not act on the given lattice"] * 2
+    assert classify_isometry(lat, composed) == "parabolic"
+    assert double_structure(lat, composed).lattice == lat
