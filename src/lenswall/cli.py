@@ -132,18 +132,18 @@ def _cmd_components(args) -> dict:
 
 
 def _scenario_inputs(args, scenario) -> dict:
-    return {"scenario": args.scenario, "definition": scenario.to_dict()}
+    return {"scenario": args.scenario, "definition": scenario.definition}
 
 
 def _cmd_swtot(args) -> dict:
     scenario = load_scenario(args.scenario)
     n_max = scenario.n_max if args.n_max is None else args.n_max
     summary = orbit_swtot(
-        scenario.lattice(),
-        scenario.isometry(),
-        scenario.spinc(),
+        scenario.lattice,
+        scenario.isometry,
+        scenario.spinc,
         scenario.omega0,
-        scenario.wall(),
+        scenario.wall,
         n_max=n_max,
     )
     return _document(
@@ -161,24 +161,23 @@ def _cmd_swtot(args) -> dict:
 
 def _cmd_orbit(args) -> dict:
     scenario = load_scenario(args.scenario)
-    lat = scenario.lattice()
-    f = scenario.isometry()
+    lat, f = scenario.lattice, scenario.isometry
     n_max = scenario.n_max if args.n_max is None else args.n_max
-    status = spinc_orbit(lat, f, scenario.c1, bound=n_max)
+    status = spinc_orbit(lat, f, scenario.spinc.c1, bound=n_max)
     results = {
         "classification": classify_isometry(lat, f),
         "spinc_orbit": {"finite": status.finite, "period": status.period, "bound": status.bound},
     }
     if not status.finite:
         results["crossing_index"] = unique_crossing_index(
-            lat, f, scenario.spinc(), scenario.omega0, scenario.wall(), n_max=n_max
+            lat, f, scenario.spinc, scenario.omega0, scenario.wall, n_max=n_max
         )
     return _document("orbit", _scenario_inputs(args, scenario), results, "spinc-orbit")
 
 
 def _cmd_metabolizer(args) -> dict:
     scenario = load_scenario(args.scenario)
-    structure = double_structure(scenario.lattice(), scenario.isometry())
+    structure = double_structure(scenario.lattice, scenario.isometry)
     budget = _env_int("LENSWALL_SEARCH_BUDGET", 2_000_000)
     found = metabolizer_search(structure, args.bound, budget=budget)
     results: dict = {"found": found is not None, "coefficient_bound": args.bound}
@@ -203,16 +202,14 @@ def _cmd_plot_disc(args) -> dict:
     if args.orbit_steps < 0:
         raise ParameterError(f"orbit steps must be >= 0, got {args.orbit_steps}")
     scenario = load_scenario(args.scenario)
-    lat = scenario.lattice()
-    f = scenario.isometry()
-    wall = scenario.wall()
+    lat, f, wall = scenario.lattice, scenario.isometry, scenario.wall
     action = f.adjoint()
     # the integer ray through omega0 has the same disc image and can be stepped exactly
     start = _integerize(cone_point(lat, scenario.omega0))
     points = list(_orbit_walk(action, start, -args.orbit_steps, args.orbit_steps))
     try:
         crossing = unique_crossing_index(
-            lat, f, scenario.spinc(), scenario.omega0, wall, n_max=scenario.n_max
+            lat, f, scenario.spinc, scenario.omega0, wall, n_max=scenario.n_max
         )
     except (GenericityError, ParameterError):
         crossing = None

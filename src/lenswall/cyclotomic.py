@@ -141,16 +141,8 @@ class Cyclotomic:
         return self
 
     @classmethod
-    def zero(cls, order: int) -> "Cyclotomic":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "Cyclotomic":
         return cls(order, (1,))
-
-    @classmethod
-    def rational(cls, order: int, value) -> "Cyclotomic":
-        return cls(order, (Fraction(value),))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

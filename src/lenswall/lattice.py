@@ -14,6 +14,7 @@ signature diagonalizes the gram matrix by integer congruences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
@@ -157,6 +158,11 @@ class IntegralLattice:
     def norm(self, v):
         return self.pairing(v, v)
 
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        """Whether the gram has full rank: one elimination per lattice."""
+        return len(_echelon(self.gram)[1]) == self.rank
+
     def signature(self) -> tuple[int, int, int]:
         """(positive, negative, zero) inertia, by integer diagonalization."""
         n = self.rank
@@ -248,10 +254,12 @@ class Isometry:
         return self.apply(v)
 
     def compose(self, other: "Isometry") -> "Isometry":
-        """self after other, as function composition."""
+        """self after other, as function composition.  A product of
+        isometries is one, and its inverse is other^-1 self^-1."""
         if self.lattice.gram != other.lattice.gram:
             raise ParameterError("isometries live on different lattices")
-        return Isometry(self.lattice, _mat_mul(self.matrix, other.matrix))
+        matrix = _mat_mul(self.matrix, other.matrix)
+        return Isometry._checked(self.lattice, matrix, _mat_mul(other._inverse, self._inverse))
 
     def __mul__(self, other):
         return self.compose(other)
@@ -260,9 +268,11 @@ class Isometry:
         return Isometry._checked(self.lattice, self._inverse, self.matrix)
 
     def power(self, d: int) -> "Isometry":
+        """self^d by repeated squaring from the identity, which is its own
+        inverse; each product carries its inverse (see compose)."""
         if d < 0:
             return self.inverse().power(-d)
-        result = Isometry(self.lattice, _identity(self.lattice.rank))
+        result = identity_isometry(self.lattice)
         base = self
         while d:
             if d & 1:
@@ -273,9 +283,10 @@ class Isometry:
 
     def adjoint(self) -> "Isometry":
         """The pairing-adjoint gram^-1 f^T gram, the action induced on the
-        dual coordinates.  It needs a nondegenerate gram, and is then the
-        inverse: f^T gram f = gram gives gram^-1 f^T gram = f^-1."""
-        if len(_echelon(self.lattice.gram)[1]) < self.lattice.rank:
+        dual coordinates.  It needs a nondegenerate gram, which the lattice
+        decides once, and is then the known inverse: f^T gram f = gram
+        gives gram^-1 f^T gram = f^-1."""
+        if not self.lattice._nondegenerate:
             raise ParameterError("matrix is singular")
         return self.inverse()
 
@@ -294,11 +305,14 @@ class Isometry:
 
 
 def identity_isometry(lattice: IntegralLattice) -> Isometry:
-    return Isometry(lattice, _identity(lattice.rank))
+    identity = _identity(lattice.rank)
+    return Isometry._checked(lattice, identity, identity)
 
 
 def reflection_sphere(lattice: IntegralLattice, sigma) -> Isometry:
-    """The reflection x -> x + 2(x . sigma) sigma in a square -1 class."""
+    """The reflection x -> x + 2(x . sigma) sigma in a square -1 class.
+    For any symmetric gram it preserves the pairing and is its own
+    inverse, since R x . sigma = -(x . sigma)."""
     sigma = _as_vector(sigma, lattice.rank)
     if lattice.norm(sigma) != -1:
         raise ParameterError(f"reflection class must have square -1, got {lattice.norm(sigma)}")
@@ -308,7 +322,7 @@ def reflection_sphere(lattice: IntegralLattice, sigma) -> Isometry:
         coef = 2 * lattice.pairing(e, sigma)
         cols.append(tuple(e[i] + coef * sigma[i] for i in range(lattice.rank)))
     matrix = tuple(zip(*cols))
-    return Isometry(lattice, matrix)
+    return Isometry._checked(lattice, matrix, matrix)
 
 
 def alpha_invariant(f: Isometry) -> int:

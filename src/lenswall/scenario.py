@@ -9,6 +9,9 @@ strings; floats are rejected to keep the exact path exact.  Integer
 entries (gram, classes, isometry, spheres) are parsed the same way and
 must have denominator 1.  Vectors and matrices must be JSON lists (of
 lists), and every vector must have the gram's rank.
+
+A scenario is parsed and checked once, where it is loaded, into the
+objects it defines and the canonical echo of its document.
 """
 
 from __future__ import annotations
@@ -24,18 +27,8 @@ from .wallcross import SpinCData, WallClass
 
 __all__ = ["Scenario", "load_scenario", "parse_rational", "format_rational", "BUILTIN_SCENARIOS"]
 
-_SCENARIO_KEYS = {
-    "gram",
-    "positive_class",
-    "isometry",
-    "sigma_plus",
-    "sigma_minus",
-    "c1",
-    "perturbation",
-    "omega0",
-    "sw_x",
-    "n_max",
-}
+_REQUIRED_KEYS = {"gram", "positive_class", "c1", "omega0", "sw_x"}
+_SCENARIO_KEYS = _REQUIRED_KEYS | {"isometry", "sigma_plus", "sigma_minus", "perturbation", "n_max"}
 
 
 def parse_rational(value) -> Fraction:
@@ -83,51 +76,28 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _echo(value):
+    """A parsed entry in its canonical JSON form: lists for tuples, "a/b"
+    strings for rationals, integers as they are."""
+    if isinstance(value, tuple):
+        return [_echo(x) for x in value]
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
-    gram: tuple[tuple[int, ...], ...]
-    positive_class: tuple[int, ...]
-    c1: tuple[int, ...]
+    """A scenario parsed once: the objects its document defines, and
+    definition, the canonical echo of the document."""
+
+    lattice: IntegralLattice
+    isometry: Isometry
+    spinc: SpinCData
+    wall: WallClass
     omega0: tuple[Fraction, ...]
-    sw_x: int
-    n_max: int = 1000
-    isometry_matrix: tuple[tuple[int, ...], ...] | None = None
-    sigma_plus: tuple[int, ...] | None = None
-    sigma_minus: tuple[int, ...] | None = None
-    perturbation: tuple[Fraction, ...] | None = None
-
-    def lattice(self) -> IntegralLattice:
-        return IntegralLattice(self.gram, positive_class=self.positive_class)
-
-    def isometry(self) -> Isometry:
-        lat = self.lattice()
-        if self.isometry_matrix is not None:
-            return Isometry(lat, self.isometry_matrix)
-        return reflection_sphere(lat, self.sigma_plus) * reflection_sphere(lat, self.sigma_minus)
-
-    def wall(self) -> WallClass:
-        return WallClass(self.c1, self.perturbation)
-
-    def spinc(self) -> SpinCData:
-        return SpinCData(self.c1, self.sw_x)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "gram": [list(row) for row in self.gram],
-            "positive_class": list(self.positive_class),
-            "c1": list(self.c1),
-            "omega0": [format_rational(x) for x in self.omega0],
-            "sw_x": self.sw_x,
-            "n_max": self.n_max,
-        }
-        if self.isometry_matrix is not None:
-            doc["isometry"] = [list(row) for row in self.isometry_matrix]
-        else:
-            doc["sigma_plus"] = list(self.sigma_plus)
-            doc["sigma_minus"] = list(self.sigma_minus)
-        if self.perturbation is not None:
-            doc["perturbation"] = [format_rational(x) for x in self.perturbation]
-        return doc
+    n_max: int
+    definition: dict
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -136,7 +106,7 @@ class Scenario:
         unknown = set(doc) - _SCENARIO_KEYS
         if unknown:
             raise ParameterError(f"unknown scenario keys: {sorted(unknown)}")
-        missing = {"gram", "positive_class", "c1", "omega0", "sw_x"} - set(doc)
+        missing = _REQUIRED_KEYS - set(doc)
         if missing:
             raise ParameterError(f"scenario is missing keys: {sorted(missing)}")
         has_matrix = "isometry" in doc
@@ -147,33 +117,49 @@ class Scenario:
             )
         if has_sigmas and ("sigma_plus" not in doc or "sigma_minus" not in doc):
             raise ParameterError("both sigma_plus and sigma_minus are required")
-        if not isinstance(doc["sw_x"], int) or isinstance(doc["sw_x"], bool):
+        sw_x = doc["sw_x"]
+        if not isinstance(sw_x, int) or isinstance(sw_x, bool):
             raise ParameterError("sw_x must be an integer")
         n_max = doc.get("n_max", 1000)
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise ParameterError("n_max must be a positive integer")
-        scenario = cls(
-            gram=_matrix(doc["gram"], "gram"),
-            positive_class=_integers(doc["positive_class"], "positive_class"),
-            c1=_integers(doc["c1"], "c1"),
-            omega0=_rationals(doc["omega0"], "omega0"),
-            sw_x=doc["sw_x"],
-            n_max=n_max,
-            isometry_matrix=_matrix(doc["isometry"], "isometry") if has_matrix else None,
-            sigma_plus=_integers(doc["sigma_plus"], "sigma_plus") if has_sigmas else None,
-            sigma_minus=_integers(doc["sigma_minus"], "sigma_minus") if has_sigmas else None,
-            perturbation=(
-                _rationals(doc["perturbation"], "perturbation") if "perturbation" in doc else None
-            ),
-        )
-        rank = len(scenario.gram)
+        parsed = {
+            "gram": _matrix(doc["gram"], "gram"),
+            "positive_class": _integers(doc["positive_class"], "positive_class"),
+            "c1": _integers(doc["c1"], "c1"),
+            "omega0": _rationals(doc["omega0"], "omega0"),
+            "sw_x": sw_x,
+            "n_max": n_max,
+        }
+        if has_matrix:
+            parsed["isometry"] = _matrix(doc["isometry"], "isometry")
+        else:
+            parsed["sigma_plus"] = _integers(doc["sigma_plus"], "sigma_plus")
+            parsed["sigma_minus"] = _integers(doc["sigma_minus"], "sigma_minus")
+        if "perturbation" in doc:
+            parsed["perturbation"] = _rationals(doc["perturbation"], "perturbation")
+        rank = len(parsed["gram"])
         for what in ("positive_class", "c1", "omega0", "sigma_plus", "sigma_minus", "perturbation"):
-            vector = getattr(scenario, what)
-            if vector is not None and len(vector) != rank:
+            if what in parsed and len(parsed[what]) != rank:
                 raise ParameterError(
-                    f"{what} has length {len(vector)}, but the gram has rank {rank}"
+                    f"{what} has length {len(parsed[what])}, but the gram has rank {rank}"
                 )
-        return scenario
+
+        lattice = IntegralLattice(parsed["gram"], positive_class=parsed["positive_class"])
+        if has_matrix:
+            isometry = Isometry(lattice, parsed["isometry"])
+        else:
+            r_plus = reflection_sphere(lattice, parsed["sigma_plus"])
+            isometry = r_plus * reflection_sphere(lattice, parsed["sigma_minus"])
+        return cls(
+            lattice=lattice,
+            isometry=isometry,
+            spinc=SpinCData(parsed["c1"], sw_x),
+            wall=WallClass(parsed["c1"], parsed.get("perturbation")),
+            omega0=parsed["omega0"],
+            n_max=n_max,
+            definition={key: _echo(value) for key, value in parsed.items()},
+        )
 
 
 BUILTIN_SCENARIOS = {

@@ -3,12 +3,21 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lenswall.cli import main
 from lenswall.errors import ParameterError
-from lenswall.scenario import Scenario, format_rational, load_scenario, parse_rational
+from lenswall.scenario import (
+    BUILTIN_SCENARIOS,
+    Scenario,
+    format_rational,
+    load_scenario,
+    parse_rational,
+)
+
+EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
 
 
 def run_cli(capsys, *argv):
@@ -154,7 +163,7 @@ def test_exit_codes_parameter_errors(capsys, tmp_path):
     # a quarter turn of the positive-definite plane sends the positive class
     # orthogonal to itself, so its orientation sign is undefined; integer
     # scenario entries are neither truncated nor left to int()
-    base = load_scenario("paper-default").to_dict()
+    base = load_scenario("paper-default").definition
     for name, doc, message in (
         ("orthogonal", {
             "gram": [[1, 0], [0, 1]], "positive_class": [1, 0], "isometry": [[0, -1], [1, 0]],
@@ -186,7 +195,7 @@ def test_exit_codes_parameter_errors(capsys, tmp_path):
 
 
 def test_exit_code_genericity(capsys, tmp_path):
-    doc = dict(load_scenario("paper-default").to_dict())
+    doc = dict(load_scenario("paper-default").definition)
     doc["omega0"] = ["2/1", "1/1", "1/1"]  # on the wall
     path = tmp_path / "on_wall.json"
     path.write_text(json.dumps(doc))
@@ -223,7 +232,7 @@ def test_env_override_max_p(capsys, monkeypatch):
 def test_scenario_file_round_trip(capsys, tmp_path):
     scenario = load_scenario("paper-default")
     path = tmp_path / "copy.json"
-    path.write_text(json.dumps(scenario.to_dict()))
+    path.write_text(json.dumps(scenario.definition))
     doc = run_json(capsys, "swtot", "--scenario", str(path))
     assert doc["results"]["total"] == 1
 
@@ -238,7 +247,7 @@ def test_scenario_file_must_be_an_object(capsys, tmp_path):
 
 
 def test_scenario_validation(tmp_path):
-    base = load_scenario("paper-default").to_dict()
+    base = load_scenario("paper-default").definition
     bad = dict(base)
     bad["mystery"] = 1
     with pytest.raises(ParameterError, match="unknown scenario keys"):
@@ -290,7 +299,7 @@ def test_scenario_validation(tmp_path):
             Scenario.from_dict({**bad, "isometry": value})
     good = dict(base)
     good["c1"] = ["1", 1, "2/2"]
-    assert Scenario.from_dict(good).c1 == (1, 1, 1)
+    assert Scenario.from_dict(good).spinc.c1 == (1, 1, 1)
 
 
 def test_rational_helpers():
@@ -357,13 +366,86 @@ def test_plot_disc_figure_is_pinned(capsys, steps, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+SCENARIO_COMMANDS = (
+    ("swtot",),
+    ("orbit",),
+    ("metabolizer", "--bound", "1"),
+    ("plot-disc", "--out", "-"),
+)
+
+
+def _pinned_scenario(case, tmp_path) -> str:
+    """The --scenario argument of one pinned case: the built-in default, the
+    paper map written as an explicit matrix, or an invalid variant of them."""
+    if case == "paper-default":
+        return case
+    if case == "explicit-isometry":
+        return str(EXPLICIT_ISOMETRY)
+    explicit = json.loads(EXPLICIT_ISOMETRY.read_text())
+    doc = {
+        "perturbed": {**explicit, "perturbation": ["0/1", "0/1", "1/2"]},
+        "positive-sphere": {**BUILTIN_SCENARIOS["paper-default"], "sigma_plus": [1, 0, 0]},
+        "asymmetric-gram": {**explicit, "gram": [[1, 1, 0], [0, -1, 0], [0, 0, -1]]},
+    }[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("case, codes, digests", [
+    ("paper-default", [0, 0, 0, 0], [
+        "6808b8c7568a0ffca42d75eb3f6b89ee4a7076da453ec482ab6b106ffc4691a7",
+        "9bcf9859e4f1f99f00580317141b5e7b05ada101b0a4689039db7302f0dd1ea7",
+        "3fb22c4a555350ed75d8bca618ed78b4468d53aba03c8ce1c1a99a22c5e56745",
+        "7fa5b0106ca9e14406747905055e02567df88de0e2fdbdb650aaef385a3accff",
+    ]),
+    ("explicit-isometry", [0, 0, 0, 0], [
+        "e17469d9bacdd49c9ba8690e702185ec1bc101c56ac8825c430f0fa4db94b053",
+        "3abd17c0cde9a4de09de1d5e47c83c4350b579ccffa7cc76714d927853f38157",
+        "735ebf704001455c2af1f7fcfce34ab80ed333fbc84b521fc81a9cdac0d21059",
+        "43ec17c4aaf36f3022c3f3ab3c7ec49b4711aeb22ca09ecf844de46693b85799",
+    ]),
+    ("perturbed", [0, 3, 0, 0], [
+        "7ddeb37be6df3eb675b5cf701db0468943fbb406df09781e06c4ebd9143598ea",
+        "0bb147d21cb6cfb0055e0dc8d45de3a7d04e28a7fa77c2a87ef8a06b94614dda",
+        "1cb0700dd57faf8076cd9700439160a08e40b2d7d29b0a06983ffc75bc01670a",
+        "c0326cc4de4c0feb97ba032d5e7c0a3f3378e0b0a132921a13d86cb557b6a90d",
+    ]),
+    ("positive-sphere", [2, 2, 2, 2], [
+        "eb242ae9de475535179ff06fc4f681c444e05d3b15db7827e1bcb72bbc42d06e",
+        "eb242ae9de475535179ff06fc4f681c444e05d3b15db7827e1bcb72bbc42d06e",
+        "eb242ae9de475535179ff06fc4f681c444e05d3b15db7827e1bcb72bbc42d06e",
+        "eb242ae9de475535179ff06fc4f681c444e05d3b15db7827e1bcb72bbc42d06e",
+    ]),
+    ("asymmetric-gram", [2, 2, 2, 2], [
+        "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
+        "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
+        "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
+        "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
+    ]),
+])
+def test_scenario_commands_are_pinned(capsys, tmp_path, case, codes, digests):
+    """Exit code, stdout and stderr of every scenario command, byte for byte
+    (sha256 of the three as a JSON list), with the scenario argument
+    replaced by a fixed token; this pins the inputs.definition echo."""
+    scenario = _pinned_scenario(case, tmp_path)
+    seen_codes, seen_digests = [], []
+    for command in SCENARIO_COMMANDS:
+        code, out, err = run_cli(capsys, *command, "--scenario", scenario)
+        record = [code, out.replace(scenario, "SCENARIO"), err.replace(scenario, "SCENARIO")]
+        seen_codes.append(code)
+        seen_digests.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
+    assert seen_codes == codes
+    assert seen_digests == digests
+
+
 def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):
     """omega0 = (7/2, 2, 2) is the ray of (7, 4, 4), and the disc image
     does not depend on scale, so the two figures are the same."""
     svgs = []
     for name, omega0 in (("rational", ["7/2", 2, 2]), ("integer", [7, 4, 4])):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({**load_scenario("paper-default").to_dict(), "omega0": omega0}))
+        path.write_text(json.dumps({**load_scenario("paper-default").definition, "omega0": omega0}))
         code, out, _ = run_cli(capsys, "plot-disc", "--scenario", str(path), "--out", "-")
         assert code == 0
         svgs.append(out)

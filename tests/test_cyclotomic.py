@@ -49,7 +49,7 @@ def test_root_of_unity_basics():
     # zeta * zeta^(n-1) = 1
     assert root_of_unity(4, 1) * root_of_unity(4, 3) == Cyclotomic.one(4)
     # zeta_2 = -1
-    assert root_of_unity(2, 1) == Cyclotomic.rational(2, -1)
+    assert root_of_unity(2, 1) == Cyclotomic(2, (-1,))
     # zeta_6^2 reduces to zeta_6 - 1 on the basis {1, z}
     z2 = root_of_unity(6, 2)
     assert z2.coeffs == (Fraction(-1), Fraction(1))
@@ -62,7 +62,7 @@ def test_field_ops_and_reduction():
     assert z * z == z - 1
     a = Cyclotomic(6, (Fraction(2, 3), Fraction(-1, 2)))
     assert (a + (-a)).is_zero()
-    assert a - a == Cyclotomic.zero(6)
+    assert a - a == Cyclotomic(6)
     assert a * 1 == a
     assert 2 * a == a + a
 
@@ -89,7 +89,7 @@ def test_inverse():
     u = root_of_unity(6) - 1
     assert u * u.inverse() == Cyclotomic.one(6)
     with pytest.raises(ZeroDivisionError):
-        Cyclotomic.zero(6).inverse()
+        Cyclotomic(6).inverse()
     # multiplying by an inverse round-trips
     a = Cyclotomic(12, (1, 2, 0, -1))
     b = Cyclotomic(12, (0, 1, 1, 0))
@@ -97,12 +97,12 @@ def test_inverse():
 
 
 def test_as_rational():
-    assert Cyclotomic.zero(7).as_rational() == 0
+    assert Cyclotomic(7).as_rational() == 0
     with pytest.raises(NotRationalError) as exc:
         root_of_unity(6).as_rational()
     assert exc.value.element == root_of_unity(6)
     # frozen: sum of all nontrivial 5th roots of unity is -1
-    total = Cyclotomic.zero(5)
+    total = Cyclotomic(5)
     for k in range(1, 5):
         total = total + root_of_unity(5, k)
     assert total.as_rational() == Fraction(-1)
@@ -111,14 +111,14 @@ def test_as_rational():
 def test_galois_sum_is_rational():
     # a Galois-stable sum of field expressions must land in Q
     for n, q, s in [(6, 1, 3), (10, 3, 4), (12, 5, 7)]:
-        total = Cyclotomic.zero(n)
+        total = Cyclotomic(n)
         for k in range(1, n):
             lam = root_of_unity(n, k)
             total = total + (lam ** s - 1) * lam ** q * ((lam ** q - 1) * (lam - 1)).inverse()
         total.as_rational()
     # frozen: sum over nontrivial n-th roots of 1/(lam - 1) is -(n-1)/2
     n = 5
-    total = Cyclotomic.zero(n)
+    total = Cyclotomic(n)
     for k in range(1, n):
         total = total + (root_of_unity(n, k) - 1).inverse()
     assert total.as_rational() == Fraction(-(n - 1), 2)
@@ -166,9 +166,9 @@ def test_equality_is_structural():
     assert Cyclotomic.one(3) != Cyclotomic.one(6)
     # but both compare equal to the scalar
     assert Cyclotomic.one(3) == 1 and Cyclotomic.one(6) == 1
-    assert hash(Cyclotomic.one(5)) == hash(Cyclotomic.rational(5, 1))
+    assert hash(Cyclotomic.one(5)) == hash(Cyclotomic(5, (1,)))
     # equal objects hash equal, scalars included
-    halves = {Fraction(-1, 2), Cyclotomic.rational(7, Fraction(-2, 4))}
+    halves = {Fraction(-1, 2), Cyclotomic(7, (Fraction(-2, 4),))}
     assert len({Cyclotomic.one(3), 1, *halves}) == 2
 
 
@@ -227,9 +227,9 @@ def test_arithmetic_matches_sympy(case, data):
     r = Fraction(data.draw(_RATIONALS))
     # two constructions of the same value are equal and hash equal
     for left, right in (
-        (a + r, a + Cyclotomic.rational(n, r)),
-        (a - 3, a - Cyclotomic.rational(n, 3)),
-        (3 + a, Cyclotomic.rational(n, 3) + a),
+        (a + r, a + Cyclotomic(n, (r,))),
+        (a - 3, a - Cyclotomic(n, (3,))),
+        (3 + a, Cyclotomic(n, (3,)) + a),
         (product, Cyclotomic(n, _power_basis(n, pa * pb))),
         ((a + b) - b, a),
         ((a * 6) * Fraction(1, 4), a * Fraction(3, 2)),
@@ -265,11 +265,11 @@ def test_root_sum_matches_sympy(case):
     # x^n = 1 mod Phi_n, so x^e is x^(e mod n) there
     expected = sum((_sympy_poly(c) * sympy.Poly(X ** (e % n), X) for c, e in raw), _sympy_poly([]))
     assert total.coeffs == _power_basis(n, expected)
-    by_root, by_product = Cyclotomic.zero(n), Cyclotomic.zero(n)
+    by_root, by_product = Cyclotomic(n), Cyclotomic(n)
     for b, e in terms:
         by_root = by_root + b.times_root(e)
         by_product = by_product + b * root_of_unity(n, e)
     for other in (by_root, by_product):
         assert total == other and hash(total) == hash(other)
     if not raw:
-        assert total == Cyclotomic.zero(n) and total.is_zero()
+        assert total == Cyclotomic(n) and total.is_zero()

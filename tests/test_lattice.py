@@ -314,6 +314,8 @@ def test_adjoint_matches_sympy_triple_product(word):
         f = f * generators[minus].power(exponent)
     g = sympy.Matrix(lat.gram)
     assert f.adjoint().matrix == _integer_rows(g.inv() * sympy.Matrix(f.matrix).T * g)
+    # the inverse a product carries is the one the checking constructor derives
+    assert f.inverse().matrix == Isometry(lat, f.matrix).inverse().matrix
 
 
 def test_adjoint_needs_a_nondegenerate_gram():
@@ -322,6 +324,33 @@ def test_adjoint_needs_a_nondegenerate_gram():
     assert swap.inverse() == swap
     with pytest.raises(ParameterError, match="matrix is singular"):
         swap.adjoint()
+
+
+def test_derived_isometries_are_checked_once(monkeypatch):
+    """Reflections, products and powers carry their known inverses, and a
+    lattice decides nondegeneracy once, so the only elimination is of the
+    gram, on the first adjoint."""
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _echelon(rows)
+
+    monkeypatch.setattr(lattice, "_echelon", counted)
+    lat = standard_lattice()
+    f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+    f.power(6)
+    for _ in range(10):
+        assert f.adjoint() == f.inverse()
+    assert calls == [lat.gram]
+    # the checking constructor eliminates [M | I] once; a degenerate gram
+    # is refused on every call, from one elimination
+    degenerate = IntegralLattice(((0, 0), (0, 0)))
+    swap = Isometry(degenerate, ((0, 1), (1, 0)))
+    for _ in range(3):
+        with pytest.raises(ParameterError, match="matrix is singular"):
+            swap.adjoint()
+    assert calls[1:] == [[(0, 1, 1, 0), (1, 0, 0, 1)], degenerate.gram]
 
 
 def _sign_changes(coefficients):
