@@ -54,8 +54,6 @@ from .wallcross import (
     finite_orbit_swtot,
     orbit_swtot,
     power_swtot,
-    segment_crossing,
     spinc_orbit,
     unique_crossing_index,
-    wall_evaluate,
 )

@@ -36,7 +36,6 @@ from .eta import (
 from .lattice import double_structure, metabolizer_check, metabolizer_search, sw_formal_dimension
 from .scenario import format_rational, load_scenario
 from .wallcross import (
-    _integerize,
     _orbit_walk,
     classify_isometry,
     cone_point,
@@ -205,7 +204,7 @@ def _cmd_plot_disc(args) -> dict:
     lat, f, wall = scenario.lattice, scenario.isometry, scenario.wall
     action = f.adjoint()
     # the integer ray through omega0 has the same disc image and can be stepped exactly
-    start = _integerize(cone_point(lat, scenario.omega0))
+    start = cone_point(lat, scenario.omega0)
     points = list(_orbit_walk(action, start, -args.orbit_steps, args.orbit_steps))
     try:
         crossing = unique_crossing_index(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceBoundError
 from .lattice import IntegralLattice, _as_vector, _mat_vec
 from .wallcross import WallClass, _integerize, disc_project
 
@@ -117,7 +117,8 @@ def render_disc_svg(
 ) -> str:
     """SVG text: unit circle, wall geodesic through wall_points (the rays of
     sample_wall_points), labeled orbit points, and the crossing segment
-    highlighted.  orbit_points is a sequence of (step index, cone point) pairs."""
+    highlighted.  orbit_points is a sequence of (step index, cone point) pairs;
+    a point whose entries are beyond float range raises ResourceBoundError."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.15 -1.15 2.3 2.3" '
@@ -140,7 +141,12 @@ def render_disc_svg(
         lines.append(
             f'<polyline points="{path}" fill="none" stroke="#1f4e9c" stroke-width="0.015"/>'
         )
-    projected = {n: disc_project(lattice, v) for n, v in orbit_points}
+    projected = {}
+    for n, v in orbit_points:
+        try:
+            projected[n] = disc_project(lattice, v)
+        except OverflowError:
+            raise ResourceBoundError(f"orbit point at step {n} is too large to draw") from None
     if crossing_index is not None:
         a = projected.get(crossing_index)
         b = projected.get(crossing_index + 1)

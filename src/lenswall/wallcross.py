@@ -1,16 +1,18 @@
 """Signed wall-crossing bookkeeping for one-parameter families of period
 points in the positive cone of a signature (1,2) lattice.
 
-Period points are rational rays in the cone (never normalized to the
-hyperboloid, so every decision stays exact); the orbit of a starting ray
-under the dual action of an isometry crosses the wall of reducibles, and
-the signed count of crossings times the oracle invariant of the closed
-piece is the total one-parameter invariant.  Walls and period points use
-dual (H^2) coordinates throughout: an isometry f acts on them by the
-pairing-adjoint gram^-1 f^T gram, and _orbit_walk is the one place that
-steps a ray through that action.  orbit_swtot reads every wall-side
-question off one list of sign segments, taken from a closed form when the
-action has a unipotent power and from the stepped orbit otherwise.
+Period points are rays in the cone, never normalized to the hyperboloid;
+cone_point checks a starting ray and returns the integer ray through it,
+so every later decision is the sign of an integer pairing.  The orbit of
+a starting ray under the dual action of an isometry crosses the wall of
+reducibles, and the signed count of crossings times the oracle invariant
+of the closed piece is the total one-parameter invariant.  Walls and
+period points use dual (H^2) coordinates throughout: an isometry f acts
+on them by the pairing-adjoint gram^-1 f^T gram, and _orbit_walk is the
+one place that steps a ray through that action.  orbit_swtot reads every
+wall-side question off one list of sign segments, taken from a closed
+form when the action has a unipotent power and from the stepped orbit
+otherwise.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ __all__ = [
     "OrbitSummary",
     "OrbitStatus",
     "cone_point",
-    "wall_evaluate",
-    "segment_crossing",
     "orbit_swtot",
     "unique_crossing_index",
     "power_swtot",
@@ -133,12 +133,15 @@ class OrbitStatus:
     bound: int
 
 
-def cone_point(lattice: IntegralLattice, coords) -> tuple[Fraction, ...]:
+def cone_point(lattice: IntegralLattice, coords) -> tuple[int, ...]:
     """Validate that coords is a ray in the positive cone (positive square,
-    positive pairing with the designated class) and return it as Fractions."""
+    positive pairing with the designated class) and return the integer ray
+    through it: coords times the lcm of their denominators.  Both
+    conditions are signs, which a positive scale keeps, so they are decided
+    on the integer ray."""
     if lattice.positive_class is None:
         raise ParameterError("lattice needs a designated positive class for cone checks")
-    vec = tuple(Fraction(x) for x in coords)
+    vec = _integerize(coords)
     if len(vec) != lattice.rank:
         raise ParameterError(f"period point length {len(vec)} does not match rank {lattice.rank}")
     if lattice.norm(vec) <= 0:
@@ -149,31 +152,14 @@ def cone_point(lattice: IntegralLattice, coords) -> tuple[Fraction, ...]:
 
 
 def _integerize(vec) -> tuple[int, ...]:
-    denom = math.lcm(*(Fraction(x).denominator for x in vec))
-    return tuple(int(Fraction(x) * denom) for x in vec)
-
-
-def wall_evaluate(lattice: IntegralLattice, wall: WallClass, omega) -> Fraction:
-    """Pairing of a cone point against the effective wall class; zero means
-    the point lies on the wall.  The sign is scale-invariant on rays."""
-    vec = cone_point(lattice, omega)
-    return Fraction(lattice.pairing(vec, wall.vector()))
+    """The integer ray through vec: vec times the lcm of its denominators."""
+    fracs = [Fraction(x) for x in vec]
+    denom = math.lcm(*(x.denominator for x in fracs))
+    return tuple(x.numerator * (denom // x.denominator) for x in fracs)
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def segment_crossing(lattice: IntegralLattice, wall: WallClass, u, v) -> int:
-    """Signed crossing count of the straight segment from u to v:
-    +1 for a negative-to-positive wall transition, -1 for the reverse,
-    0 when both endpoints are on the same side.  Endpoints on the wall are
-    rejected as non-generic."""
-    a = wall_evaluate(lattice, wall, u)
-    b = wall_evaluate(lattice, wall, v)
-    if a == 0 or b == 0:
-        raise GenericityError("segment endpoint lies on the wall; choose a generic point")
-    return (_sign(b) - _sign(a)) // 2
 
 
 def _on_wall(n: int) -> GenericityError:
@@ -323,7 +309,7 @@ def orbit_swtot(
     crossings and stabilized from the same sign segments.
     """
     _check_orbit_inputs(lattice, f, spinc, n_max)
-    omega = _integerize(cone_point(lattice, omega0))
+    omega = cone_point(lattice, omega0)
     w = _integerize(wall.vector())
     action = f.adjoint()
     certificate = _unipotent_power(action.matrix)

@@ -10,12 +10,14 @@ an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
 _orbit_sweep is the reference for wallcross.orbit_swtot: it steps the
 orbit through the whole range with its own loop and reads the signs
-directly; it shares the input check, the error messages, the ray helpers
-and STAB_WINDOW with the package, but not the package's orbit walk or its
-sign reader.  metabolizer_search_grid is the reference for
-lattice.metabolizer_search: it walks the whole coordinate grid of the
-doubled lattice and pairs candidates with the full form q + -q, which it
-builds from the half lattice itself.
+directly; it shares the input check, the error messages, cone_point
+(which returns the integer ray), _integerize for the wall and STAB_WINDOW
+with the package, but not the package's orbit walk or its sign reader.
+metabolizer_search_grid is the reference for lattice.metabolizer_search:
+it walks the whole coordinate grid of the doubled lattice and pairs
+candidates with the full form q + -q, which it builds from the half
+lattice itself; with prune it also applies the invariance conditions
+through the full map f + id, built the same way.
 """
 
 import cmath
@@ -136,7 +138,7 @@ def matching_classes(p: int) -> list[list[int]]:
 def _orbit_pairings(lattice, f, wall, omega0, n_max):
     """Pairings <A^n omega0, w> for n = -n_max .. n_max+1 with A the dual
     action of f; all integer arithmetic after clearing denominators."""
-    omega = _integerize(cone_point(lattice, omega0))
+    omega = cone_point(lattice, omega0)
     w = _integerize(wall.vector())
     forward = f.adjoint().matrix
     backward = f.matrix  # inverse of the adjoint
@@ -187,6 +189,7 @@ def metabolizer_search_grid(
     structure: IsometricStructure,
     coefficient_bound: int = 1,
     budget: int = 2_000_000,
+    prune: bool = False,
 ) -> list[tuple[int, ...]] | None:
     """metabolizer_search by walking all (2b+1)^rank coordinate tuples.
 
@@ -196,6 +199,12 @@ def metabolizer_search_grid(
     partial families independent and isotropic and accepts once a
     half-rank family passes metabolizer_check.  The budget caps the grid,
     checked before it is enumerated, and the extension steps examined.
+
+    With prune, the search also applies the necessary conditions of an
+    F-invariant isotropic family, F = f + id: a candidate needs
+    <v, Fv> = 0, and a new v needs <v, Fu> = <u, Fv> = 0 for every chosen
+    u.  They drop only families that cannot pass metabolizer_check, so the
+    answer is the same; the grid order and the final check stay.
     """
     if coefficient_bound < 1:
         raise ParameterError("coefficient bound must be >= 1")
@@ -206,6 +215,10 @@ def metabolizer_search_grid(
     lat = IntegralLattice(
         tuple(row + zeros for row in q) + tuple(zeros + tuple(-x for x in row) for row in q)
     )
+    # the full map f + id, built here from the half's map
+    block_map = tuple(row + zeros for row in structure.map.matrix) + tuple(
+        zeros + tuple(int(i == j) for j in range(half)) for i in range(half)
+    )
     rank = lat.rank
     grid = (2 * coefficient_bound + 1) ** rank
     if grid > budget:
@@ -213,7 +226,7 @@ def metabolizer_search_grid(
             f"metabolizer search grid of {grid} coordinate tuples exceeds its budget of {budget}"
         )
     span = range(-coefficient_bound, coefficient_bound + 1)
-    candidates = []
+    candidates, images = [], {}
     for coords in product(span, repeat=rank):
         vec = tuple(coords)
         nonzero = [abs(x) for x in vec if x]
@@ -225,6 +238,10 @@ def metabolizer_search_grid(
             continue
         if lat.norm(vec) != 0:
             continue
+        if prune:
+            images[vec] = _mat_vec(block_map, vec)
+            if lat.pairing(vec, images[vec]) != 0:
+                continue
         candidates.append(vec)
 
     steps = 0
@@ -242,6 +259,10 @@ def metabolizer_search_grid(
                 )
             v = candidates[idx]
             if any(lat.pairing(v, u) != 0 for u in chosen) or _in_span(basis, pivots, v):
+                continue
+            if prune and any(
+                lat.pairing(v, images[u]) != 0 or lat.pairing(u, images[v]) != 0 for u in chosen
+            ):
                 continue
             found = extend(idx + 1, chosen + [v])
             if found is not None:

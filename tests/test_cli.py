@@ -18,6 +18,7 @@ from lenswall.scenario import (
 )
 
 EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
+HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
 
 
 def run_cli(capsys, *argv):
@@ -80,23 +81,33 @@ def test_orbit_command(capsys):
     assert doc["results"]["crossing_index"] == 0
 
 
-def test_swtot_and_orbit_hyperbolic_scenario(capsys, tmp_path):
+def test_swtot_and_orbit_hyperbolic_scenario(capsys):
     """reflection(sigma_plus) after the quarter turn about S is hyperbolic,
     so swtot steps the orbit; its one crossing is at step 0."""
-    path = tmp_path / "hyperbolic.json"
-    path.write_text(json.dumps({
-        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "positive_class": [1, 0, 0],
-        "isometry": [[3, -2, 2], [2, -2, 1], [2, -1, 2]], "c1": [1, 1, 1],
-        "omega0": [3, 2, 2], "sw_x": 1, "n_max": 200,
-    }))
     for argv, steps_used in (((), 401), (("--n-max", "1"), 3)):
-        doc = run_json(capsys, "swtot", "--scenario", str(path), *argv)
+        doc = run_json(capsys, "swtot", "--scenario", str(HYPERBOLIC), *argv)
         assert doc["results"] == {
             "total": 1, "crossings": {"0": 1}, "stabilized": True, "steps_used": steps_used,
         }
-    doc = run_json(capsys, "orbit", "--scenario", str(path))
+    doc = run_json(capsys, "orbit", "--scenario", str(HYPERBOLIC))
     assert doc["results"]["classification"] == "hyperbolic"
     assert doc["results"]["crossing_index"] == 0
+
+
+def test_plot_disc_refuses_an_orbit_too_large_to_draw(capsys):
+    """The hyperbolic orbit's integers pass float range after about 540
+    steps; the figure is then refused as a resource error, not a traceback."""
+    code, out, _ = run_cli(
+        capsys, "plot-disc", "--scenario", str(HYPERBOLIC), "--out", "-", "--orbit-steps", "400"
+    )
+    assert code == 0 and out.startswith("<?xml")
+    code, out, err = run_cli(
+        capsys, "plot-disc", "--scenario", str(HYPERBOLIC), "--out", "-", "--orbit-steps", "700"
+    )
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "resource"
+    assert "too large to draw" in error["message"]
 
 
 def test_metabolizer_command(capsys):
@@ -376,11 +387,14 @@ SCENARIO_COMMANDS = (
 
 def _pinned_scenario(case, tmp_path) -> str:
     """The --scenario argument of one pinned case: the built-in default, the
-    paper map written as an explicit matrix, or an invalid variant of them."""
+    paper map written as an explicit matrix, a hyperbolic map, or an invalid
+    variant of them."""
     if case == "paper-default":
         return case
     if case == "explicit-isometry":
         return str(EXPLICIT_ISOMETRY)
+    if case == "hyperbolic":
+        return str(HYPERBOLIC)
     explicit = json.loads(EXPLICIT_ISOMETRY.read_text())
     doc = {
         "perturbed": {**explicit, "perturbation": ["0/1", "0/1", "1/2"]},
@@ -422,6 +436,12 @@ def _pinned_scenario(case, tmp_path) -> str:
         "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
         "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
         "69d5fe6b47e85485de71693b3a7d698117b7872e7571bd93095add31575894cb",
+    ]),
+    ("hyperbolic", [0, 0, 0, 0], [
+        "fff0ff10c33ec095c9ff9eb8a45d8f4a87ebe73924975bf3d9e1cb5e1221ec36",
+        "eb942f11ffbb36c6ae5411c9344267b8df6f3f5ecd39d1ffd95a3220a3ecaaf5",
+        "a9f14aa863f70bb06265d5006becdaa4c9b4d89132048c20506fadc3a4874cd4",
+        "16c5611f7c218adcb19d2e9220252e33df401078c1abd88254c770baac68a420",
     ]),
 ])
 def test_scenario_commands_are_pinned(capsys, tmp_path, case, codes, digests):

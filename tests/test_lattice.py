@@ -524,21 +524,31 @@ def test_structure_pairing_and_apply_match_blocks(f, data):
 @settings(max_examples=20, deadline=None)
 @given(WORDS, st.integers(1, 2))
 def test_metabolizer_search_matches_grid_reference(word, bound):
+    # the pruned reference answers every draw within its default budget,
+    # the None draws included; a ResourceBoundError fails the draw
     lat = standard_lattice()
     structure = double_structure(lat, _word_map(word))
-    # the reference's budget caps its grid too, so it gets the grid plus
-    # 1000 steps; a draw it cannot finish within that is skipped
-    try:
-        expected = metabolizer_search_grid(structure, bound, budget=(2 * bound + 1) ** 6 + 1000)
-    except ResourceBoundError:
-        return
+    expected = metabolizer_search_grid(structure, bound, prune=True)
     assert metabolizer_search(structure, bound) == expected
 
 
+def test_metabolizer_search_matches_pruned_grid_on_every_short_word(lat):
+    """All 40 words of length <= 3 in r_+, r_- and the quarter turn, at
+    bound 1, against the pruned grid reference; 35 of them have no
+    metabolizer there."""
+    outcomes = []
+    for length in range(4):
+        for word in product(("r_+", "r_-", "rotation"), repeat=length):
+            structure = double_structure(lat, _word_map(word))
+            expected = metabolizer_search_grid(structure, 1, prune=True)
+            assert metabolizer_search(structure, 1) == expected, word
+            outcomes.append(expected is None)
+    assert (len(outcomes), sum(outcomes)) == (40, 35)
+
+
 def test_metabolizer_search_matches_grid_reference_without_a_metabolizer(lat):
-    # the property above skips the None draws on the paper lattice, whose
-    # grid reference outruns its budget there; this one gets a budget of
-    # 10^7 and is compared
+    # the unpruned grid reference, with a budget of 10^7, on a map with no
+    # metabolizer at bound 1 (the property above uses the pruned one)
     f = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
     structure = double_structure(lat, f)
     assert metabolizer_search_grid(structure, 1, budget=10**7) is None

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,10 +35,8 @@ from lenswall.wallcross import (
     finite_orbit_swtot,
     orbit_swtot,
     power_swtot,
-    segment_crossing,
     spinc_orbit,
     unique_crossing_index,
-    wall_evaluate,
 )
 from lenswall.wallcross import _unipotent_power
 from oracles import _orbit_pairings, _orbit_sweep
@@ -82,21 +81,21 @@ def random_cone_points(count, seed=0, odd_pairing=True):
 
 
 def test_cone_point_validation(lat):
-    assert cone_point(lat, (2, 1, 0)) == (Fraction(2), Fraction(1), Fraction(0))
+    assert cone_point(lat, (2, 1, 0)) == (2, 1, 0)
+    # the integer ray through the coordinates, scaled by the lcm of the denominators
+    ray = cone_point(lat, (Fraction(7, 2), 2, 2))
+    assert ray == (7, 4, 4)
+    assert all(type(x) is int for x in ray)
     with pytest.raises(ConeError):
         cone_point(lat, (1, 1, 1))  # null ray
     with pytest.raises(ConeError):
         cone_point(lat, (-2, 0, 0))  # wrong cone component
+    # the message quotes the coordinates as given, not the integer ray
+    coords = (Fraction(-7, 2), 2, 2)
+    with pytest.raises(ConeError, match=re.escape(f"period point {coords} pairs")):
+        cone_point(lat, coords)
     with pytest.raises(ParameterError):
         cone_point(IntegralLattice(lat.gram), (2, 1, 0))  # no designated class
-
-
-def test_wall_evaluate(lat, wall):
-    assert wall_evaluate(lat, wall, (2, 1, 0)) == 1
-    assert wall_evaluate(lat, wall, (3, 2, 2)) == -1
-    for lam in (2, Fraction(7, 3)):
-        scaled = tuple(lam * x for x in (3, 2, 2))
-        assert wall_evaluate(lat, wall, scaled) < 0
 
 
 def test_wall_class_validation():
@@ -104,27 +103,6 @@ def test_wall_class_validation():
         WallClass((0, 0, 0)).vector()
     w = WallClass((1, 1, 1), (Fraction(1, 3), Fraction(0), Fraction(0)))
     assert w.vector() == (Fraction(4, 3), Fraction(1), Fraction(1))
-
-
-def test_segment_crossing(lat, wall):
-    assert segment_crossing(lat, wall, (3, 2, 2), (2, 1, 0)) == 1
-    assert segment_crossing(lat, wall, (2, 1, 0), (3, 2, 2)) == -1
-    assert segment_crossing(lat, wall, (3, 2, 2), (3, 2, 2)) == 0
-    with pytest.raises(GenericityError):
-        segment_crossing(lat, wall, (2, 1, 1), (2, 1, 0))  # (2,1,1) is on the wall
-
-
-def test_segment_crossing_depends_only_on_endpoint_signs(lat, wall):
-    # same-sign replacements of an endpoint never change the count
-    neg = [(3, 2, 2), (6, 4, 4), (5, 2, 4)]
-    pos = [(2, 1, 0), (4, 2, 1), (9, 4, 4)]
-    for u in neg:
-        for v in pos:
-            assert segment_crossing(lat, wall, u, v) == 1
-            assert segment_crossing(lat, wall, v, u) == -1
-    for u in neg:
-        for v in neg:
-            assert segment_crossing(lat, wall, u, v) == 0
 
 
 def test_perturbed_wall_missing_the_fixed_ray(lat, parabolic):
@@ -194,7 +172,7 @@ def test_unique_crossing_index(lat, parabolic, wall, spinc):
     # <omega0, w> < 0 starts on the negative side, so the crossing sits at n >= 0
     for omega0 in random_cone_points(10, seed=7):
         n = unique_crossing_index(lat, parabolic, spinc, omega0, wall, n_max=300)
-        if wall_evaluate(lat, wall, omega0) < 0:
+        if lat.pairing(omega0, C1) < 0:
             assert n >= 0
         else:
             assert n < 0
