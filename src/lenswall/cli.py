@@ -205,7 +205,7 @@ def _cmd_plot_disc(args) -> dict:
     action = f.adjoint()
     # the integer ray through omega0 has the same disc image and can be stepped exactly
     start = cone_point(lat, scenario.omega0)
-    points = list(_orbit_walk(action, start, -args.orbit_steps, args.orbit_steps))
+    points = _orbit_walk(action, start, -args.orbit_steps, args.orbit_steps)
     try:
         crossing = unique_crossing_index(
             lat, f, scenario.spinc, scenario.omega0, wall, n_max=scenario.n_max
@@ -224,7 +224,7 @@ def _cmd_plot_disc(args) -> dict:
         _scenario_inputs(args, scenario),
         {
             "out": args.out,
-            "orbit_points": len(points),
+            "orbit_points": 2 * args.orbit_steps + 1,
             "wall_samples": len(samples),
             "crossing_index": crossing,
         },

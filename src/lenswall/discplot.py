@@ -117,7 +117,7 @@ def render_disc_svg(
 ) -> str:
     """SVG text: unit circle, wall geodesic through wall_points (the rays of
     sample_wall_points), labeled orbit points, and the crossing segment
-    highlighted.  orbit_points is a sequence of (step index, cone point) pairs;
+    highlighted.  orbit_points is an iterable of (step index, cone point) pairs;
     a point whose entries are beyond float range raises ResourceBoundError."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -4,7 +4,12 @@ condition that separates components of the psc moduli space.
 
 The rho and eta tables are the integers 2n * rho and 4p * eta of a
 Dedekind-sum style recurrence, so the matching and the component classes
-compare integers exactly.  The rewritten eta sums ("half-roots",
+compare integers exactly.  One canonical form decides the matching: for
+each q, the least relabelled table K(q) = min over odd units a mod 2p of
+E_q o a, and the ascending units M(q) that reach it.  Two tables match iff
+their K agree, and then the matching units are the coset M(q') * c^-1 for
+any c in M(q); distinguish_metrics, component_classes and matching_sweep
+all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated inside a single
 cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
 exact rationals, so they are independent checks of the integer path.
@@ -269,7 +274,8 @@ def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
 
 
 def _odd_units(n: int) -> list[int]:
-    return [a for a in range(1, n) if a % 2 == 1 and gcd(a, n) == 1]
+    """The units mod n = 2p, which are all odd, in ascending order."""
+    return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
 def _check_odd_p(p: int, max_p: int | None) -> None:
@@ -281,15 +287,64 @@ def _check_odd_p(p: int, max_p: int | None) -> None:
     _check_budget(p, max_p)
 
 
-def _matches(n: int, table_q, table_qp) -> tuple[int, ...]:
-    """Every odd unit a mod n with table_q[s] == table_qp[a*s mod n] for all s."""
-    units = _odd_units(n)
-    return tuple(a for a in units if all(table_q[s] == table_qp[(a * s) % n] for s in range(n)))
+def _canonical(p: int, q: int, units: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical form (K, M) of E_q = 4p * eta(p, q, .): K is the least
+    relabelled table min over a in units of E_q o a, (E o a)(s) = E(a*s mod 2p),
+    and M the ascending units a with E_q o a = K.
+
+    The candidates are narrowed column by column: column s keeps the units
+    with the least E_q(a*s).  After column s the survivors are the units whose
+    relabelled table agrees with K on columns 0..s, so after every column
+    they are exactly M; and since M is never empty, a single survivor is
+    already M, so the narrowing stops there."""
+    n, table = 2 * p, _eta_values(p, q)
+    survivors = units
+    for s in range(1, n):  # column 0 is E_q(0) for every unit
+        if len(survivors) == 1:
+            break
+        column = [table[(a * s) % n] for a in survivors]
+        least = min(column)
+        survivors = [a for a, value in zip(survivors, column) if value == least]
+    c = survivors[0]
+    return tuple(table[(c * s) % n] for s in range(n)), tuple(survivors)
+
+
+def _matches(n: int, form_q, form_qp) -> tuple[int, ...]:
+    """Every unit a mod n with E_q = E_q' o a, in ascending order, from the
+    canonical forms (K, M) of E_q and (K', M') of E_q'.
+
+    Take any c in M, so E_q o c = K; note (E o a) o b = E o (ab).  If
+    E_q = E_q' o a then E_q' o (ac) = K, and K' = min over b of E_q' o b =
+    min over b of E_q' o (ab) = min over b of E_q o b = K (ab runs over all
+    units as b does), so ac is in M'.  Conversely, if K = K' and
+    ac = m in M', then E_q' o a o c = K = E_q o c, and so E_q' o a = E_q.
+    Hence the matches are empty when K != K', and otherwise the coset
+    M' * c^-1."""
+    (key, minimisers), (key_p, minimisers_p) = form_q, form_qp
+    if key != key_p:
+        return ()
+    c_inv = pow(minimisers[0], -1, n)
+    return tuple(sorted((m * c_inv) % n for m in minimisers_p))
+
+
+def _forms(p: int) -> dict:
+    """The canonical form of every q of X(p), in ascending order of q."""
+    units = _odd_units(2 * p)
+    return {q: _canonical(p, q, units) for q in units}
+
+
+def _group(forms: dict) -> list[list[int]]:
+    """The q values filed under their least relabelled table K(q)."""
+    classes = {}
+    for q, (key, _) in forms.items():
+        classes.setdefault(key, []).append(q)
+    return list(classes.values())
 
 
 def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) -> MatchingResult:
     """Decide whether the metrics g_{p,q} and g_{p,q'} on X(p) can share a
-    moduli-space component, by exhaustive exact comparison of eta tables.
+    moduli-space component, by comparing the canonical forms of their exact
+    eta tables.
 
     matches collects every unit a mod 2p with
     eta(p, q, s) = eta(p, q', a*s) for all s; the metrics are
@@ -298,7 +353,8 @@ def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) 
     """
     left, right = FlipSpun(p, q), FlipSpun(p, q_prime)
     _check_odd_p(p, max_p)
-    matches = _matches(2 * p, _eta_values(p, left.q), _eta_values(p, right.q))
+    units = _odd_units(2 * p)
+    matches = _matches(2 * p, _canonical(p, left.q, units), _canonical(p, right.q, units))
     return MatchingResult(p, left.q, right.q, matches)
 
 
@@ -307,25 +363,24 @@ def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:
     relation; the class count is a lower bound for the number of psc
     moduli-space components of X(p).
 
-    q ~ q' iff E_q = E_q' o a, (E o a)(s) = E(a*s), for some a in the group U
-    of odd units mod 2p; so q is filed under K(q) = min over a in U of E_q o a.
-    E_q = E_q' o a gives K(q) = min over b of E_q' o ab = K(q'), as ab runs over
-    U; E_q o b = E_q' o c gives E_q = E_q' o cb^-1.  Classes list by least q."""
+    q ~ q' iff E_q = E_q' o a for some a in the group U of odd units mod 2p,
+    and by the coset rule of the canonical forms that holds iff
+    K(q) = K(q'), K(q) = min over a in U of E_q o a; so each q is filed under
+    K(q).  Classes list by least q."""
     _check_odd_p(p, max_p)
-    n, classes = 2 * p, {}
-    units = _odd_units(n)
-    for q in units:
-        table = _eta_values(p, q)
-        key = min(tuple(table[(a * s) % n] for s in range(n)) for a in units)
-        classes.setdefault(key, []).append(q)
-    return list(classes.values())
+    return _group(_forms(p))
 
 
 def matching_sweep(p: int, max_p: int | None = None) -> tuple[list, dict, list]:
     """The q values of X(p), the match set of every ordered pair (q, q')
-    in ascending order, and the component classes, component_classes(p)."""
+    in ascending order, and the component classes, component_classes(p).
+
+    Each q's canonical form (K, M) is computed once; the cell (q, q') is
+    the coset M(q') * c^-1 for c in M(q) when K(q) = K(q') and empty
+    otherwise, so the sweep costs the size of its output, not a table scan
+    per cell."""
     _check_odd_p(p, max_p)
-    units = _odd_units(2 * p)
-    tables = {q: _eta_values(p, q) for q in units}
-    table = {(q, qp): _matches(2 * p, tables[q], tables[qp]) for q in units for qp in units}
-    return units, table, component_classes(p, max_p)
+    forms = _forms(p)
+    units = list(forms)
+    table = {(q, qp): _matches(2 * p, forms[q], forms[qp]) for q in units for qp in units}
+    return units, table, _group(forms)

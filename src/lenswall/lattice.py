@@ -250,9 +250,6 @@ class Isometry:
     def apply(self, v):
         return _mat_vec(self.matrix, _as_vector(v, self.lattice.rank))
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other, as function composition.  A product of
         isometries is one, and its inverse is other^-1 self^-1."""

@@ -53,6 +53,19 @@ def test_eta_command_formulas(capsys):
         assert doc["results"]["value"] == "-1/4"
 
 
+def test_eta_approx_flag(capsys):
+    """--approx on eta adds the float value; the whole document is pinned."""
+    code, out, err = run_cli(capsys, "--approx", "eta", "--p", "3", "--q", "1", "--s", "1")
+    assert code == 0 and err == ""
+    assert out == (
+        '{\n  "command": "eta",\n  "inputs": {\n    "formula": "pinc-difference",\n'
+        '    "p": 3,\n    "q": 1,\n    "s": 1\n  },\n  "provenance": {\n'
+        '    "formula": "pinc-difference",\n    "toolkit": "lenswall",\n'
+        '    "version": "0.1.0"\n  },\n  "results": {\n    "value": "-1/4",\n'
+        '    "value_approx": -0.25\n  }\n}\n'
+    )
+
+
 def test_distinguish_command(capsys):
     doc = run_json(capsys, "distinguish", "--p", "5", "--q", "1", "--qprime", "3")
     assert doc["results"] == {"distinguishable": True, "matches": []}

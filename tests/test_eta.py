@@ -22,7 +22,7 @@ from lenswall.eta import (
     rho_lens,
     rho_table,
 )
-from lenswall.eta import _half_root_weights, _odd_p_weights
+from lenswall.eta import _canonical, _eta_values, _half_root_weights, _odd_p_weights
 from oracles import (
     eta_float,
     eta_half_roots_float,
@@ -222,27 +222,44 @@ def test_matching_sweep_agrees_with_distinguish_and_classes():
 
 def test_matching_agrees_with_reference_scan():
     """The reference Fraction scan against distinguish_metrics and every
-    matching_sweep cell, odd p <= 15."""
-    for p in range(1, 16, 2):
+    matching_sweep cell, odd p <= 25."""
+    for p in range(1, 26, 2):
         _, table, _ = matching_sweep(p)
         for (q, qp), matches in table.items():
             assert eta_matches(p, q, qp) == matches == distinguish_metrics(p, q, qp).matches
 
 
 def test_component_classes_agree_with_reference_partition():
-    for p in range(1, 26, 2):
+    """Odd p <= 49: the reference reads eta_table at the default budget."""
+    for p in range(1, 50, 2):
         assert component_classes(p) == matching_classes(p), p
 
 
 def test_component_classes_are_the_inverse_pairs():
     """The classes are {q, q^-1 mod 2p} in order of least member, for every
-    odd p <= 101 (a check of the theorem, which the package never uses)."""
-    for p in range(1, 102, 2):
-        n, expected = 2 * p, []
-        for q in range(1, n, 2):
-            if gcd(q, n) == 1 and all(q not in cls for cls in expected):
-                expected.append(sorted({q, pow(q, -1, n)}))
-        assert component_classes(p, max_p=101) == expected, p
+    odd p <= 201 (a check of the theorem, which the package never uses)."""
+    for p in range(1, 202, 2):
+        n = 2 * p
+        units = [q for q in range(1, n, 2) if gcd(q, n) == 1]
+        expected = [sorted({q, pow(q, -1, n)}) for q in units if q <= pow(q, -1, n)]
+        assert component_classes(p, max_p=201) == expected, p
+
+
+def test_canonical_form_is_the_brute_force_minimum():
+    """_canonical's K is the least of all relabelled tables and its M every
+    unit that reaches it, for every q at odd p <= 61: this covers the stop at
+    one survivor and the exit with several (q = 1 has M = {1, 2p - 1})."""
+    for p in range(1, 62, 2):
+        n = 2 * p
+        units = [a for a in range(1, n, 2) if gcd(a, n) == 1]
+        for q in units:
+            table = _eta_values(p, q)
+            relabelled = {a: tuple(table[(a * s) % n] for s in range(n)) for a in units}
+            least = min(relabelled.values())
+            minimisers = tuple(a for a in units if relabelled[a] == least)
+            assert _canonical(p, q, units) == (least, minimisers), (p, q)
+        if p > 1:
+            assert _canonical(p, 1, units)[1] == (1, n - 1), p
 
 
 def test_public_values_are_fractions():
