@@ -7,18 +7,20 @@ column coordinate vectors, so the columns of an isometry matrix are the
 images of the basis vectors.
 
 All linear algebra is on integers: one division-free Gauss-Jordan kernel,
-`_echelon`, answers every rank, span and inverse question, and the
-signature diagonalizes the gram matrix by integer congruences.
+`_echelon`, answers every rank, span and inverse question, and one
+characteristic polynomial, `_charpoly`, gives the signature (Descartes'
+rule of signs) and the unipotent power of a map (Kronecker's theorem).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
-from math import gcd
+from functools import cached_property, reduce
+from itertools import pairwise, product
+from math import gcd, lcm
 from operator import mul
 
+from .cyclotomic import _poly_divmod, cyclotomic_polynomial
 from .errors import ParameterError, ResourceBoundError
 
 __all__ = [
@@ -75,6 +77,49 @@ def _identity(n):
 
 def _transpose(m):
     return tuple(zip(*m))
+
+
+def _shift(m, c):
+    """m + c*I."""
+    return tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+
+
+def _charpoly(m) -> list[int]:
+    """Integer coefficients of det(xI - m), constant term first, by
+    Faddeev-LeVerrier: M_1 = I, c_(n-k) = -tr(m M_k)/k (an exact division)
+    and M_(k+1) = m M_k + c_(n-k) I, so n - 1 matrix products."""
+    n = len(m)
+    coeffs = [0] * n + [1]
+    mk = m  # m M_k
+    for k in range(1, n + 1):
+        coeffs[n - k] = -sum(mk[i][i] for i in range(n)) // k
+        if k < n:
+            mk = _mat_mul(m, _shift(mk, coeffs[n - k]))
+    return coeffs
+
+
+def _unipotent_power(mat):
+    """(m, N, N^2) for the least m >= 1 such that N = mat^m - I has N^3 = 0,
+    or None (hyperbolic maps); then mat^(m*k) = I + k*N + k(k-1)/2 * N^2 for
+    every integer k.  By Kronecker's theorem the characteristic polynomial
+    has all its roots on the unit circle iff it is a product of Phi_k, which
+    exact division strips for k <= 2n^2 (phi(k) >= sqrt(k/2)); mat^m - I is
+    then nilpotent iff every k found divides m, so m is their lcm."""
+    n = len(mat)
+    rest, m, k = _charpoly(mat), 1, 1
+    while len(rest) > 1:
+        if k > 2 * n * n:
+            return None
+        quot, rem = _poly_divmod(rest, cyclotomic_polynomial(k))
+        if rem:
+            k += 1
+        else:
+            rest, m = quot, lcm(m, k)
+    nil = _shift(reduce(_mat_mul, [mat] * m), -1)
+    square = _mat_mul(nil, nil)
+    if any(any(row) for row in _mat_mul(square, nil)):
+        return None
+    return m, nil, square
 
 
 def _leading(v) -> int:
@@ -164,43 +209,14 @@ class IntegralLattice:
         return len(_echelon(self.gram)[1]) == self.rank
 
     def signature(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) inertia, by integer diagonalization."""
-        n = self.rank
-        a = [list(row) for row in self.gram]
-        pos = neg = zero = 0
-        idx = list(range(n))
-        while idx:
-            k = idx[0]
-            if a[k][k] == 0:
-                other = next((j for j in idx[1:] if a[k][j] != 0), None)
-                if other is None:
-                    zero += 1
-                    idx.pop(0)
-                    continue
-                # make the diagonal entry nonzero by a row+col operation;
-                # one of adding or subtracting `other` always works
-                sign = 1 if 2 * a[k][other] + a[other][other] != 0 else -1
-                for j in range(n):
-                    a[k][j] += sign * a[other][j]
-                for i in range(n):
-                    a[i][k] += sign * a[i][other]
-            d = a[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            # row and column i become d*(row i) - a[i][k]*(row k): a congruence
-            # by an elementary matrix of determinant d != 0, so (Sylvester's
-            # law of inertia) the inertia is kept
-            for i in idx[1:]:
-                f = a[i][k]
-                if f:
-                    for j in range(n):
-                        a[i][j] = d * a[i][j] - f * a[k][j]
-                    for j in range(n):
-                        a[j][i] = d * a[j][i] - f * a[j][k]  # a stays symmetric
-            idx.pop(0)
-        return pos, neg, zero
+        """(positive, negative, zero) inertia.  The gram's eigenvalues are
+        real, so Descartes' rule of signs is exact on its characteristic
+        polynomial: the zero ones are its vanishing lowest coefficients and
+        the positive ones its sign changes."""
+        coeffs = _charpoly(self.gram)
+        zero = next(k for k, c in enumerate(coeffs) if c)
+        positive = sum(a * b < 0 for a, b in pairwise([c for c in coeffs if c]))
+        return positive, self.rank - zero - positive, zero
 
     def __eq__(self, other):
         return (
@@ -238,6 +254,11 @@ class Isometry:
         self.lattice = lattice
         self.matrix = matrix
         self._inverse = tuple(row[n:] for row in rows)
+
+    @cached_property
+    def _dual_unipotent(self):
+        """_unipotent_power of the dual action (see adjoint), once per map."""
+        return _unipotent_power(self._inverse)
 
     @classmethod
     def _checked(cls, lattice: IntegralLattice, matrix, inverse) -> "Isometry":

@@ -1,5 +1,5 @@
 """Signed wall-crossing bookkeeping for one-parameter families of period
-points in the positive cone of a signature (1,2) lattice.
+points in the positive cone of a signature (1, n) lattice.
 
 Period points are rays in the cone, never normalized to the hyperboloid;
 cone_point checks a starting ray and returns the integer ray through it,
@@ -11,8 +11,8 @@ period points use dual (H^2) coordinates throughout: an isometry f acts
 on them by the pairing-adjoint gram^-1 f^T gram, and _orbit_walk is the
 one place that steps a ray through that action.  orbit_swtot reads every
 wall-side question off one list of sign segments, taken from a closed
-form when the action has a unipotent power and from the stepped orbit
-otherwise.
+form when the action has a unipotent power (Isometry._dual_unipotent,
+decided once per map) and from the stepped orbit otherwise.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .lattice import (
     _as_int,
     _as_vector,
     _check_acts_on,
-    _identity,
-    _mat_mul,
     _mat_vec,
     alpha_invariant,
     sw_formal_dimension,
@@ -195,29 +193,6 @@ def _orbit_walk(action: Isometry, omega, lo: int, hi: int):
             yield n, v
 
 
-# An integer matrix of size <= 3 whose eigenvalues are roots of unity has
-# them of order 1, 2, 3, 4 or 6, so such a matrix has a unipotent power
-# with exponent dividing 12 (and a finite-order one has f^12 = id).
-_UNIPOTENT_EXPONENTS = (1, 2, 3, 4, 6, 12)
-
-
-def _unipotent_power(mat):
-    """(m, N, N^2) for the least m in 1, 2, 3, 4, 6, 12 such that
-    N = mat^m - I has N^3 = 0, or None when there is no such m (hyperbolic
-    maps).  Then mat^(m*k) = I + k*N + k(k-1)/2 * N^2 for every integer k,
-    negative k included."""
-    power, done = _identity(len(mat)), 0
-    for m in _UNIPOTENT_EXPONENTS:
-        for _ in range(m - done):
-            power = _mat_mul(power, mat)
-        done = m
-        nil = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(power))
-        square = _mat_mul(nil, nil)
-        if not any(any(row) for row in _mat_mul(square, nil)):
-            return m, nil, square
-    return None
-
-
 def _root_brackets(a: int, b: int, c: int) -> list[tuple[int, int]]:
     """Integer intervals holding the floor and the ceiling of every real
     root of P(k) = a + b*k + c*k(k-1)/2, so P keeps one sign on each run of
@@ -312,7 +287,7 @@ def orbit_swtot(
     omega = cone_point(lattice, omega0)
     w = _integerize(wall.vector())
     action = f.adjoint()
-    certificate = _unipotent_power(action.matrix)
+    certificate = f._dual_unipotent
     if certificate is None:
         lattice.pairing(omega, w)  # checks the wall's length for the dot products below
         dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
@@ -455,7 +430,7 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
         raise ParameterError("bound must be positive")
     start = _as_vector(c1, lattice.rank)
     action = f.adjoint()
-    certificate = _unipotent_power(action.matrix)
+    certificate = f._dual_unipotent
     steps = bound if certificate is None else min(bound, certificate[0])
     for n, v in _orbit_walk(action, start, 0, steps):
         if n and v == start:
@@ -465,13 +440,15 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
 
 def classify_isometry(lattice: IntegralLattice, f: Isometry) -> str:
     """Elliptic (finite order), parabolic (infinite order, all eigenvalues
-    on the unit circle) or hyperbolic (spectral radius > 1), decided with
-    exact integer arithmetic on a signature (1,2) lattice: f is elliptic iff
-    its unipotent power is the identity, and hyperbolic iff it has none."""
+    on the unit circle) or hyperbolic (spectral radius > 1) on a signature
+    (1, n, 0) lattice, read off the dual action f^-1, which has the same
+    unipotent power: a unipotent isometry there has Jordan blocks of size
+    <= 3, so f is hyperbolic iff it has none, and elliptic iff N = 0."""
     _check_acts_on(lattice, f)
-    if lattice.signature() != (1, 2, 0):
-        raise ParameterError(f"classification needs signature (1,2), got {lattice.signature()}")
-    certificate = _unipotent_power(f.matrix)
+    signature = lattice.signature()
+    if signature[0] != 1 or signature[2]:
+        raise ParameterError(f"classification needs signature (1, n, 0), got {signature}")
+    certificate = f._dual_unipotent
     if certificate is None:
         return "hyperbolic"
     return "parabolic" if any(any(row) for row in certificate[1]) else "elliptic"

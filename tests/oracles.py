@@ -8,7 +8,10 @@ rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
 eta_matches and matching_classes are the reference for the matching:
 an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
-_orbit_sweep is the reference for wallcross.orbit_swtot: it steps the
+unipotent_power_ladder is the reference for lattice._unipotent_power on
+rank 3: it tries the exponents 1, 2, 3, 4, 6, 12 in turn, with no
+characteristic polynomial.  _orbit_sweep is the reference for
+wallcross.orbit_swtot: it steps the
 orbit through the whole range with its own loop and reads the signs
 directly; it shares the input check, the error messages, cone_point
 (which returns the integer ray), _integerize for the wall and STAB_WINDOW
@@ -33,7 +36,9 @@ from lenswall.lattice import (
     IsometricStructure,
     Isometry,
     _echelon,
+    _identity,
     _in_span,
+    _mat_mul,
     _mat_vec,
     metabolizer_check,
 )
@@ -133,6 +138,27 @@ def matching_classes(p: int) -> list[list[int]]:
     """The component classes of X(p), odd p, by pairwise matching."""
     units = [a for a in range(1, 2 * p, 2) if gcd(a, 2 * p) == 1]
     return partition(units, lambda q, qp: bool(eta_matches(p, q, qp)))
+
+
+# An integer matrix of size <= 3 whose eigenvalues are roots of unity has
+# them of order 1, 2, 3, 4 or 6, so such a matrix has a unipotent power
+# with exponent dividing 12 (and a finite-order one has f^12 = id).
+UNIPOTENT_EXPONENTS = (1, 2, 3, 4, 6, 12)
+
+
+def unipotent_power_ladder(mat):
+    """(m, N, N^2) for the least m in UNIPOTENT_EXPONENTS such that
+    N = mat^m - I has N^3 = 0, or None; exact for matrices of size <= 3."""
+    power, done = _identity(len(mat)), 0
+    for m in UNIPOTENT_EXPONENTS:
+        for _ in range(m - done):
+            power = _mat_mul(power, mat)
+        done = m
+        nil = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(power))
+        square = _mat_mul(nil, nil)
+        if not any(any(row) for row in _mat_mul(square, nil)):
+            return m, nil, square
+    return None
 
 
 def _orbit_pairings(lattice, f, wall, omega0, n_max):

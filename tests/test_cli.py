@@ -19,6 +19,7 @@ from lenswall.scenario import (
 
 EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
 HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
+RANK8_PARABOLIC = Path(__file__).parent / "data" / "rank8_parabolic.json"
 
 
 def run_cli(capsys, *argv):
@@ -470,6 +471,23 @@ def test_scenario_commands_are_pinned(capsys, tmp_path, case, codes, digests):
         seen_digests.append(hashlib.sha256(json.dumps(record).encode()).hexdigest())
     assert seen_codes == codes
     assert seen_digests == digests
+
+
+@pytest.mark.parametrize("command, code, digest", [
+    (("swtot",), 0, "c32bff0bbc08add5660051404e970ba7c5eec280e09c3fc5af19266707bfe172"),
+    (("orbit",), 0, "19e4fe9e7c381acee18366d23250f2047fa17edd82c44a730655687ec78db8e8"),
+    (("plot-disc", "--out", "-"), 2, "9baae6b3073327429023c77d05b86df652919bc68d991e44b28c9723fddc4476"),
+])
+def test_rank8_scenario_commands_are_pinned(capsys, command, code, digest):
+    """The paper map plus a 5-cycle on diag(1, -1 x 7), pinned as the
+    scenario commands above: swtot as the stepped orbit gave it, orbit
+    classifying the map as parabolic, and plot-disc refusing a rank other
+    than 3."""
+    scenario = str(RANK8_PARABOLIC)
+    seen_code, out, err = run_cli(capsys, *command, "--scenario", scenario)
+    record = [seen_code, out.replace(scenario, "SCENARIO"), err.replace(scenario, "SCENARIO")]
+    assert seen_code == code
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
 
 
 def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):

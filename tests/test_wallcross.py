@@ -2,6 +2,9 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +41,10 @@ from lenswall.wallcross import (
     spinc_orbit,
     unique_crossing_index,
 )
-from lenswall.wallcross import _unipotent_power
-from oracles import _orbit_pairings, _orbit_sweep
+from lenswall import wallcross
+from lenswall.lattice import _unipotent_power
+from lenswall.scenario import load_scenario
+from oracles import _orbit_pairings, _orbit_sweep, unipotent_power_ladder
 
 C1 = (1, 1, 1)
 
@@ -120,7 +125,11 @@ def test_perturbed_wall_missing_the_fixed_ray(lat, parabolic):
 def test_spinc_validation(lat):
     SpinCData(C1, sw_x=1).validate(lat)
     with pytest.raises(ParameterError):
-        SpinCData((1, 0, 0), sw_x=1).validate(lat)  # square +1, wrong dimension
+        SpinCData((1, 0, 0), sw_x=1).validate(lat)  # square +1, violates the congruence
+    # squares 3 and -5 satisfy the congruence and give dimensions -1 and -3
+    for c1 in ((2, 0, 1), (0, 2, 1)):
+        with pytest.raises(ParameterError, match="does not give formal dimension -2"):
+            SpinCData(c1, sw_x=1).validate(lat)
 
 
 def test_orbit_swtot_default_scenario(lat, parabolic, wall, spinc):
@@ -247,8 +256,14 @@ def test_classify_isometry(lat, parabolic):
     pell = IntegralLattice(((1, 0, 0), (0, -2, 0), (0, 0, -1)))
     boost = Isometry(pell, ((3, 4, 0), (2, 3, 0), (0, 0, 1)))
     assert classify_isometry(pell, boost) == "hyperbolic"
-    with pytest.raises(ParameterError):
-        classify_isometry(IntegralLattice(((1, 0), (0, -1))), identity_isometry(IntegralLattice(((1, 0), (0, -1)))))
+    # every signature (1, n, 0) is classified, and only those
+    plane = IntegralLattice(((1, 0), (0, -1)))
+    assert classify_isometry(plane, identity_isometry(plane)) == "elliptic"
+    for gram, signature in ((((1, 0, 0), (0, 1, 0), (0, 0, -1)), (2, 1, 0)),
+                            (((1, 0, 0), (0, -1, 0), (0, 0, 0)), (1, 1, 1))):
+        other = IntegralLattice(gram)
+        with pytest.raises(ParameterError, match=re.escape(f"(1, n, 0), got {signature}")):
+            classify_isometry(other, identity_isometry(other))
 
 
 _OTHER = IntegralLattice(((2, 0, 0), (0, -1, 0), (0, 0, -1)), positive_class=(1, 0, 0))
@@ -353,6 +368,12 @@ def test_orbit_certificate_stabilized_flag(lat, parabolic, spinc):
     assert short.crossings == {0: 1} and short.total == 1
     assert not short.stabilized and short.method == "certificate"
     assert orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=100).stabilized
+    # this wall is crossed at 0 and at 2 only: the low end is settled at
+    # n_max = 1, and the certificate sees the crossing beyond the high end
+    wall = WallClass(C1, (Fraction(-3, 5), Fraction(-2, 5), Fraction(-2, 5)))
+    short = orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=1)
+    assert short.crossings == {0: 1} and not short.stabilized
+    assert orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=200).crossings == {0: 1, 2: -1}
 
 
 def test_orbit_swtot_hyperbolic_takes_the_sweep(lat, spinc, wall):
@@ -400,3 +421,76 @@ def test_spinc_orbit_matches_step_loop(lat):
     rotation = Isometry(lat, ROTATION)
     assert spinc_orbit(lat, rotation, (0, 1, 0), bound=3) == OrbitStatus(False, None, 3)
     assert spinc_orbit(lat, rotation, (0, 1, 0), bound=4) == OrbitStatus(True, 4, 4)
+
+
+# maps of (1) + A2(-1) with their unipotent powers: order 3 and order 6 on
+# the A2 plane, and -1 on the first summand times order 3 (Phi_2 Phi_3, so
+# m is the lcm 6 of the orders found, not the last one)
+A2_GRAM = ((1, 0, 0), (0, -2, 1), (0, 1, -2))
+A2_MAPS = (
+    (((1, 0, 0), (0, 0, -1), (0, 1, -1)), 3),
+    (((1, 0, 0), (0, 0, 1), (0, -1, 1)), 6),
+    (((-1, 0, 0), (0, 0, -1), (0, 1, -1)), 6),
+)
+
+
+def test_unipotent_power_matches_the_exponent_ladder(lat):
+    """On rank 3 the cyclotomic factors of the characteristic polynomial give
+    the same (m, N, N^2), or None, as trying m = 1, 2, 3, 4, 6, 12: on every
+    word of length <= 4 in r+, r-, the quarter turn and their inverses, each
+    as the map and as its adjoint, and on the A2 maps above."""
+    letters = [reflection_sphere(lat, sigma) for sigma in (SIGMA_PLUS, SIGMA_MINUS)]
+    letters += [Isometry(lat, ROTATION)]
+    letters += [g.inverse() for g in letters]
+    matrices = set()
+    for length in range(1, 5):
+        for word in product(letters, repeat=length):
+            f = reduce(Isometry.compose, word)
+            matrices.update((f.matrix, f.adjoint().matrix))
+    exponents = set()
+    for mat in matrices:
+        expected = unipotent_power_ladder(mat)
+        assert _unipotent_power(mat) == expected, mat
+        exponents.add(expected and expected[0])
+    assert exponents == {None, 1, 2, 4}
+    a2 = IntegralLattice(A2_GRAM)
+    for mat, order in A2_MAPS:
+        f = Isometry(a2, mat)
+        for side in (f.matrix, f.adjoint().matrix):
+            assert _unipotent_power(side) == unipotent_power_ladder(side)
+            assert _unipotent_power(side)[0] == order
+        assert classify_isometry(a2, f) == "elliptic"
+    # a unipotent Jordan block of size 4: no power has N^3 = 0
+    jordan = tuple(tuple(int(j in (i, i + 1)) for j in range(4)) for i in range(4))
+    assert _unipotent_power(jordan) is None
+
+
+RANK8 = Path(__file__).parent / "data" / "rank8_parabolic.json"
+
+
+def test_rank8_parabolic_map_has_a_certificate(monkeypatch):
+    """The paper map plus a 5-cycle on diag(1, -1 x 7): unipotent power 5,
+    which no rank-3 exponent ladder reaches.  The certificate agrees with
+    the reference sweep, and spinc_orbit takes at most 5 steps."""
+    scenario = load_scenario(str(RANK8))
+    lat, f = scenario.lattice, scenario.isometry
+    assert classify_isometry(lat, f) == "parabolic"
+    assert f._dual_unipotent[0] == 5
+    args = (lat, f, scenario.spinc, scenario.omega0, scenario.wall)
+    for n_max in (10**3, 10**4):
+        assert orbit_swtot(*args, n_max=n_max).method == "certificate"
+        assert outcome(orbit_swtot, *args, n_max=n_max) == outcome(_orbit_sweep, *args, n_max=n_max)
+    walk, steps = wallcross._orbit_walk, []
+
+    def counted(*walk_args):
+        for n, v in walk(*walk_args):
+            steps.append(n)
+            yield n, v
+
+    monkeypatch.setattr(wallcross, "_orbit_walk", counted)
+    assert spinc_orbit(lat, f, scenario.spinc.c1, bound=10**4) == OrbitStatus(False, None, 10**4)
+    assert max(steps) <= 5
+    steps.clear()
+    c1 = (0, 0, 0, 1, 0, 0, 0, 0)  # moved along the 5-cycle
+    assert spinc_orbit(lat, f, c1, bound=10**4) == OrbitStatus(True, 5, 10**4)
+    assert max(steps) <= 5
