@@ -33,7 +33,13 @@ from .eta import (
     matching_sweep,
     rho_lens,
 )
-from .lattice import double_structure, metabolizer_check, metabolizer_search, sw_formal_dimension
+from .lattice import (
+    DEFAULT_SEARCH_BUDGET,
+    double_structure,
+    metabolizer_check,
+    metabolizer_search,
+    sw_formal_dimension,
+)
 from .scenario import format_rational, load_scenario
 from .wallcross import (
     _orbit_walk,
@@ -177,7 +183,7 @@ def _cmd_orbit(args) -> dict:
 def _cmd_metabolizer(args) -> dict:
     scenario = load_scenario(args.scenario)
     structure = double_structure(scenario.lattice, scenario.isometry)
-    budget = _env_int("LENSWALL_SEARCH_BUDGET", 2_000_000)
+    budget = _env_int("LENSWALL_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET)
     found = metabolizer_search(structure, args.bound, budget=budget)
     results: dict = {"found": found is not None, "coefficient_bound": args.bound}
     if found is not None:

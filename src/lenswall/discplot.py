@@ -1,20 +1,19 @@
 """SVG figures in the unit disc model: the wall geodesic, orbit points,
 and the crossing segment.
 
-The wall is sampled at exact rational rays on the wall plane inside the
-positive cone and only projected to floats for drawing; output is
-deterministic byte-for-byte for fixed inputs (fixed sample grid, fixed
-float formatting).
+The wall is sampled at exact integer rays on the wall plane inside the
+positive cone, built from the wall's integer ray (WallClass.vector()), and
+only projected to floats for drawing; output is deterministic byte-for-byte
+for fixed inputs (fixed sample grid, fixed float formatting).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ParameterError, ResourceBoundError
 from .lattice import IntegralLattice, _as_vector, _mat_vec
-from .wallcross import WallClass, _integerize, disc_project
+from .wallcross import WallClass, disc_project
 
 __all__ = ["sample_wall_points", "wall_ideal_endpoints", "render_disc_svg"]
 
@@ -23,7 +22,7 @@ def _wall_plane_basis(lattice: IntegralLattice, wall: WallClass):
     """Two independent integer vectors spanning the plane <v, w> = 0."""
     if lattice.rank != 3:
         raise ParameterError("wall sampling needs a rank-3 lattice")
-    w = _as_vector(_integerize(wall.vector()), lattice.rank)
+    w = _as_vector(wall.vector(), lattice.rank)
     u = _mat_vec(lattice.gram, w)  # <v, w> = v . u
     candidates = [
         (-u[1], u[0], 0),
@@ -50,30 +49,24 @@ def _parallel(a, b):
 
 
 def _orient(lattice, v):
-    if lattice.pairing(v, lattice.positive_class) < 0:
-        return tuple(-x for x in v)
-    return tuple(v)
+    return tuple(-x for x in v) if lattice.pairing(v, lattice.positive_class) < 0 else v
 
 
 def sample_wall_points(lattice: IntegralLattice, wall: WallClass):
-    """Exact rational rays on the wall inside the positive cone.
+    """Integer rays on the wall inside the positive cone, in ascending t.
 
-    Rays are taken along b0 + t*b1 for t = 0, +-2^k and +-(3/2)*2^k with
-    |k| <= 12 (plus the b1 direction itself), so the samples accumulate at
-    the wall's ideal endpoints.  Returns [] when the wall misses the cone.
+    Rays are 2^13*b0 + t*b1 for t = 0, +-2*2^k and +-3*2^k with
+    0 <= k <= 24, the rays of b0 + t'*b1 for t' = 0, +-2^k and +-(3/2)*2^k
+    with |k| <= 12 (plus the b1 direction itself), so the samples
+    accumulate at the wall's ideal endpoints.  Returns [] when the wall
+    misses the cone.
     """
     b0, b1 = _wall_plane_basis(lattice, wall)
-    points = []
-    ts = {Fraction(0)}
-    for k in range(-12, 13):
-        ts |= {sign * c * Fraction(2) ** k for sign in (1, -1) for c in (1, Fraction(3, 2))}
-    for t in sorted(ts):
-        v = tuple(Fraction(a) + t * b for a, b in zip(b0, b1))
-        if lattice.norm(v) > 0:
-            points.append(_orient(lattice, v))
+    ts = {0} | {sign * c * 2**k for sign in (1, -1) for c in (2, 3) for k in range(25)}
+    rays = [tuple(2**13 * a + t * b for a, b in zip(b0, b1)) for t in sorted(ts)]
     if lattice.norm(b1) > 0:
-        points.append(_orient(lattice, tuple(Fraction(x) for x in b1)))
-    return points
+        rays.append(b1)
+    return [_orient(lattice, v) for v in rays if lattice.norm(v) > 0]
 
 
 def wall_ideal_endpoints(lattice: IntegralLattice, wall: WallClass):
@@ -97,9 +90,9 @@ def wall_ideal_endpoints(lattice: IntegralLattice, wall: WallClass):
     else:
         dirs = [(1.0, 0.0), (-c / (2 * b), 1.0)]
     for t, u in dirs:
-        v = tuple(t * x + u * y for x, y in zip(b0, b1))
-        # limit of the disc projection along a null ray with x > 0
-        x, y, z = v if v[0] > 0 else tuple(-c_ for c_ in v)
+        # limit of the disc projection along the null ray; y/x and z/x are
+        # the same for v and -v, so the ray needs no orientation
+        x, y, z = (t * p + u * q for p, q in zip(b0, b1))
         endpoints.append((y / x, z / x))
     return endpoints
 

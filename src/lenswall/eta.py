@@ -13,6 +13,8 @@ all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated inside a single
 cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
 exact rationals, so they are independent checks of the integer path.
+Each public function checks its arguments once, through one gate per family
+that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .errors import ParameterError, ResourceBoundError
 
 __all__ = [
     "DEFAULT_MAX_P",
-    "LensSpace",
-    "FlipSpun",
     "MatchingResult",
     "rho_lens",
     "rho_table",
@@ -46,7 +46,8 @@ __all__ = [
 # Guards the field paths (half-roots, odd-p, fourier_coefficient), whose cost
 # grows with the degree phi(2p), with a resource error.  The integer tables and
 # the matching are cheap but keep the same bound, so that one p is accepted or
-# rejected by all of them; fourier_closed_form and fourier_unit_ratio take none.
+# rejected by all of them (rho's order n = 2p is bounded by 2 * max_p);
+# fourier_closed_form and fourier_unit_ratio take none.
 DEFAULT_MAX_P = 50
 
 ETA_FORMULAS = ("pinc-difference", "half-roots", "odd-p")
@@ -60,38 +61,33 @@ def _check_budget(p: int, max_p: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    """L(n, q): cyclic fundamental group of order n, rotation parameter q."""
+def _lens_q(n: int, q: int, max_p: int | None) -> int:
+    """q mod n for the lens space L(n, q): n positive, q coprime to n, and
+    n within twice the size budget (the budget is on p, and n = 2p)."""
+    if n < 1:
+        raise ParameterError(f"lens space order must be positive, got {n}")
+    reduced = q % n
+    if gcd(reduced, n) != 1:
+        raise ParameterError(f"q={q} is not coprime to n={n}")
+    bound = 2 * (DEFAULT_MAX_P if max_p is None else max_p)
+    if n > bound:
+        raise ResourceBoundError(
+            f"order n={n} exceeds the size budget {bound}; raise max_p explicitly to override"
+        )
+    return reduced
 
-    n: int
-    q: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"lens space order must be positive, got {self.n}")
-        q = self.q % self.n if self.n > 1 else 0
-        if self.n > 1 and gcd(q, self.n) != 1:
-            raise ParameterError(f"q={self.q} is not coprime to n={self.n}")
-        object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class FlipSpun:
-    """X(p) built from L(2p, q); q odd and coprime to 2p."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ParameterError(f"p must be positive, got {self.p}")
-        q = self.q % (2 * self.p)
-        if q % 2 == 0:
-            raise ParameterError(f"q={self.q} must be odd")
-        if gcd(q, 2 * self.p) != 1:
-            raise ParameterError(f"q={self.q} is not coprime to 2p={2 * self.p}")
-        object.__setattr__(self, "q", q)
+def _flipspun_q(p: int, q: int) -> int:
+    """q mod 2p for X(p), built from L(2p, q): p positive, q odd and
+    coprime to 2p."""
+    if p < 1:
+        raise ParameterError(f"p must be positive, got {p}")
+    reduced = q % (2 * p)
+    if reduced % 2 == 0:
+        raise ParameterError(f"q={q} must be odd")
+    if gcd(reduced, 2 * p) != 1:
+        raise ParameterError(f"q={q} is not coprime to 2p={2 * p}")
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -152,9 +148,7 @@ def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
         rho(0) = 0,  rho(s+1) - rho(s) = (n*a_s - n(n-1)/2) / n^2
                                        = (2*a_s - n + 1) / (2n).
     """
-    space = LensSpace(n, q)
-    _check_budget((n + 1) // 2, max_p)
-    return tuple(Fraction(a, 2 * n) for a in _rho_values(space.n, space.q))
+    return tuple(Fraction(a, 2 * n) for a in _rho_values(n, _lens_q(n, q, max_p)))
 
 
 @lru_cache(maxsize=None)
@@ -170,17 +164,15 @@ def _rho_values(n: int, q: int) -> tuple[int, ...]:
 
 def rho_lens(n: int, q: int, s: int, max_p: int | None = None) -> Fraction:
     """rho_{alpha_s}(L(n, q)) as an exact rational."""
-    space = LensSpace(n, q)
-    _check_budget((n + 1) // 2, max_p)
-    return Fraction(_rho_values(space.n, space.q)[s % n], 2 * n)
+    return Fraction(_rho_values(n, _lens_q(n, q, max_p))[s % n], 2 * n)
 
 
 def eta_table(p: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     """eta(X(p), g_{p,q}, alpha_s) for s = 0..2p-1, via the difference of
     lens-space rho invariants at characters s and s+p."""
-    space = FlipSpun(p, q)
-    _check_budget(space.p, max_p)
-    return tuple(Fraction(a, 4 * p) for a in _eta_values(space.p, space.q))
+    q = _flipspun_q(p, q)
+    _check_budget(p, max_p)
+    return tuple(Fraction(a, 4 * p) for a in _eta_values(p, q))
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +191,9 @@ eta_table.cache_clear = _eta_values.cache_clear
 
 
 def eta_flipspun(p: int, q: int, s: int, max_p: int | None = None) -> Fraction:
-    space = FlipSpun(p, q)
-    _check_budget(space.p, max_p)
-    return Fraction(_eta_values(space.p, space.q)[s % (2 * p)], 4 * p)
+    q = _flipspun_q(p, q)
+    _check_budget(p, max_p)
+    return Fraction(_eta_values(p, q)[s % (2 * p)], 4 * p)
 
 
 def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) -> Fraction:
@@ -212,12 +204,11 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     with lam^p = -1; "odd-p" (p odd only) substitutes -lam to land in
     Q(zeta_p).  All three agree exactly wherever defined.
     """
-    space = FlipSpun(p, q)
-    _check_budget(space.p, max_p)
-    p, q = space.p, space.q
+    q = _flipspun_q(p, q)
+    _check_budget(p, max_p)
     s %= 2 * p
     if formula == "pinc-difference":
-        return eta_flipspun(p, q, s, max_p)
+        return Fraction(_eta_values(p, q)[s], 4 * p)
     if formula == "half-roots":
         weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q))
         return root_sum(2 * p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
@@ -230,19 +221,20 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
 
 
-def _fourier_args(p: int, q: int, j: int) -> tuple[int, int, int]:
-    space = FlipSpun(p, q)
-    if space.p % 2 == 0:
+def _fourier_q(p: int, q: int, j: int) -> int:
+    """q mod 2p for a Fourier coefficient of X(p): p odd and 1 <= j < p."""
+    q = _flipspun_q(p, q)
+    if p % 2 == 0:
         raise ParameterError("Fourier coefficients are defined for odd p only")
-    if not 1 <= j <= space.p - 1:
-        raise ParameterError(f"j={j} outside 1..{space.p - 1}")
-    return space.p, space.q, j
+    if not 1 <= j <= p - 1:
+        raise ParameterError(f"j={j} outside 1..{p - 1}")
+    return q
 
 
 def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyclotomic:
     """DFT of the alternating eta sequence:
     sum_{s=0}^{p-1} (-1)^(s+1) eta(X(p), g_{p,q}, alpha_s) omega^(-js)."""
-    p, q, j = _fourier_args(p, q, j)
+    q = _fourier_q(p, q, j)
     _check_budget(p, max_p)
     etas = _eta_values(p, q)  # 4p * eta
     coeffs = [0] * p  # of omega^0 .. omega^(p-1)
@@ -253,7 +245,7 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
 
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:
     """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) in Q(zeta_p)."""
-    p, q, j = _fourier_args(p, q, j)
+    q = _fourier_q(p, q, j)
     return (
         root_of_unity(p, j * q)
         * _plus_one_inverse(p, (j * q) % p)
@@ -268,7 +260,7 @@ def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
     Each doubled-exponent factor is (x^2-1) = (x-1)(x+1) for the matching
     single-exponent root, so this equals 1/((omega^(-jq)+1)(omega^j+1)).
     """
-    p, q, j = _fourier_args(p, q, j)
+    q = _fourier_q(p, q, j)
     num = (root_of_unity(p, -j * q) - 1) * (root_of_unity(p, j) - 1)
     return num * _unit_inverse(p, (-2 * j * q) % p) * _unit_inverse(p, (2 * j) % p)
 
@@ -351,11 +343,11 @@ def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) 
     distinguishable iff no such a exists.  For odd p a match exists iff
     q' = q^(+-1) mod 2p.  Even p is rejected ("p must be odd").
     """
-    left, right = FlipSpun(p, q), FlipSpun(p, q_prime)
+    q, q_prime = _flipspun_q(p, q), _flipspun_q(p, q_prime)
     _check_odd_p(p, max_p)
     units = _odd_units(2 * p)
-    matches = _matches(2 * p, _canonical(p, left.q, units), _canonical(p, right.q, units))
-    return MatchingResult(p, left.q, right.q, matches)
+    matches = _matches(2 * p, _canonical(p, q, units), _canonical(p, q_prime, units))
+    return MatchingResult(p, q, q_prime, matches)
 
 
 def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:

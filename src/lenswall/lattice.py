@@ -33,6 +33,7 @@ __all__ = [
     "metabolizer_check",
     "metabolizer_search",
     "sw_formal_dimension",
+    "DEFAULT_SEARCH_BUDGET",
     "STANDARD_GRAM",
     "SIGMA_PLUS",
     "SIGMA_MINUS",
@@ -43,6 +44,9 @@ __all__ = [
 STANDARD_GRAM = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
 SIGMA_PLUS = (1, 1, 1)
 SIGMA_MINUS = (1, -1, 1)
+
+# The default budget of metabolizer_search (see its docstring).
+DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 def _as_int(x) -> int:
@@ -103,18 +107,21 @@ def _unipotent_power(mat):
     or None (hyperbolic maps); then mat^(m*k) = I + k*N + k(k-1)/2 * N^2 for
     every integer k.  By Kronecker's theorem the characteristic polynomial
     has all its roots on the unit circle iff it is a product of Phi_k, which
-    exact division strips for k <= 2n^2 (phi(k) >= sqrt(k/2)); mat^m - I is
-    then nilpotent iff every k found divides m, so m is their lcm."""
-    n = len(mat)
+    exact division strips in ascending k; Phi_k divides the rest, of degree
+    d, only if phi(k) <= d, so a larger phi(k) is skipped without building
+    Phi_k and k stops at 2d^2 (phi(k) >= sqrt(k/2)).  mat^m - I is then
+    nilpotent iff every k found divides m, so m is their lcm."""
     rest, m, k = _charpoly(mat), 1, 1
     while len(rest) > 1:
-        if k > 2 * n * n:
+        degree = len(rest) - 1
+        if k > 2 * degree * degree:
             return None
-        quot, rem = _poly_divmod(rest, cyclotomic_polynomial(k))
-        if rem:
-            k += 1
-        else:
-            rest, m = quot, lcm(m, k)
+        if sum(gcd(a, k) == 1 for a in range(k)) <= degree:  # phi(k), the units mod k
+            quot, rem = _poly_divmod(rest, cyclotomic_polynomial(k))
+            if not rem:
+                rest, m = quot, lcm(m, k)
+                continue
+        k += 1
     nil = _shift(reduce(_mat_mul, [mat] * m), -1)
     square = _mat_mul(nil, nil)
     if any(any(row) for row in _mat_mul(square, nil)):
@@ -423,7 +430,7 @@ def _dot(u, v) -> int:
 def metabolizer_search(
     structure: IsometricStructure,
     coefficient_bound: int = 1,
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[tuple[int, ...]] | None:
     """Bounded exhaustive search for a metabolizer.
 

@@ -3,8 +3,9 @@ points in the positive cone of a signature (1, n) lattice.
 
 Period points are rays in the cone, never normalized to the hyperboloid;
 cone_point checks a starting ray and returns the integer ray through it,
-so every later decision is the sign of an integer pairing.  The orbit of
-a starting ray under the dual action of an isometry crosses the wall of
+and WallClass.vector() returns the integer ray of the wall, so every
+later decision is the sign of an integer pairing.  The orbit of a
+starting ray under the dual action of an isometry crosses the wall of
 reducibles, and the signed count of crossings times the oracle invariant
 of the closed piece is the total one-parameter invariant.  Walls and
 period points use dual (H^2) coordinates throughout: an isometry f acts
@@ -70,16 +71,16 @@ class WallClass:
     c1: tuple[int, ...]
     perturbation: tuple[Fraction, ...] | None = None
 
-    def vector(self) -> tuple[Fraction, ...]:
-        if self.perturbation is None:
-            vec = tuple(Fraction(x) for x in self.c1)
-        else:
+    def vector(self) -> tuple[int, ...]:
+        """The integer ray through c1 + perturbation (see _integerize)."""
+        vec = self.c1
+        if self.perturbation is not None:
             if len(self.perturbation) != len(self.c1):
                 raise ParameterError("perturbation length does not match c1")
             vec = tuple(Fraction(a) + Fraction(b) for a, b in zip(self.c1, self.perturbation))
-        if all(x == 0 for x in vec):
+        if not any(vec):
             raise ParameterError("effective wall class is zero")
-        return vec
+        return _integerize(vec)
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ def orbit_swtot(
     """
     _check_orbit_inputs(lattice, f, spinc, n_max)
     omega = cone_point(lattice, omega0)
-    w = _integerize(wall.vector())
+    w = wall.vector()
     action = f.adjoint()
     certificate = f._dual_unipotent
     if certificate is None:

@@ -14,7 +14,8 @@ characteristic polynomial.  _orbit_sweep is the reference for
 wallcross.orbit_swtot: it steps the
 orbit through the whole range with its own loop and reads the signs
 directly; it shares the input check, the error messages, cone_point
-(which returns the integer ray), _integerize for the wall and STAB_WINDOW
+(which returns the integer ray), WallClass.vector() (the wall's integer
+ray) and STAB_WINDOW
 with the package, but not the package's orbit walk or its sign reader.
 metabolizer_search_grid is the reference for lattice.metabolizer_search:
 it walks the whole coordinate grid of the doubled lattice and pairs
@@ -30,7 +31,7 @@ from math import gcd
 
 from lenswall.cyclotomic import root_sum
 from lenswall.errors import ParameterError, ResourceBoundError
-from lenswall.eta import LensSpace, _unit_inverse, eta_table
+from lenswall.eta import _unit_inverse, eta_table
 from lenswall.lattice import (
     IntegralLattice,
     IsometricStructure,
@@ -48,7 +49,6 @@ from lenswall.wallcross import (
     SpinCData,
     WallClass,
     _check_orbit_inputs,
-    _integerize,
     _on_wall,
     _sign,
     _unstable,
@@ -63,8 +63,7 @@ def rho_table_cyclotomic(n: int, q: int) -> tuple[Fraction, ...]:
     (lam^s - 1) lam^q / ((lam^q - 1)(lam - 1)), collapsed to an exact
     rational.  The per-root base factors are shared across all s.
     """
-    space = LensSpace(n, q)
-    n, q = space.n, space.q
+    q %= n
     if n == 1:
         return (Fraction(0),)
     base = [_unit_inverse(n, (k * q) % n) * _unit_inverse(n, k) for k in range(1, n)]
@@ -165,7 +164,7 @@ def _orbit_pairings(lattice, f, wall, omega0, n_max):
     """Pairings <A^n omega0, w> for n = -n_max .. n_max+1 with A the dual
     action of f; all integer arithmetic after clearing denominators."""
     omega = cone_point(lattice, omega0)
-    w = _integerize(wall.vector())
+    w = wall.vector()
     forward = f.adjoint().matrix
     backward = f.matrix  # inverse of the adjoint
     pair = lambda v: lattice.pairing(v, w)

@@ -20,6 +20,7 @@ from lenswall.scenario import (
 EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
 HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
 RANK8_PARABOLIC = Path(__file__).parent / "data" / "rank8_parabolic.json"
+PERTURBED_PLANE = Path(__file__).parent / "data" / "perturbed_plane.json"
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +234,13 @@ def test_exit_code_resource(capsys):
     code, _, err = run_cli(capsys, "components", "--p", "51")
     assert code == 4
     assert json.loads(err)["error"]["kind"] == "resource"
+    # the rho budget is stated in the order the user gave
+    code, _, err = run_cli(capsys, "rho", "--order", "102", "--q", "1", "--s", "1")
+    assert code == 4
+    assert json.loads(err)["error"] == {
+        "kind": "resource",
+        "message": "order n=102 exceeds the size budget 100; raise max_p explicitly to override",
+    }
 
 
 def test_env_search_budget(capsys, monkeypatch):
@@ -401,14 +409,17 @@ SCENARIO_COMMANDS = (
 
 def _pinned_scenario(case, tmp_path) -> str:
     """The --scenario argument of one pinned case: the built-in default, the
-    paper map written as an explicit matrix, a hyperbolic map, or an invalid
-    variant of them."""
+    paper map written as an explicit matrix, a hyperbolic map, the paper map
+    with a wall whose plane reaches the a != 0 branch of
+    wall_ideal_endpoints, or an invalid variant of them."""
     if case == "paper-default":
         return case
     if case == "explicit-isometry":
         return str(EXPLICIT_ISOMETRY)
     if case == "hyperbolic":
         return str(HYPERBOLIC)
+    if case == "perturbed-plane":
+        return str(PERTURBED_PLANE)
     explicit = json.loads(EXPLICIT_ISOMETRY.read_text())
     doc = {
         "perturbed": {**explicit, "perturbation": ["0/1", "0/1", "1/2"]},
@@ -456,6 +467,12 @@ def _pinned_scenario(case, tmp_path) -> str:
         "eb942f11ffbb36c6ae5411c9344267b8df6f3f5ecd39d1ffd95a3220a3ecaaf5",
         "a9f14aa863f70bb06265d5006becdaa4c9b4d89132048c20506fadc3a4874cd4",
         "16c5611f7c218adcb19d2e9220252e33df401078c1abd88254c770baac68a420",
+    ]),
+    ("perturbed-plane", [0, 3, 0, 0], [
+        "a4f9b86932ac3c88854d251219e288ca5b37c0b68d4dda0e17d585b4247e3f47",
+        "3d271db0fc609e714d47d068740cc638adbe926c0da28e9c4caaddaeda9ea7ff",
+        "b90e94825c6b7634653ec20dac5b30e1e5774d90b16d578f0628e2fec70ff80c",
+        "eaabb28b932b084df6278cf4db49a5e56c5d3ff92a0cd2ee0b5390510686dbbf",
     ]),
 ])
 def test_scenario_commands_are_pinned(capsys, tmp_path, case, codes, digests):

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -19,15 +20,18 @@ def test_empty_point_list_gives_circle_and_wall_only():
 
 
 def test_wall_samples_lie_on_wall_in_cone():
+    # integer rays, for a perturbed wall too (its plane comes from its ray)
     lat = standard_lattice()
-    wall = WallClass((1, 1, 1))
-    samples = sample_wall_points(lat, wall)
-    assert len(samples) > 20
-    for v in samples:
-        assert lat.pairing(v, wall.vector()) == 0
-        assert lat.norm(v) > 0
-        y, z = disc_project(lat, v)
-        assert y * y + z * z < 1
+    perturbed = WallClass((1, 1, 1), (Fraction(1, 5), 0, 0))
+    for wall, least in ((WallClass((1, 1, 1)), 21), (perturbed, 9)):
+        samples = sample_wall_points(lat, wall)
+        assert len(samples) >= least
+        for v in samples:
+            assert all(type(x) is int for x in v)
+            assert lat.pairing(v, wall.vector()) == 0
+            assert lat.norm(v) > 0
+            y, z = disc_project(lat, v)
+            assert y * y + z * z < 1
 
 
 def test_wall_endpoints_are_i_and_one():

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from lenswall.cyclotomic import root_of_unity
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import (
-    FlipSpun,
-    LensSpace,
     component_classes,
     distinguish_metrics,
     eta_flipspun,
@@ -36,14 +34,16 @@ from oracles import (
 
 
 def test_params_validation():
-    assert LensSpace(6, 7).q == 1
+    # q is reduced mod n (mod 2p for X(p)) where it enters
+    assert rho_table(6, 7) == rho_table(6, 1) != rho_table(6, 5)
     with pytest.raises(ParameterError):
-        LensSpace(6, 2)
+        rho_table(6, 2)
     with pytest.raises(ParameterError):
-        FlipSpun(5, 4)  # even q
+        eta_table(5, 4)  # even q
     with pytest.raises(ParameterError):
-        FlipSpun(5, 5)  # shares a factor with 2p
-    assert FlipSpun(5, 13).q == 3
+        eta_table(5, 5)  # shares a factor with 2p
+    assert eta_table(5, 13) == eta_table(5, 3) != eta_table(5, 7)
+    assert distinguish_metrics(5, 13, 3).q == 3
 
 
 def test_rho_zero_character():
@@ -289,6 +289,18 @@ def test_resource_bound():
         component_classes(53)
     # explicit override unlocks larger sizes
     assert eta_flipspun(51, 1, 0, max_p=51) == -eta_flipspun(51, 1, 51, max_p=51)
+
+
+def test_rho_budget_names_the_order():
+    # the budget of L(n, q) is on n = 2p: n <= 2 * max_p, stated in n
+    assert len(rho_table(100, 1)) == 100
+    for n in (101, 102):
+        message = f"^order n={n} exceeds the size budget 100; raise max_p explicitly to override$"
+        for call in (lambda: rho_lens(n, 1, 1), lambda: rho_table(n, 1)):
+            with pytest.raises(ResourceBoundError, match=message):
+                call()
+    with pytest.raises(ResourceBoundError, match="^order n=8 exceeds the size budget 6;"):
+        rho_lens(8, 1, 1, max_p=3)
 
 
 def test_table_caches_key_on_normalized_parameters():

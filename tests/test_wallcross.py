@@ -42,7 +42,7 @@ from lenswall.wallcross import (
     unique_crossing_index,
 )
 from lenswall import wallcross
-from lenswall.lattice import _unipotent_power
+from lenswall.lattice import _identity, _unipotent_power
 from lenswall.scenario import load_scenario
 from oracles import _orbit_pairings, _orbit_sweep, unipotent_power_ladder
 
@@ -106,8 +106,13 @@ def test_cone_point_validation(lat):
 def test_wall_class_validation():
     with pytest.raises(ParameterError):
         WallClass((0, 0, 0)).vector()
+    # the integer ray through c1 + perturbation, scaled by the lcm of the denominators
     w = WallClass((1, 1, 1), (Fraction(1, 3), Fraction(0), Fraction(0)))
-    assert w.vector() == (Fraction(4, 3), Fraction(1), Fraction(1))
+    assert w.vector() == (4, 3, 3)
+    assert all(type(x) is int for x in w.vector())
+    assert all(type(x) is int for x in WallClass((1, 1, 1)).vector())
+    with pytest.raises(ParameterError, match="^perturbation length does not match c1$"):
+        WallClass((1, 1, 1), (Fraction(1, 3), Fraction(0))).vector()
 
 
 def test_perturbed_wall_missing_the_fixed_ray(lat, parabolic):
@@ -434,11 +439,21 @@ A2_MAPS = (
 )
 
 
-def test_unipotent_power_matches_the_exponent_ladder(lat):
+def _direct_sum(*blocks):
+    size = sum(map(len, blocks))
+    rows, at = [], 0
+    for block in blocks:
+        rows += [(0,) * at + tuple(row) + (0,) * (size - at - len(block)) for row in block]
+        at += len(block)
+    return tuple(rows)
+
+
+def test_unipotent_power_matches_the_exponent_ladder(lat, parabolic):
     """On rank 3 the cyclotomic factors of the characteristic polynomial give
     the same (m, N, N^2), or None, as trying m = 1, 2, 3, 4, 6, 12: on every
     word of length <= 4 in r+, r-, the quarter turn and their inverses, each
-    as the map and as its adjoint, and on the A2 maps above."""
+    as the map and as its adjoint, and on the A2 maps above.  On rank 12 the
+    same holds for two block maps whose eigenvalue orders divide 12."""
     letters = [reflection_sphere(lat, sigma) for sigma in (SIGMA_PLUS, SIGMA_MINUS)]
     letters += [Isometry(lat, ROTATION)]
     letters += [g.inverse() for g in letters]
@@ -463,6 +478,15 @@ def test_unipotent_power_matches_the_exponent_ladder(lat):
     # a unipotent Jordan block of size 4: no power has N^3 = 0
     jordan = tuple(tuple(int(j in (i, i + 1)) for j in range(4)) for i in range(4))
     assert _unipotent_power(jordan) is None
+    # rank 12: a hyperbolic 2x2 block plus the identity has no unipotent
+    # power; the paper map plus blocks of order 3 and 4 plus the identity
+    # has m = lcm(1, 3, 4) = 12
+    hyperbolic = _direct_sum(((2, 1), (1, 1)), _identity(10))
+    mixed = _direct_sum(parabolic.adjoint().matrix, ((0, -1), (1, -1)), ((0, -1), (1, 0)),
+                        _identity(5))
+    assert _unipotent_power(hyperbolic) is None is unipotent_power_ladder(hyperbolic)
+    assert _unipotent_power(mixed) == unipotent_power_ladder(mixed)
+    assert _unipotent_power(mixed)[0] == 12
 
 
 RANK8 = Path(__file__).parent / "data" / "rank8_parabolic.json"
