@@ -48,6 +48,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int 
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles; a single value is both (before 3.13,
+    statistics.quantiles refuses one data point)."""
+    if len(values) == 1:
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 

@@ -67,7 +67,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert not rem
+            if rem:
+                raise AssertionError
     return tuple(num)
 
 

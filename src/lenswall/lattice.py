@@ -6,10 +6,14 @@ Vectors are plain integer tuples; matrices are tuples of rows acting on
 column coordinate vectors, so the columns of an isometry matrix are the
 images of the basis vectors.
 
-All linear algebra is on integers: one division-free Gauss-Jordan kernel,
+All linear algebra is on integers: products multiply row by column
+(`_mat_mul`, `_mat_vec`, `_dot`), one division-free Gauss-Jordan kernel,
 `_echelon`, answers every rank, span and inverse question, and one
 characteristic polynomial, `_charpoly`, gives the signature (Descartes'
 rule of signs) and the unipotent power of a map (Kronecker's theorem).
+Derived isometries carry what their factors know: a product or power its
+inverse, and a power the unipotent power of its dual action, read off
+its base's without a new characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -64,15 +68,18 @@ def _as_vector(v, rank: int) -> tuple[int, ...]:
     return vec
 
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    """a b, each entry a row of a times a column of b (taken once)."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _identity(n):
@@ -205,7 +212,7 @@ class IntegralLattice:
             raise ParameterError(
                 f"vectors of length {len(u)}, {len(v)} on a rank-{self.rank} lattice"
             )
-        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return _dot(u, _mat_vec(self.gram, v))
 
     def norm(self, v):
         return self.pairing(v, v)
@@ -244,6 +251,9 @@ def standard_lattice() -> IntegralLattice:
 class Isometry:
     """An integer matrix preserving the lattice pairing exactly."""
 
+    # (base, d) when this map is base^d (see power), else None
+    _root: tuple["Isometry", int] | None = None
+
     def __init__(self, lattice: IntegralLattice, matrix):
         matrix = tuple(tuple(_as_int(x) for x in row) for row in matrix)
         if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
@@ -264,8 +274,35 @@ class Isometry:
 
     @cached_property
     def _dual_unipotent(self):
-        """_unipotent_power of the dual action (see adjoint), once per map."""
-        return _unipotent_power(self._inverse)
+        """_unipotent_power of the dual action (see adjoint), once per map.
+
+        A power f = base^d reads it off the base's (m, N, N^2), with no new
+        characteristic polynomial.  The dual actions are B and A = B^d.  Put
+        g = gcd(m, d) and k = d/g; then A^(m/g) = (B^m)^k = (I + N)^k =
+        I + kN + k(k-1)/2 N^2, as N^3 = 0, so the certificate is
+        (m/g, kN + k(k-1)/2 N^2, k^2 N^2).  It is the one _unipotent_power
+        would find:
+        - m/g is least: A^j - I is nilpotent iff B^(dj) - I is, iff m | dj,
+          iff m/g | j;
+        - d = 0 gives the identity, (1, 0, 0);
+        - for d != 0 it is None iff the base's is: |lambda^d| != 1 iff
+          |lambda| != 1, and (N (kI + k(k-1)/2 N))^3 vanishes iff N^3 does,
+          since kI + k(k-1)/2 N is invertible over Q."""
+        if self._root is None:
+            return _unipotent_power(self._inverse)
+        base, d = self._root
+        if d == 0:
+            zero = ((0,) * self.lattice.rank,) * self.lattice.rank
+            return 1, zero, zero
+        certificate = base._dual_unipotent
+        if certificate is None:
+            return None
+        m, nil, square = certificate
+        g = gcd(m, d)
+        k = d // g
+        c = k * (k - 1) // 2
+        nil_d = tuple(tuple(k * x + c * y for x, y in zip(*rows)) for rows in zip(nil, square))
+        return m // g, nil_d, tuple(tuple(k * k * y for y in row) for row in square)
 
     @classmethod
     def _checked(cls, lattice: IntegralLattice, matrix, inverse) -> "Isometry":
@@ -293,17 +330,25 @@ class Isometry:
         return Isometry._checked(self.lattice, self._inverse, self.matrix)
 
     def power(self, d: int) -> "Isometry":
-        """self^d by repeated squaring from the identity, which is its own
-        inverse; each product carries its inverse (see compose)."""
-        if d < 0:
-            return self.inverse().power(-d)
-        result = identity_isometry(self.lattice)
-        base = self
-        while d:
-            if d & 1:
-                result = result * base
-            base = base * base
-            d >>= 1
+        """self^d by repeated squaring of self or its inverse, from the
+        lowest set bit of |d| and with no squaring after the highest; each
+        product carries its inverse (see compose).  self^0 is the identity,
+        its own inverse, and self^1 is self.  A new power also carries
+        (self, d), from which _dual_unipotent derives its certificate."""
+        if d == 1:
+            return self
+        if d == 0:
+            result = identity_isometry(self.lattice)
+        else:
+            e, base = abs(d), self if d > 0 else self.inverse()
+            while not e & 1:
+                base, e = base * base, e >> 1
+            result = base
+            while e := e >> 1:
+                base = base * base
+                if e & 1:
+                    result = result * base
+        result._root = (self, d)
         return result
 
     def adjoint(self) -> "Isometry":
@@ -421,10 +466,6 @@ def metabolizer_check(structure: IsometricStructure, vectors) -> bool:
         if not _in_span(basis, pivots, structure.apply(u)):
             return False
     return True
-
-
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
 
 
 def metabolizer_search(

@@ -13,7 +13,8 @@ on them by the pairing-adjoint gram^-1 f^T gram, and _orbit_walk is the
 one place that steps a ray through that action.  orbit_swtot reads every
 wall-side question off one list of sign segments, taken from a closed
 form when the action has a unipotent power (Isometry._dual_unipotent,
-decided once per map) and from the stepped orbit otherwise.
+decided once per map, and read off the base's for a power) and from the
+stepped orbit otherwise.
 """
 
 from __future__ import annotations
@@ -386,7 +387,8 @@ def power_swtot(
         )
     base = orbit_swtot(lattice, f, spinc, omega0, wall, n_max)
     powered = orbit_swtot(lattice, f.power(d), spinc, omega0, wall, n_max)
-    assert powered.total == base.total, "power invariance violated: arithmetic bug"
+    if powered.total != base.total:
+        raise AssertionError("power invariance violated: arithmetic bug")
     return powered.total
 
 
@@ -411,8 +413,10 @@ def finite_orbit_swtot(orbit_size: int, edge_values, d: int) -> int:
             counts[(d * k + j) % n] += 1
     total = sum(c * e for c, e in zip(counts, edges))
     multiplicity = math.lcm(d, n) // n
-    assert all(c == multiplicity for c in counts)
-    assert total == multiplicity * sum(edges)
+    if any(c != multiplicity for c in counts):
+        raise AssertionError
+    if total != multiplicity * sum(edges):
+        raise AssertionError
     return total
 
 

@@ -17,6 +17,9 @@ directly; it shares the input check, the error messages, cone_point
 (which returns the integer ray), WallClass.vector() (the wall's integer
 ray) and STAB_WINDOW
 with the package, but not the package's orbit walk or its sign reader.
+The orbit, ladder and grid references multiply matrices with their own
+index loops, _mat_mul and _mat_vec, not with the package's row-by-column
+kernels, which are compared with sympy.
 metabolizer_search_grid is the reference for lattice.metabolizer_search:
 it walks the whole coordinate grid of the doubled lattice and pairs
 candidates with the full form q + -q, which it builds from the half
@@ -39,8 +42,6 @@ from lenswall.lattice import (
     _echelon,
     _identity,
     _in_span,
-    _mat_mul,
-    _mat_vec,
     metabolizer_check,
 )
 from lenswall.wallcross import (
@@ -137,6 +138,18 @@ def matching_classes(p: int) -> list[list[int]]:
     """The component classes of X(p), odd p, by pairwise matching."""
     units = [a for a in range(1, 2 * p, 2) if gcd(a, 2 * p) == 1]
     return partition(units, lambda q, qp: bool(eta_matches(p, q, qp)))
+
+
+def _mat_mul(a, b):
+    """a b for square a, b, entry by entry over the index k."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _mat_vec(m, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 # An integer matrix of size <= 3 whose eigenvalues are roots of unity has

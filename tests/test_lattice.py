@@ -25,7 +25,7 @@ from lenswall.lattice import (
     standard_lattice,
     sw_formal_dimension,
 )
-from lenswall.lattice import _echelon, _in_span
+from lenswall.lattice import _echelon, _in_span, _mat_mul, _mat_vec
 from lenswall.wallcross import classify_isometry
 from oracles import metabolizer_search_grid
 
@@ -121,6 +121,14 @@ def test_compose_inverse_powers(lat, composed):
     for _ in range(6):
         d, e = rng.randint(-4, 4), rng.randint(-4, 4)
         assert composed.power(d) * composed.power(e) == composed.power(d + e)
+    # repeated squaring from the lowest set bit equals stepping, and the
+    # power carries the inverse that stepping builds
+    for d in range(-9, 10):
+        step, expected = composed if d > 0 else composed.inverse(), identity_isometry(lat)
+        for _ in range(abs(d)):
+            expected = expected * step
+        power = composed.power(d)
+        assert power == expected and power.inverse() == expected.inverse()
 
 
 def test_composed_has_infinite_order(composed):
@@ -384,6 +392,47 @@ def test_signature_matches_descartes_rule(gram):
     reflected = [c * (-1) ** (degree - i) for i, c in enumerate(trimmed)]
     expected = (_sign_changes(trimmed), _sign_changes(reflected), zero)
     assert IntegralLattice(gram).signature() == expected
+
+
+# -- the row-by-column kernels against sympy's matrix products --
+
+WIDE_ENTRIES = st.integers(-50, 50)
+
+
+def _wide_rows(n_rows, n_cols):
+    return st.lists(st.lists(WIDE_ENTRIES, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_products_match_sympy(data):
+    """_mat_mul and _mat_vec equal sympy's products on integer matrices of
+    every shape with sides 1..8 (the package multiplies square ones)."""
+    rows, inner, cols = (data.draw(st.integers(1, 8)) for _ in range(3))
+    a, b = data.draw(_wide_rows(rows, inner)), data.draw(_wide_rows(inner, cols))
+    v = data.draw(_wide_rows(1, inner))[0]
+    assert _mat_mul(a, b) == _integer_rows(sympy.Matrix(a) * sympy.Matrix(b))
+    assert _mat_vec(a, v) == tuple(int(x) for x in sympy.Matrix(a) * sympy.Matrix(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairing_matches_sympy(data):
+    """pairing(u, v) = u^T G v on symmetric integer grams of rank 1..8,
+    drawn with arbitrary entries and as B^T D B (see _symmetric_matrices)."""
+    n = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        upper = {(i, j): data.draw(WIDE_ENTRIES) for i in range(n) for j in range(i, n)}
+        gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        b = sympy.Matrix(data.draw(_rows(data.draw(st.integers(1, n)), n)))
+        d = sympy.diag(*data.draw(_wide_rows(1, b.rows))[0])
+        gram = _integer_rows(b.T * d * b)
+    form = IntegralLattice(gram)
+    u, v = data.draw(_wide_rows(2, n))
+    expected = (sympy.Matrix([u]) * sympy.Matrix(gram) * sympy.Matrix(v))[0, 0]
+    assert form.pairing(u, v) == expected == form.pairing(v, u)
 
 
 # -- metabolizer search: DFS order pinned, budget bounds the grid --

@@ -1,6 +1,9 @@
 import math
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -15,6 +18,7 @@ from lenswall.errors import (
     GenericityError,
     LenswallError,
     ParameterError,
+    StabilizationError,
     UniquenessViolationError,
 )
 from lenswall.lattice import (
@@ -41,7 +45,7 @@ from lenswall.wallcross import (
     spinc_orbit,
     unique_crossing_index,
 )
-from lenswall import wallcross
+from lenswall import lattice, wallcross
 from lenswall.lattice import _identity, _unipotent_power
 from lenswall.scenario import load_scenario
 from oracles import _orbit_pairings, _orbit_sweep, unipotent_power_ladder
@@ -217,6 +221,46 @@ def test_power_swtot_rejects_finite_orbit(lat, wall, spinc):
         power_swtot(lat, identity_isometry(lat), 2, spinc, (3, 2, 2), wall)
 
 
+def test_consistency_checks_survive_python_O():
+    """power_swtot's power invariance, finite_orbit_swtot's closed form and
+    cyclotomic_polynomial's exact division are explicit raises, so they
+    still fire under python -O, which strips assert statements.  Each is
+    fed a wrong value by a patch in a fresh interpreter."""
+    script = textwrap.dedent(
+        """
+        import math, types
+        from lenswall import cyclotomic, wallcross
+        from lenswall.lattice import SIGMA_MINUS, SIGMA_PLUS, reflection_sphere, standard_lattice
+
+        def fails(call):
+            try:
+                call()
+            except AssertionError as exc:
+                return repr(exc)
+
+        lat = standard_lattice()
+        f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+        totals = iter((1, 2))
+        wallcross.orbit_swtot = lambda *args: wallcross.OrbitSummary({0: next(totals)})
+        spinc, wall = wallcross.SpinCData((1, 1, 1), 1), wallcross.WallClass((1, 1, 1))
+        print(__debug__)
+        print(fails(lambda: wallcross.power_swtot(lat, f, 2, spinc, (3, 2, 2), wall)))
+        wallcross.math = types.SimpleNamespace(gcd=math.gcd, lcm=lambda d, n: 2 * math.lcm(d, n))
+        print(fails(lambda: wallcross.finite_orbit_swtot(4, (1, 0, -2, 3), 6)))
+        cyclotomic._poly_divmod = lambda num, den: (num, [1])
+        print(fails(lambda: cyclotomic.cyclotomic_polynomial(6)))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "AssertionError('power invariance violated: arithmetic bug')",
+        "AssertionError()",
+        "AssertionError()",
+    ]
+
+
 def test_finite_orbit_swtot():
     assert finite_orbit_swtot(4, (1, 0, -2, 3), 1) == 2
     assert finite_orbit_swtot(1, (5,), 7) == 35
@@ -381,6 +425,23 @@ def test_orbit_certificate_stabilized_flag(lat, parabolic, spinc):
     assert orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=200).crossings == {0: 1, 2: -1}
 
 
+def test_stabilization_window_is_sixteen_steps(lat, parabolic, spinc, wall):
+    """The start (3, 2, 2) moved 20 steps back along the dual action, so the
+    one crossing is at step 20.  At n_max = 34 the high window of 16 steps,
+    20..35, holds both sides and no total is given; at n_max = 35 it is
+    21..36.  A window of 15 would answer at n_max = 34."""
+    omega = (3, 2, 2)
+    for _ in range(20):
+        omega = _mat_vec(parabolic.matrix, omega)
+    assert omega == (3363, 82, 3362)
+    args = (lat, parabolic, spinc, omega, wall)
+    with pytest.raises(StabilizationError, match="within 34 steps"):
+        orbit_swtot(*args, n_max=34)
+    assert outcome(orbit_swtot, *args, n_max=34) == outcome(_orbit_sweep, *args, n_max=34)
+    assert orbit_swtot(*args, n_max=35).crossings == {20: 1}
+    assert outcome(orbit_swtot, *args, n_max=35) == outcome(_orbit_sweep, *args, n_max=35)
+
+
 def test_orbit_swtot_hyperbolic_takes_the_sweep(lat, spinc, wall):
     hyperbolic = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
     assert classify_isometry(lat, hyperbolic) == "hyperbolic"
@@ -518,3 +579,47 @@ def test_rank8_parabolic_map_has_a_certificate(monkeypatch):
     c1 = (0, 0, 0, 1, 0, 0, 0, 0)  # moved along the 5-cycle
     assert spinc_orbit(lat, f, c1, bound=10**4) == OrbitStatus(True, 5, 10**4)
     assert max(steps) <= 5
+
+
+def test_powers_carry_the_certificate_of_their_dual_action(lat):
+    """f.power(d) reads the unipotent power of its dual action off f's
+    (m, N, N^2), and it equals _unipotent_power of that action for
+    d = -6..6: on every map that a word of length <= 4 in r+, r-, the
+    quarter turn and their inverses gives, on the A2 maps (m = 3, 6, 6,
+    so gcd(m, d) > 1 occurs), on the rank-8 map (m = 5) and on a
+    hyperbolic map (None)."""
+    letters = [reflection_sphere(lat, sigma) for sigma in (SIGMA_PLUS, SIGMA_MINUS)]
+    letters += [Isometry(lat, ROTATION)]
+    letters += [g.inverse() for g in letters]
+    maps = {}
+    for length in range(1, 5):
+        for word in product(letters, repeat=length):
+            f = reduce(Isometry.compose, word)
+            maps.setdefault(f.matrix, f)
+    a2 = IntegralLattice(A2_GRAM)
+    maps = [*maps.values(), *(Isometry(a2, mat) for mat, _ in A2_MAPS)]
+    hyperbolic = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
+    maps += [load_scenario(str(RANK8)).isometry, hyperbolic]
+    exponents = set()
+    for f in maps:
+        for d in range(-6, 7):
+            power = f.power(d)
+            expected = _unipotent_power(power._inverse)
+            assert power._dual_unipotent == expected, (f, d)
+            exponents.add((f._dual_unipotent and f._dual_unipotent[0], expected and expected[0]))
+    assert {(3, 1), (6, 2), (6, 3), (6, 6), (5, 1), (5, 5), (None, None)} <= exponents
+
+
+def test_power_swtot_derives_the_power_certificate(lat, parabolic, wall, spinc, monkeypatch):
+    """Across power_swtot for d = 2..6 on one map, only the map's own
+    certificate is computed; each power's is derived from it."""
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return _unipotent_power(mat)
+
+    monkeypatch.setattr(lattice, "_unipotent_power", counted)
+    for d in range(2, 7):
+        assert power_swtot(lat, parabolic, d, spinc, (3, 2, 2), wall) == 1
+    assert calls == [parabolic._inverse]
