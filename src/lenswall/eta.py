@@ -19,7 +19,7 @@ that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -90,16 +90,18 @@ def _flipspun_q(p: int, q: int) -> int:
     return reduced
 
 
-@dataclass(frozen=True)
-class MatchingResult:
-    p: int
-    q: int
-    q_prime: int
-    matches: tuple[int, ...]
-    distinguishable: bool = field(init=False)
+class MatchingResult(namedtuple("MatchingResult", "p q q_prime matches distinguishable")):
+    """The matching of g_{p,q} and g_{p,q'} on X(p) (see distinguish_metrics):
+    the matching units, and distinguishable, set on construction, True iff
+    there are none."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "distinguishable", not self.matches)
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, q_prime: int, matches: tuple[int, ...]):
+        return tuple.__new__(cls, (p, q, q_prime, matches, not matches))
+
+    def __getnewargs__(self):  # pickle and copy call __new__ without the computed field
+        return self[:4]
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ its base's without a new characteristic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import pairwise, product
 from math import gcd, lcm
@@ -414,18 +414,17 @@ def _check_acts_on(lattice: IntegralLattice, f: Isometry) -> None:
         raise ParameterError("isometry does not act on the given lattice")
 
 
-@dataclass(frozen=True)
-class IsometricStructure:
+class IsometricStructure(namedtuple("IsometricStructure", "lattice map")):
     """The doubled structure (L + L, f + id, q + -q), stored as its half:
-    the lattice L = (H, q) and an isometry f of L.  A vector of the doubled
-    lattice is one tuple v = (x, y) of length 2 rank(L); the block form is
-    built into the derived pairing and map."""
+    the lattice L = (H, q) and an isometry f of L, which must act on it.  A
+    vector of the doubled lattice is one tuple v = (x, y) of length
+    2 rank(L); the block form is built into the derived pairing and map."""
 
-    lattice: IntegralLattice
-    map: Isometry
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_acts_on(self.lattice, self.map)
+    def __new__(cls, lattice: IntegralLattice, map: Isometry):
+        _check_acts_on(lattice, map)
+        return tuple.__new__(cls, (lattice, map))
 
     @property
     def rank(self) -> int:

@@ -17,7 +17,7 @@ objects it defines and the canonical echo of its document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,18 +86,13 @@ def _echo(value):
     return value
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A scenario parsed once: the objects its document defines, and
-    definition, the canonical echo of the document."""
+class Scenario(
+    namedtuple("Scenario", "lattice isometry spinc wall omega0 n_max definition")
+):
+    """A scenario parsed once: the objects its document defines (omega0 as
+    Fractions), and definition, the canonical echo of the document."""
 
-    lattice: IntegralLattice
-    isometry: Isometry
-    spinc: SpinCData
-    wall: WallClass
-    omega0: tuple[Fraction, ...]
-    n_max: int
-    definition: dict
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":

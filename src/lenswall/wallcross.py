@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import pairwise
 
@@ -64,13 +64,12 @@ __all__ = [
 STAB_WINDOW = 16
 
 
-@dataclass(frozen=True)
-class WallClass:
-    """The class defining the wall of reducibles: the first Chern class of
-    the spin-c structure plus a rational perturbation class."""
+class WallClass(namedtuple("WallClass", "c1 perturbation", defaults=(None,))):
+    """The class defining the wall of reducibles: the first Chern class c1
+    (integers) of the spin-c structure plus a rational perturbation class
+    (Fractions, or None)."""
 
-    c1: tuple[int, ...]
-    perturbation: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
     def vector(self) -> tuple[int, ...]:
         """The integer ray through c1 + perturbation (see _integerize)."""
@@ -84,13 +83,12 @@ class WallClass:
         return _integerize(vec)
 
 
-@dataclass(frozen=True)
-class SpinCData:
+class SpinCData(namedtuple("SpinCData", "c1 sw_x")):
     """The spin-c bookkeeping: c1 on the b+=1 summand and the oracle value
-    of the closed-piece invariant, whose moduli space has dimension 0."""
+    sw_x (an integer) of the closed-piece invariant, whose moduli space has
+    dimension 0."""
 
-    c1: tuple[int, ...]
-    sw_x: int
+    __slots__ = ()
 
     def validate(self, lattice: IntegralLattice) -> None:
         c1_square = lattice.norm(self.c1)
@@ -102,35 +100,37 @@ class SpinCData:
             )
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(namedtuple("OrbitSummary", "crossings total stabilized steps_used method")):
     """Crossing record of one orbit.  crossings maps step index n to the
     signed contribution of the segment from orbit point n to n+1 (already
     multiplied by the oracle value); indices with zero contribution are
-    omitted.  total is their sum.  steps_used is the number of segments the
-    record covers, and stabilized says whether the wall side is known to
-    stay fixed beyond them.  method names how the record was computed:
-    "certificate" (closed form of the orbit pairing) or "sweep" (step by
-    step)."""
+    omitted.  total is their sum, set on construction.  steps_used is
+    the number of segments the record covers, and stabilized says whether
+    the wall side is known to stay fixed beyond them.  method names how the
+    record was computed: "certificate" (closed form of the orbit pairing) or
+    "sweep" (step by step)."""
 
-    crossings: dict[int, int]
-    total: int = field(init=False)
-    stabilized: bool = True
-    steps_used: int = 0
-    method: str = "sweep"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "total", sum(self.crossings.values()))
+    def __new__(
+        cls,
+        crossings: dict[int, int],
+        stabilized: bool = True,
+        steps_used: int = 0,
+        method: str = "sweep",
+    ):
+        total = sum(crossings.values())
+        return tuple.__new__(cls, (crossings, total, stabilized, steps_used, method))
+
+    def __getnewargs__(self):  # pickle and copy call __new__ without the computed total
+        return self[:1] + self[2:]
 
 
-@dataclass(frozen=True)
-class OrbitStatus:
+class OrbitStatus(namedtuple("OrbitStatus", "finite period bound")):
     """Result of iterating a spin-c class: finite with a period, or no
     return within the inspected bound (treated as infinite downstream)."""
 
-    finite: bool
-    period: int | None
-    bound: int
+    __slots__ = ()
 
 
 def cone_point(lattice: IntegralLattice, coords) -> tuple[int, ...]:
@@ -173,10 +173,14 @@ def _unstable(n_max: int) -> StabilizationError:
     )
 
 
-def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
+def _check_map(lattice, f) -> None:
     _check_acts_on(lattice, f)
     if alpha_invariant(f) != 1:
         raise ParameterError("orbit sums require an orientation-coherent map (alpha = +1)")
+
+
+def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
+    _check_map(lattice, f)
     spinc.validate(lattice)
     if n_max < 1:
         raise ParameterError("n_max must be positive")
@@ -286,8 +290,13 @@ def orbit_swtot(
     crossings and stabilized from the same sign segments.
     """
     _check_orbit_inputs(lattice, f, spinc, n_max)
-    omega = cone_point(lattice, omega0)
-    w = wall.vector()
+    return _orbit_swtot(lattice, f, spinc.sw_x, cone_point(lattice, omega0), wall.vector(), n_max)
+
+
+def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
+    """orbit_swtot on checked inputs: the integer ray omega (from
+    cone_point), the integer wall w (from WallClass.vector()) and the
+    oracle value sw_x."""
     action = f.adjoint()
     certificate = f._dual_unipotent
     if certificate is None:
@@ -326,10 +335,10 @@ def orbit_swtot(
     if len(low) != 1 or len(high) != 1:
         raise _unstable(n_max)
     crossings = {}
-    if spinc.sw_x:
+    if sw_x:
         for (n, s), (_, t) in pairwise(_samples(segments, -n_max, n_max + 1, every_step=True)):
             if s != t:
-                crossings[n] = (t - s) // 2 * spinc.sw_x
+                crossings[n] = (t - s) // 2 * sw_x
     return OrbitSummary(
         crossings=crossings,
         stabilized=len(sides(lo, -n_max)) == 1 and len(sides(n_max + 1, hi)) == 1,
@@ -376,6 +385,8 @@ def power_swtot(
     Requires the spin-c orbit to show no return within n_max steps; the
     result provably equals the total for f itself, and both totals are
     computed and compared, so the equality is checked rather than assumed.
+    The inputs are checked, and the ray and the wall made integer, once;
+    the power's map is checked again before its total is computed.
     """
     if d < 1:
         raise ParameterError(f"power must be a positive integer, got {d}")
@@ -385,8 +396,12 @@ def power_swtot(
             f"spin-c orbit is finite (period {status.period}); "
             "use finite_orbit_swtot for the cyclic bookkeeping"
         )
-    base = orbit_swtot(lattice, f, spinc, omega0, wall, n_max)
-    powered = orbit_swtot(lattice, f.power(d), spinc, omega0, wall, n_max)
+    _check_orbit_inputs(lattice, f, spinc, n_max)
+    omega, w = cone_point(lattice, omega0), wall.vector()
+    base = _orbit_swtot(lattice, f, spinc.sw_x, omega, w, n_max)
+    g = f.power(d)
+    _check_map(lattice, g)
+    powered = _orbit_swtot(lattice, g, spinc.sw_x, omega, w, n_max)
     if powered.total != base.total:
         raise AssertionError("power invariance violated: arithmetic bug")
     return powered.total

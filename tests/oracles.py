@@ -12,7 +12,8 @@ unipotent_power_ladder is the reference for lattice._unipotent_power on
 rank 3: it tries the exponents 1, 2, 3, 4, 6, 12 in turn, with no
 characteristic polynomial.  _orbit_sweep is the reference for
 wallcross.orbit_swtot: it steps the
-orbit through the whole range with its own loop and reads the signs
+orbit through the whole range (and, for the stabilized flag, on to a
+horizon beyond it) with its own loop and reads the signs
 directly; it shares the input check, the error messages, cone_point
 (which returns the integer ray), WallClass.vector() (the wall's integer
 ray) and STAB_WINDOW
@@ -173,9 +174,12 @@ def unipotent_power_ladder(mat):
     return None
 
 
-def _orbit_pairings(lattice, f, wall, omega0, n_max):
-    """Pairings <A^n omega0, w> for n = -n_max .. n_max+1 with A the dual
-    action of f; all integer arithmetic after clearing denominators."""
+def _orbit_pairings(lattice, f, wall, omega0, n_max, horizon=None):
+    """Pairings <A^n omega0, w> for n = -h .. h+1 with A the dual action of
+    f and h = horizon (n_max by default); all integer arithmetic after
+    clearing denominators.  A zero pairing at a step in [-n_max, n_max+1]
+    raises GenericityError for the first such step."""
+    h = n_max if horizon is None else horizon
     omega = cone_point(lattice, omega0)
     w = wall.vector()
     forward = f.adjoint().matrix
@@ -183,11 +187,11 @@ def _orbit_pairings(lattice, f, wall, omega0, n_max):
     pair = lambda v: lattice.pairing(v, w)
     values = {0: pair(omega)}
     v = omega
-    for n in range(1, n_max + 2):
+    for n in range(1, h + 2):
         v = _mat_vec(forward, v)
         values[n] = pair(v)
     v = omega
-    for n in range(1, n_max + 1):
+    for n in range(1, h + 1):
         v = _mat_vec(backward, v)
         values[-n] = pair(v)
     for n in range(-n_max, n_max + 2):
@@ -203,13 +207,17 @@ def _orbit_sweep(
     omega0,
     wall: WallClass,
     n_max: int = 1000,
+    horizon: int | None = None,
 ) -> OrbitSummary:
     """orbit_swtot by stepping the orbit through every n in
     [-n_max, n_max + 1], for every map: the reference the package's
-    certificate and stepped paths are tested against."""
+    certificate and stepped paths are tested against.  With a horizon the
+    orbit is stepped on through [-horizon, horizon + 1], and stabilized
+    says whether the wall side stays fixed from each end of the record out
+    to there; without one it is True, as for the package's sweep."""
     _check_orbit_inputs(lattice, f, spinc, n_max)
     window = min(STAB_WINDOW, n_max)
-    values = _orbit_pairings(lattice, f, wall, omega0, n_max)
+    values = _orbit_pairings(lattice, f, wall, omega0, n_max, horizon)
     signs = {n: _sign(v) for n, v in values.items()}
     crossings = {}
     for n in range(-n_max, n_max + 1):
@@ -220,7 +228,11 @@ def _orbit_sweep(
     high = [signs[n] for n in range(n_max + 2 - window, n_max + 2)]
     if len(set(low)) != 1 or len(set(high)) != 1:
         raise _unstable(n_max)
-    return OrbitSummary(crossings=crossings, steps_used=2 * n_max + 1)
+    stabilized = horizon is None or all(
+        len({signs[n] for n in beyond}) == 1
+        for beyond in (range(-horizon, -n_max + 1), range(n_max + 1, horizon + 2))
+    )
+    return OrbitSummary(crossings=crossings, stabilized=stabilized, steps_used=2 * n_max + 1)
 
 
 def metabolizer_search_grid(

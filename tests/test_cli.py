@@ -529,10 +529,13 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["dimension"] == -2
-    # the sweep runs in one process, so the CLI loads no process-pool modules
+    # the sweep runs in one process, so the CLI loads no process-pool
+    # modules; the result types are named tuples, so it loads no dataclasses
+    # (which imports inspect, ast and dis)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, lenswall.cli; "
-         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+         "print(sorted({'multiprocessing', 'concurrent.futures', 'dataclasses', 'inspect'}"
+         " & set(sys.modules)))"],
         capture_output=True,
         text=True,
     )

@@ -241,7 +241,7 @@ def test_consistency_checks_survive_python_O():
         lat = standard_lattice()
         f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
         totals = iter((1, 2))
-        wallcross.orbit_swtot = lambda *args: wallcross.OrbitSummary({0: next(totals)})
+        wallcross._orbit_swtot = lambda *args: wallcross.OrbitSummary({0: next(totals)})
         spinc, wall = wallcross.SpinCData((1, 1, 1), 1), wallcross.WallClass((1, 1, 1))
         print(__debug__)
         print(fails(lambda: wallcross.power_swtot(lat, f, 2, spinc, (3, 2, 2), wall)))
@@ -405,8 +405,17 @@ def test_orbit_certificate_matches_sweep(case):
     """orbit_swtot (the closed-form certificate, or for hyperbolic maps the
     stepped orbit read as one bracket) and the reference sweep agree on the
     crossings (in order), the total, steps_used, and the type and message
-    of any exception."""
+    of any exception.  A certificate that says stabilized sees no change of
+    the wall side when the reference steps on to 4 * n_max beyond either
+    end (a change further out than that is not looked for)."""
     assert outcome(orbit_swtot, **case) == outcome(_orbit_sweep, **case)
+    try:
+        summary = orbit_swtot(**case)
+    except LenswallError:
+        return
+    if summary.method == "certificate":
+        far = _orbit_sweep(**case, horizon=4 * case["n_max"])
+        assert far.stabilized or not summary.stabilized
 
 
 def test_orbit_certificate_stabilized_flag(lat, parabolic, spinc):
