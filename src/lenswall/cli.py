@@ -42,10 +42,10 @@ from .lattice import (
 )
 from .scenario import format_rational, load_scenario
 from .wallcross import (
-    _orbit_walk,
     classify_isometry,
     cone_point,
     orbit_swtot,
+    orbit_walk,
     spinc_orbit,
     unique_crossing_index,
 )
@@ -211,7 +211,7 @@ def _cmd_plot_disc(args) -> dict:
     action = f.adjoint()
     # the integer ray through omega0 has the same disc image and can be stepped exactly
     start = cone_point(lat, scenario.omega0)
-    points = _orbit_walk(action, start, -args.orbit_steps, args.orbit_steps)
+    points = orbit_walk(action, start, -args.orbit_steps, args.orbit_steps)
     try:
         crossing = unique_crossing_index(
             lat, f, scenario.spinc, scenario.omega0, wall, n_max=scenario.n_max

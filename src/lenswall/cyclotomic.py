@@ -141,10 +141,6 @@ class Cyclotomic:
         _set(self, "_den", den)
         return self
 
-    @classmethod
-    def one(cls, order: int) -> "Cyclotomic":
-        return cls(order, (1,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coefficients as Fractions."""
@@ -210,19 +206,6 @@ class Cyclotomic:
         return Cyclotomic._make(n, *_normalize(n, prod, den))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def times_root(self, k: int) -> "Cyclotomic":
         """Multiply by zeta_n^k: the one-term `root_sum`, so the

@@ -9,18 +9,20 @@ starting ray under the dual action of an isometry crosses the wall of
 reducibles, and the signed count of crossings times the oracle invariant
 of the closed piece is the total one-parameter invariant.  Walls and
 period points use dual (H^2) coordinates throughout: an isometry f acts
-on them by the pairing-adjoint gram^-1 f^T gram, and _orbit_walk is the
+on them by the pairing-adjoint gram^-1 f^T gram, and orbit_walk is the
 one place that steps a ray through that action.  orbit_swtot reads every
 wall-side question off one list of sign segments, taken from a closed
 form when the action has a unipotent power (Isometry._dual_unipotent,
 decided once per map, and read off the base's for a power) and from the
-stepped orbit otherwise.
+stepped orbit otherwise, and cut where the record and each window begin
+and end.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import pairwise
@@ -51,6 +53,7 @@ __all__ = [
     "OrbitStatus",
     "cone_point",
     "orbit_swtot",
+    "orbit_walk",
     "unique_crossing_index",
     "power_swtot",
     "finite_orbit_swtot",
@@ -186,7 +189,7 @@ def _check_orbit_inputs(lattice, f, spinc, n_max) -> None:
         raise ParameterError("n_max must be positive")
 
 
-def _orbit_walk(action: Isometry, omega, lo: int, hi: int):
+def orbit_walk(action: Isometry, omega, lo: int, hi: int):
     """(n, A^n omega) for n = 0, 1, ..., hi and then n = -1, -2, ..., lo,
     where A = action is the dual action f.adjoint() of a map f (so A^-1 is
     f itself).  The rays are yielded one at a time and never stored, since
@@ -202,7 +205,10 @@ def _orbit_walk(action: Isometry, omega, lo: int, hi: int):
 def _root_brackets(a: int, b: int, c: int) -> list[tuple[int, int]]:
     """Integer intervals holding the floor and the ceiling of every real
     root of P(k) = a + b*k + c*k(k-1)/2, so P keeps one sign on each run of
-    integers that avoids them."""
+    integers that avoids them.  They hold more than that needs: a run
+    keeps one sign unless it holds both the floor and the ceiling of a
+    root, so brackets from isqrt(disc) - 1, whose ends move by less than
+    1/2 as den >= 2, still hold one of the two and give the same signs."""
     quad, lin, const = c, 2 * b - c, 2 * a  # 2P(k) = quad*k^2 + lin*k + const
     if quad < 0:
         quad, lin, const = -quad, -lin, -const
@@ -219,41 +225,20 @@ def _root_brackets(a: int, b: int, c: int) -> list[tuple[int, int]]:
     ]
 
 
-def _sign_segments(sign, brackets, lo: int, hi: int, period: int) -> list[tuple]:
+def _sign_segments(sign, brackets, lo: int, hi: int, period: int, edges) -> list[tuple]:
     """Cover the steps lo..hi by segments (start, end, pattern) in ascending
-    order; step n of a segment has the sign pattern[(n - start) % len(pattern)].
-
-    Steps inside the brackets are evaluated one by one.  Between brackets the
-    sign depends only on the step mod period, so a gap keeps the signs of its
-    first period steps, or a single sign when they agree."""
+    order; step n of a segment has the sign pattern[(n - start) % len(pattern)],
+    and a pattern of more than one sign takes more than one.  A segment starts
+    at every edge and at both ends of every bracket.  Steps inside the brackets
+    are evaluated one by one; between them the sign depends only on the step
+    mod period, so a gap keeps the signs of its first period steps."""
+    cuts = sorted({lo, hi + 1, *edges, *(x for a, b in brackets for x in (a, b + 1))})
     segments = []
-    start = lo
-    for a, b in sorted(brackets) + [(hi + 1, hi)]:  # the empty last bracket closes the last gap
-        if a > start:
-            pattern = tuple(sign(n) for n in range(start, min(a, start + period)))
-            segments.append((start, a - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
-            start = a
-        if b >= start:
-            segments.append((start, b, tuple(sign(n) for n in range(start, b + 1))))
-            start = b + 1
+    for start, stop in pairwise(cuts):
+        dense = any(a <= start <= b for a, b in brackets)
+        pattern = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
+        segments.append((start, stop - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
     return segments
-
-
-def _samples(segments, lo: int, hi: int, every_step: bool = False):
-    """(n, sign) for steps of lo..hi in ascending order.  Each segment yields
-    its first pattern period and its last step, which shows every sign it
-    takes.  With every_step a segment whose sign varies yields all its steps,
-    so two consecutive samples with different signs are neighbouring steps."""
-    for start, end, pattern in segments:
-        first, last = max(start, lo), min(end, hi)
-        if first > last:
-            continue
-        period = len(pattern)
-        stop = last if every_step and period > 1 else min(last, first + period - 1)
-        for n in range(first, stop + 1):
-            yield n, pattern[(n - start) % period]
-        if stop < last:
-            yield last, pattern[(last - start) % period]
 
 
 def orbit_swtot(
@@ -286,8 +271,8 @@ def orbit_swtot(
     stabilized says whether the sign provably stays fixed beyond both ends.
     Other maps are stepped through the range (method "sweep"): the range
     is then one bracket whose ends are the reading's ends, so stabilized is
-    always True.  Both methods take the on-wall check, the windows, the
-    crossings and stabilized from the same sign segments.
+    always True.  Both methods read every answer off one list of sign
+    segments, and step only through the record's segments whose sign varies.
     """
     _check_orbit_inputs(lattice, f, spinc, n_max)
     return _orbit_swtot(lattice, f, spinc.sw_x, cone_point(lattice, omega0), wall.vector(), n_max)
@@ -303,13 +288,13 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
         lattice.pairing(omega, w)  # checks the wall's length for the dot products below
         dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
         m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
-        walk = _orbit_walk(action, omega, lo, hi)
+        walk = orbit_walk(action, omega, lo, hi)
         sign = {n: _sign(sum(map(operator.mul, v, dual))) for n, v in walk}.__getitem__
         brackets = [(lo, hi)]
     else:
         m, nil, square = certificate
         coeffs, brackets = [], []
-        for r, v in _orbit_walk(action, omega, 0, m - 1):
+        for r, v in orbit_walk(action, omega, 0, m - 1):
             a, b, c = (lattice.pairing(u, w) for u in (v, _mat_vec(nil, v), _mat_vec(square, v)))
             coeffs.append((a, b, c))
             brackets += [(m * lo + r, m * hi + r) for lo, hi in _root_brackets(a, b, c)]
@@ -324,24 +309,32 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
         lo = min([-n_max] + [x for x, _ in brackets]) - m
         hi = max([n_max + 1] + [y for _, y in brackets]) + m
         method = "certificate"
-    segments = _sign_segments(sign, brackets, lo, hi, m)
-    for n, s in _samples(segments, -n_max, n_max + 1):
-        if s == 0:
-            raise _on_wall(n)
-    sides = lambda first, last: {s for _, s in _samples(segments, first, last)}
     window = min(STAB_WINDOW, n_max)
-    low = sides(-n_max, -n_max + window - 1)
-    high = sides(n_max + 2 - window, n_max + 1)
+    # stretches: below, low window, middle, high window, above; the record is 1..3
+    edges = (-n_max, -n_max + window, n_max + 2 - window, n_max + 2)
+    sides, record = [set() for _ in range(5)], []
+    for segment in _sign_segments(sign, brackets, lo, hi, m, edges):
+        start, _, pattern = segment
+        stretch = bisect_right(edges, start)
+        if 0 < stretch < 4:
+            if 0 in pattern:
+                raise _on_wall(start + pattern.index(0))
+            record.append(segment)
+        sides[stretch].update(pattern)
+    below, low, _, high, above = sides
     if len(low) != 1 or len(high) != 1:
         raise _unstable(n_max)
-    crossings = {}
-    if sw_x:
-        for (n, s), (_, t) in pairwise(_samples(segments, -n_max, n_max + 1, every_step=True)):
-            if s != t:
-                crossings[n] = (t - s) // 2 * sw_x
+    # a segment of one sign shows its ends, any other every step
+    steps = (
+        (n, p[(n - a) % len(p)])
+        for a, b, p in record
+        for n in (range(a, b + 1) if len(p) > 1 else (a, b))
+    )
+    pairs = pairwise(steps) if sw_x else ()
+    crossings = {n: (t - s) // 2 * sw_x for (n, s), (_, t) in pairs if s != t}
     return OrbitSummary(
         crossings=crossings,
-        stabilized=len(sides(lo, -n_max)) == 1 and len(sides(n_max + 1, hi)) == 1,
+        stabilized=below <= low and above <= high,
         steps_used=2 * n_max + 1,
         method=method,
     )
@@ -359,11 +352,14 @@ def unique_crossing_index(
 
     Raises UniquenessViolationError when the orbit crosses zero times or
     more than once (the configuration is not parabolic-with-one-crossing).
+    A zero oracle value raises ParameterError once the inputs are checked,
+    before the orbit is read.
     """
-    summary = orbit_swtot(lattice, f, spinc, omega0, wall, n_max)
-    hits = sorted(summary.crossings)
+    _check_orbit_inputs(lattice, f, spinc, n_max)
+    omega, w = cone_point(lattice, omega0), wall.vector()
     if spinc.sw_x == 0:
         raise ParameterError("crossing index is undefined when the oracle value is zero")
+    hits = sorted(_orbit_swtot(lattice, f, spinc.sw_x, omega, w, n_max).crossings)
     if len(hits) != 1:
         raise UniquenessViolationError(
             f"expected exactly one wall crossing, found {len(hits)} at {hits}"
@@ -452,7 +448,7 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
     action = f.adjoint()
     certificate = f._dual_unipotent
     steps = bound if certificate is None else min(bound, certificate[0])
-    for n, v in _orbit_walk(action, start, 0, steps):
+    for n, v in orbit_walk(action, start, 0, steps):
         if n and v == start:
             return OrbitStatus(finite=True, period=n, bound=bound)
     return OrbitStatus(finite=False, period=None, bound=bound)

@@ -520,6 +520,20 @@ def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):
     assert svgs[0] == svgs[1]
 
 
+def test_orbit_with_a_zero_oracle_value_exits_2(capsys, tmp_path):
+    """sw_x = 0 is a parameter error whatever the orbit does, also when the
+    start (2, 1, 1) lies on the wall."""
+    for omega0 in ([3, 2, 2], [2, 1, 1]):
+        path = tmp_path / "zero.json"
+        definition = {**load_scenario("paper-default").definition, "omega0": omega0, "sw_x": 0}
+        path.write_text(json.dumps(definition))
+        code, _, err = run_cli(capsys, "orbit", "--scenario", str(path))
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == (
+            "crossing index is undefined when the oracle value is zero"
+        )
+
+
 def test_cli_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "lenswall", "dimension", "--c1-square", "-1",

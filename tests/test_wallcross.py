@@ -207,6 +207,20 @@ def test_unique_crossing_rejects_elliptic(lat, wall, spinc):
     assert summary.total == 0 and summary.crossings == {}
 
 
+def test_unique_crossing_index_refuses_a_zero_oracle_value_first(lat, parabolic, wall):
+    """sw_x = 0 is refused once the inputs are checked, before the orbit is
+    read: one crossing, a start on the wall and a wall side that never
+    settles give the same error."""
+    spinc = SpinCData(C1, sw_x=0)
+    rotation = Isometry(lat, ROTATION)
+    zero = "^crossing index is undefined when the oracle value is zero$"
+    for f, omega0 in ((parabolic, (3, 2, 2)), (parabolic, (2, 1, 1)), (rotation, (3, 2, 2))):
+        with pytest.raises(ParameterError, match=zero):
+            unique_crossing_index(lat, f, spinc, omega0, wall, n_max=100)
+    with pytest.raises(ConeError):
+        unique_crossing_index(lat, parabolic, spinc, (-2, 0, 0), wall)
+
+
 def test_power_swtot(lat, parabolic, wall, spinc):
     base = orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=200).total
     for d in (1, 2, 3, 5):
@@ -477,6 +491,26 @@ def test_orbit_swtot_cost_does_not_grow_with_n_max(lat, parabolic, wall, spinc):
     assert summary.steps_used == 2 * 10**9 + 1
 
 
+def test_orbit_swtot_cost_does_not_grow_with_far_sign_changes(lat):
+    """Two orbits whose signs vary far beyond what the record must read.
+    Under the quarter turn the wall side alternates by residue, so neither
+    window holds one side.  On the rank-8 map with this start and wall the
+    residues change sign about 2.6e6 steps out, beyond n_max = 50.  Both
+    are answered from a few closed-form values, not by stepping there."""
+    spinc, wall = SpinCData(C1, sw_x=1), WallClass(C1)
+    with pytest.raises(StabilizationError, match="within 1000000000 steps"):
+        orbit_swtot(lat, Isometry(lat, ROTATION), spinc, (3, 2, 2), wall, n_max=10**9)
+    scenario = load_scenario(str(RANK8))
+    far = WallClass(
+        scenario.spinc.c1,
+        (Fraction(-1, 500000), Fraction(-3, 1000000), Fraction(-1, 250000),
+         -82376300, 6975300, -66144800, -87097900, -37015700),
+    )
+    omega0 = (10, -2, 5, 1, 3, -3, -3, -3)
+    summary = orbit_swtot(scenario.lattice, scenario.isometry, scenario.spinc, omega0, far, n_max=50)
+    assert summary.crossings == {} and not summary.stabilized
+
+
 def test_spinc_orbit_matches_step_loop(lat):
     """spinc_orbit takes at most m steps on maps with a unipotent power; it
     still reports no return when the bound is below the period."""
@@ -574,20 +608,56 @@ def test_rank8_parabolic_map_has_a_certificate(monkeypatch):
     for n_max in (10**3, 10**4):
         assert orbit_swtot(*args, n_max=n_max).method == "certificate"
         assert outcome(orbit_swtot, *args, n_max=n_max) == outcome(_orbit_sweep, *args, n_max=n_max)
-    walk, steps = wallcross._orbit_walk, []
+    walk, steps = wallcross.orbit_walk, []
 
     def counted(*walk_args):
         for n, v in walk(*walk_args):
             steps.append(n)
             yield n, v
 
-    monkeypatch.setattr(wallcross, "_orbit_walk", counted)
+    monkeypatch.setattr(wallcross, "orbit_walk", counted)
     assert spinc_orbit(lat, f, scenario.spinc.c1, bound=10**4) == OrbitStatus(False, None, 10**4)
     assert max(steps) <= 5
     steps.clear()
     c1 = (0, 0, 0, 1, 0, 0, 0, 0)  # moved along the 5-cycle
     assert spinc_orbit(lat, f, c1, bound=10**4) == OrbitStatus(True, 5, 10**4)
     assert max(steps) <= 5
+
+
+@st.composite
+def rank8_cases(draw):
+    """The rank-8 map (m = 5), its inverse and its square, on small rays
+    with entries on the 5-cycle and walls perturbed on the cycle
+    coordinates: the pairing then differs by residue, so the wall side can
+    change on some residues and not on others."""
+    scenario = load_scenario(str(RANK8))
+    f = scenario.isometry
+    cycle = draw(st.tuples(*[st.integers(-3, 3)] * 5))
+    y, z = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+    x = math.isqrt(y * y + z * z + sum(c * c for c in cycle)) + draw(st.integers(1, 5))
+    shift = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    return dict(
+        lattice=scenario.lattice,
+        f=draw(st.sampled_from([f, f.inverse(), f.power(2)])),
+        spinc=SpinCData(scenario.spinc.c1, sw_x=draw(st.sampled_from([0, 1, -3]))),
+        omega0=(x, y, z, *cycle),
+        wall=WallClass(scenario.spinc.c1, (0, 0, 0, *draw(st.tuples(*[shift] * 5)))),
+        n_max=draw(st.integers(1, 300)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank8_cases())
+def test_rank8_certificate_matches_sweep(case):
+    """As test_orbit_certificate_matches_sweep, on rank-8 orbits whose
+    crossings vary by residue."""
+    assert outcome(orbit_swtot, **case) == outcome(_orbit_sweep, **case)
+    try:
+        summary = orbit_swtot(**case)
+    except LenswallError:
+        return
+    far = _orbit_sweep(**case, horizon=4 * case["n_max"])
+    assert far.stabilized or not summary.stabilized
 
 
 def test_powers_carry_the_certificate_of_their_dual_action(lat):
