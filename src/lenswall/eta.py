@@ -12,7 +12,8 @@ any c in M(q); distinguish_metrics, component_classes and matching_sweep
 all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated inside a single
 cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
-exact rationals, so they are independent checks of the integer path.
+exact rationals, so they are independent checks of the integer path; each
+distinct sum (one per exponent, up to sign: see eta_variant) is computed once.
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -116,9 +117,9 @@ def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
     return (root_of_unity(n, m) + 1).inverse()
 
 
-# The s-independent weights of the rewritten eta sums, cached per (p, q mod 2p)
-# like the tables below; each eta_variant call still takes its own root_sum of
-# them (one reduction mod Phi_n per value) and checks that it is rational.
+# The s-independent weights of the rewritten eta sums, and each distinct sum
+# over them (one root_sum, reduced mod Phi_n and checked rational), cached per
+# (p, q mod 2p) like the tables below; eta_variant reads the sums by exponent t.
 @lru_cache(maxsize=None)
 def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
     """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
@@ -131,6 +132,19 @@ def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
 def _odd_p_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
     """1/((lam^q + 1)(lam + 1)) for lam = zeta_p^k, k = 0 .. p-1."""
     return tuple(_plus_one_inverse(p, (k * q) % p) * _plus_one_inverse(p, k) for k in range(p))
+
+
+@lru_cache(maxsize=None)
+def _half_root_sum(p: int, q: int, t: int) -> Fraction:
+    """(1/p) sum over odd k of zeta_2p^(kt) times the half-root weights."""
+    weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q))
+    return root_sum(2 * p, ((b, k * t) for k, b in weights)).as_rational() / p
+
+
+@lru_cache(maxsize=None)
+def _odd_p_sum(p: int, q: int, t: int) -> Fraction:
+    """(1/p) sum over k of zeta_p^(kt) times the odd-p weights."""
+    return root_sum(p, ((b, k * t) for k, b in enumerate(_odd_p_weights(p, q)))).as_rational() / p
 
 
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
@@ -204,7 +218,11 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     "pinc-difference" is the defining difference of rho invariants;
     "half-roots" sums lam^(s+q)/((lam^q-1)(lam-1)) over the 2p-th roots
     with lam^p = -1; "odd-p" (p odd only) substitutes -lam to land in
-    Q(zeta_p).  All three agree exactly wherever defined.
+    Q(zeta_p).  All three agree exactly wherever defined.  Each field sum is
+    computed, and checked rational, once per exponent: half-roots depends on
+    t = (s + q) mod 2p alone, and zeta_2p^(k(t+p)) = -zeta_2p^(kt) for odd k,
+    so its sum at t + p is minus that at t; odd-p's roots lie in Q(zeta_p), so
+    its sum depends on (s + q) mod p alone, times the sign (-1)^(s+1).
     """
     q = _flipspun_q(p, q)
     _check_budget(p, max_p)
@@ -212,14 +230,13 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     if formula == "pinc-difference":
         return Fraction(_eta_values(p, q)[s], 4 * p)
     if formula == "half-roots":
-        weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q))
-        return root_sum(2 * p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
+        t = (s + q) % (2 * p)
+        return _half_root_sum(p, q, t) if t < p else -_half_root_sum(p, q, t - p)
     if formula == "odd-p":
         if p % 2 == 0:
             raise ParameterError("the odd-p formula requires p odd")
-        sign = -1 if s % 2 == 0 else 1
-        weights = enumerate(_odd_p_weights(p, q))
-        return sign * root_sum(p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
+        value = _odd_p_sum(p, q, (s + q) % p)
+        return -value if s % 2 == 0 else value
     raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
 
 
@@ -248,11 +265,7 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:
     """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) in Q(zeta_p)."""
     q = _fourier_q(p, q, j)
-    return (
-        root_of_unity(p, j * q)
-        * _plus_one_inverse(p, (j * q) % p)
-        * _plus_one_inverse(p, j % p)
-    )
+    return (_plus_one_inverse(p, (j * q) % p) * _plus_one_inverse(p, j % p)).times_root(j * q)
 
 
 def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
@@ -261,10 +274,12 @@ def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
 
     Each doubled-exponent factor is (x^2-1) = (x-1)(x+1) for the matching
     single-exponent root, so this equals 1/((omega^(-jq)+1)(omega^j+1)).
+    The numerator is expanded, omega^(j-jq) - omega^(-jq) - omega^j + 1, and
+    summed over the product of the two inverses in one root_sum.
     """
     q = _fourier_q(p, q, j)
-    num = (root_of_unity(p, -j * q) - 1) * (root_of_unity(p, j) - 1)
-    return num * _unit_inverse(p, (-2 * j * q) % p) * _unit_inverse(p, (2 * j) % p)
+    w = _unit_inverse(p, (-2 * j * q) % p) * _unit_inverse(p, (2 * j) % p)
+    return root_sum(p, ((w, j - j * q), (-w, -j * q), (-w, j), (w, 0)))
 
 
 def _odd_units(n: int) -> list[int]:

@@ -231,13 +231,17 @@ def _sign_segments(sign, brackets, lo: int, hi: int, period: int, edges) -> list
     and a pattern of more than one sign takes more than one.  A segment starts
     at every edge and at both ends of every bracket.  Steps inside the brackets
     are evaluated one by one; between them the sign depends only on the step
-    mod period, so a gap keeps the signs of its first period steps."""
-    cuts = sorted({lo, hi + 1, *edges, *(x for a, b in brackets for x in (a, b + 1))})
+    mod period, so a gap keeps the signs of its first period steps.  Each
+    gap's signs are evaluated once and rotated into every piece an edge cuts."""
+    cuts = sorted({lo, hi + 1, *(x for a, b in brackets for x in (a, b + 1))})
     segments = []
     for start, stop in pairwise(cuts):
         dense = any(a <= start <= b for a, b in brackets)
-        pattern = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
-        segments.append((start, stop - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
+        first = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
+        for a, b in pairwise(sorted({start, stop, *(e for e in edges if start < e < stop)})):
+            r = (a - start) % len(first)
+            pattern = (first[r:] + first[:r])[: b - a]
+            segments.append((a, b - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
     return segments
 
 

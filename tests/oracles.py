@@ -5,6 +5,10 @@ The float oracles evaluate the same sums as the exact code but entirely
 in complex double arithmetic, with no use of the package's field
 machinery.  rho_table_cyclotomic is the exact reference for the integer
 rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
+eta_variant_per_s, fourier_closed_form_product and
+fourier_unit_ratio_product are the exact references for the field
+formulas: one root_sum per character s, and the Fourier forms as
+products of their factors, with none of eta's shared sums.
 eta_matches and matching_classes are the reference for the matching:
 an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
@@ -18,6 +22,8 @@ directly; it shares the input check, the error messages, cone_point
 (which returns the integer ray), WallClass.vector() (the wall's integer
 ray) and STAB_WINDOW
 with the package, but not the package's orbit walk or its sign reader.
+sign_segments_per_piece is the reference for wallcross._sign_segments: it
+cuts at the edges first and evaluates the signs of every piece afresh.
 The orbit, ladder and grid references multiply matrices with their own
 index loops, _mat_mul and _mat_vec, not with the package's row-by-column
 kernels, which are compared with sympy.
@@ -33,9 +39,15 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from lenswall.cyclotomic import root_sum
+from lenswall.cyclotomic import root_of_unity, root_sum
 from lenswall.errors import ParameterError, ResourceBoundError
-from lenswall.eta import _unit_inverse, eta_table
+from lenswall.eta import (
+    _half_root_weights,
+    _odd_p_weights,
+    _plus_one_inverse,
+    _unit_inverse,
+    eta_table,
+)
 from lenswall.lattice import (
     IntegralLattice,
     IsometricStructure,
@@ -112,6 +124,30 @@ def eta_odd_p_float(p: int, q: int, s: int) -> float:
     total /= p
     assert abs(total.imag) < 1e-9
     return total.real
+
+
+def eta_variant_per_s(p: int, q: int, s: int, formula: str) -> Fraction:
+    """eta_variant's half-roots or odd-p sum at s with one root_sum of the
+    weights per s, at the exponent k * (s + q): no sum is shared between
+    characters and no sign symmetry is used."""
+    if formula == "half-roots":
+        weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q % (2 * p)))
+        return root_sum(2 * p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
+    sign = -1 if s % 2 == 0 else 1
+    weights = enumerate(_odd_p_weights(p, q % (2 * p)))
+    return sign * root_sum(p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
+
+
+def fourier_closed_form_product(p: int, q: int, j: int):
+    """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) as two products."""
+    return root_of_unity(p, j * q) * _plus_one_inverse(p, (j * q) % p) * _plus_one_inverse(p, j % p)
+
+
+def fourier_unit_ratio_product(p: int, q: int, j: int):
+    """((omega^(-jq) - 1)(omega^j - 1)) / ((omega^(-2jq) - 1)(omega^(2j) - 1))
+    with the numerator multiplied out as a product of its two factors."""
+    num = (root_of_unity(p, -j * q) - 1) * (root_of_unity(p, j) - 1)
+    return num * _unit_inverse(p, (-2 * j * q) % p) * _unit_inverse(p, (2 * j) % p)
 
 
 def eta_matches(p: int, q: int, q_prime: int) -> tuple[int, ...]:
@@ -233,6 +269,19 @@ def _orbit_sweep(
         for beyond in (range(-horizon, -n_max + 1), range(n_max + 1, horizon + 2))
     )
     return OrbitSummary(crossings=crossings, stabilized=stabilized, steps_used=2 * n_max + 1)
+
+
+def sign_segments_per_piece(sign, brackets, lo, hi, period, edges) -> list[tuple]:
+    """wallcross._sign_segments with each piece between consecutive cuts
+    (edges included) read on its own: every step of a piece inside a
+    bracket, and the first period steps of any other piece."""
+    cuts = sorted({lo, hi + 1, *edges, *(x for a, b in brackets for x in (a, b + 1))})
+    segments = []
+    for start, stop in zip(cuts, cuts[1:]):
+        dense = any(a <= start <= b for a, b in brackets)
+        pattern = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
+        segments.append((start, stop - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
+    return segments
 
 
 def metabolizer_search_grid(

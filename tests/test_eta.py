@@ -20,12 +20,24 @@ from lenswall.eta import (
     rho_lens,
     rho_table,
 )
-from lenswall.eta import _canonical, _eta_values, _half_root_weights, _odd_p_weights
+from lenswall import eta
+from lenswall.errors import NotRationalError
+from lenswall.eta import (
+    _canonical,
+    _eta_values,
+    _half_root_sum,
+    _half_root_weights,
+    _odd_p_sum,
+    _odd_p_weights,
+)
 from oracles import (
     eta_float,
     eta_half_roots_float,
     eta_matches,
     eta_odd_p_float,
+    eta_variant_per_s,
+    fourier_closed_form_product,
+    fourier_unit_ratio_product,
     matching_classes,
     partition,
     rho_float,
@@ -139,6 +151,47 @@ def test_fourier_three_forms_agree():
                 dft = fourier_coefficient(p, q, j)
                 assert dft == fourier_closed_form(p, q, j)
                 assert dft == fourier_unit_ratio(p, q, j)
+
+
+def test_field_formulas_match_per_s_references():
+    """The shared per-exponent sums and the expanded Fourier forms equal the
+    references that take one root_sum per s and multiply the Fourier
+    factors out: half-roots for every p <= 15, odd-p and Fourier for odd p,
+    every valid q, every s in -2p..4p and every j.  Each (p, q) takes p
+    distinct sums per formula, one per exponent t mod p."""
+    _half_root_sum.cache_clear()
+    _odd_p_sum.cache_clear()
+    distinct = {"half-roots": 0, "odd-p": 0}
+    for p in range(1, 16):
+        units = [q for q in range(1, 2 * p, 2) if gcd(q, 2 * p) == 1]
+        formulas = ("half-roots", "odd-p") if p % 2 else ("half-roots",)
+        for q in units:
+            for formula in formulas:
+                distinct[formula] += p
+                for s in range(-2 * p, 4 * p + 1):
+                    expected = eta_variant_per_s(p, q, s, formula)
+                    assert eta_variant(p, q, s, formula) == expected, (p, q, s, formula)
+            for j in range(1, p) if p % 2 else ():
+                assert fourier_closed_form(p, q, j) == fourier_closed_form_product(p, q, j)
+                assert fourier_unit_ratio(p, q, j) == fourier_unit_ratio_product(p, q, j)
+    assert _half_root_sum.cache_info().currsize == distinct["half-roots"]
+    assert _odd_p_sum.cache_info().currsize == distinct["odd-p"]
+
+
+def test_each_distinct_sum_is_checked_rational(monkeypatch):
+    """A sum that leaves Q still raises NotRationalError on the shared path:
+    weights zeta_n, 0, 0, 0, 0 are not Galois-stable."""
+    cases = ((10, "_half_root_weights", "half-roots"), (5, "_odd_p_weights", "odd-p"))
+    for n, weights, formula in cases:
+        zeta = root_of_unity(n, 1)
+        monkeypatch.setattr(eta, weights, lambda p, q, zeta=zeta: (zeta,) + (zeta - zeta,) * 4)
+        _half_root_sum.cache_clear()
+        _odd_p_sum.cache_clear()
+        with pytest.raises(NotRationalError):
+            eta_variant(5, 1, 0, formula)
+    monkeypatch.undo()
+    for formula in ("half-roots", "odd-p"):
+        assert eta_variant(5, 1, 0, formula) == eta_flipspun(5, 1, 0)
 
 
 def test_fourier_parameter_errors():
@@ -312,13 +365,19 @@ def test_table_caches_key_on_normalized_parameters():
     assert eta_table(3, 1) == eta_table(3, 7)
     info = eta_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    # the field sums' s-independent weights are computed once per (p, q mod 2p)
-    for weights, formula in ((_half_root_weights, "half-roots"), (_odd_p_weights, "odd-p")):
+    # the field sums' s-independent weights are computed once per (p, q mod 2p),
+    # and each distinct sum once per exponent: 7 of them for the 14 s at p = 7
+    for weights, sums, formula in (
+        (_half_root_weights, _half_root_sum, "half-roots"),
+        (_odd_p_weights, _odd_p_sum, "odd-p"),
+    ):
         weights.cache_clear()
+        sums.cache_clear()
         values = [eta_variant(7, q, s, formula) for q in (3, 17, -11) for s in range(14)]
         assert values == [eta_flipspun(7, 3, s) for s in range(14)] * 3
         info = weights.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+        assert sums.cache_info().currsize == 7
 
 
 def test_cached_table_keeps_the_budget():

@@ -48,7 +48,7 @@ from lenswall.wallcross import (
 from lenswall import lattice, wallcross
 from lenswall.lattice import _identity, _unipotent_power
 from lenswall.scenario import load_scenario
-from oracles import _orbit_pairings, _orbit_sweep, unipotent_power_ladder
+from oracles import _orbit_pairings, _orbit_sweep, sign_segments_per_piece, unipotent_power_ladder
 
 C1 = (1, 1, 1)
 
@@ -658,6 +658,44 @@ def test_rank8_certificate_matches_sweep(case):
         return
     far = _orbit_sweep(**case, horizon=4 * case["n_max"])
     assert far.stabilized or not summary.stabilized
+
+
+def checked_segments(log):
+    """A stand-in for wallcross._sign_segments that logs every sign it reads
+    and the segments, and checks them against sign_segments_per_piece."""
+    builder = wallcross._sign_segments
+
+    def segments(sign, *args):
+        result = builder(lambda n: log.append(n) or sign(n), *args)
+        assert result == sign_segments_per_piece(sign, *args)
+        return result
+
+    return segments
+
+
+def test_sign_segments_read_each_gap_once(lat, parabolic, spinc, wall, monkeypatch):
+    """The paper map's orbit of (70, 3, 10) has one bracket and m = 1: each
+    gap reads its first sign once and the bracket its two steps, so the
+    signs are read 4 times, not once per piece the edges cut (8)."""
+    log = []
+    monkeypatch.setattr(wallcross, "_sign_segments", checked_segments(log))
+    summary = orbit_swtot(lat, parabolic, spinc, (70, 3, 10), wall)
+    assert (summary.crossings, summary.method) == ({-1: 1}, "certificate")
+    assert len(log) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank8_cases())
+def test_rank8_sign_segments_match_per_piece_reading(case):
+    """On the draws of test_rank8_certificate_matches_sweep the segments
+    are the ones that cutting at the edges first and reading every piece
+    afresh gives."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wallcross, "_sign_segments", checked_segments([]))
+        try:
+            orbit_swtot(**case)
+        except LenswallError:
+            pass
 
 
 def test_powers_carry_the_certificate_of_their_dual_action(lat):
