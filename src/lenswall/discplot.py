@@ -13,7 +13,7 @@ import math
 
 from .errors import ParameterError, ResourceBoundError
 from .lattice import IntegralLattice, _as_vector, _mat_vec
-from .wallcross import WallClass, disc_project
+from .wallcross import WallClass, _require_disc_coordinates, disc_project
 
 __all__ = ["sample_wall_points", "wall_ideal_endpoints", "render_disc_svg"]
 
@@ -73,9 +73,12 @@ def wall_ideal_endpoints(lattice: IntegralLattice, wall: WallClass):
     """The two boundary points of the wall geodesic in the disc (floats).
 
     Solves for the null directions of the pairing restricted to the wall
-    plane; returns [] when the plane carries no cone directions.
+    plane; returns [] when the plane carries no cone directions.  The
+    endpoints are disc coordinates, so the gram must be the standard
+    diag(1,-1,-1) (checked after the rank).
     """
     b0, b1 = _wall_plane_basis(lattice, wall)
+    _require_disc_coordinates(lattice)
     a = lattice.norm(b0)
     b = lattice.pairing(b0, b1)
     c = lattice.norm(b1)

@@ -474,15 +474,25 @@ def classify_isometry(lattice: IntegralLattice, f: Isometry) -> str:
     return "parabolic" if any(any(row) for row in certificate[1]) else "elliptic"
 
 
+def _require_disc_coordinates(lattice: IntegralLattice) -> None:
+    """Refuse a lattice whose gram is not the standard diag(1,-1,-1), the
+    only coordinates the disc model is drawn in."""
+    if lattice.gram != STANDARD_GRAM:
+        raise ParameterError("disc projection needs the standard diag(1,-1,-1) coordinates")
+
+
 def disc_project(lattice: IntegralLattice, omega) -> tuple[float, float]:
     """Project a cone ray to the open unit disc: normalize to the
     hyperboloid x^2 - y^2 - z^2 = 1, then (x, y, z) -> (y/(1+x), z/(1+x)).
 
     Only defined in the standard diag(1,-1,-1) coordinates, where the
-    hyperboloid equation matches the gram."""
-    if lattice.gram != STANDARD_GRAM:
-        raise ParameterError("disc projection needs the standard diag(1,-1,-1) coordinates")
+    hyperboloid equation matches the gram.  v and -v are the same point of
+    the disc model, so a ray is projected from its x > 0 representative
+    (x != 0 on a ray of positive square), whichever sheet is the cone."""
+    _require_disc_coordinates(lattice)
     vec = cone_point(lattice, omega)
+    if vec[0] < 0:
+        vec = tuple(-c for c in vec)
     scale = math.sqrt(float(lattice.norm(vec)))
     x, y, z = (float(c) / scale for c in vec)
     return (y / (1.0 + x), z / (1.0 + x))

@@ -21,6 +21,8 @@ EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
 HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
 RANK8_PARABOLIC = Path(__file__).parent / "data" / "rank8_parabolic.json"
 PERTURBED_PLANE = Path(__file__).parent / "data" / "perturbed_plane.json"
+NONSTANDARD_GRAM = Path(__file__).parent / "data" / "nonstandard_gram.json"
+NEGATIVE_SHEET = Path(__file__).parent / "data" / "negative_sheet.json"
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +109,18 @@ def test_swtot_and_orbit_hyperbolic_scenario(capsys):
     doc = run_json(capsys, "orbit", "--scenario", str(HYPERBOLIC))
     assert doc["results"]["classification"] == "hyperbolic"
     assert doc["results"]["crossing_index"] == 0
+
+
+def test_n_max_is_echoed_when_given(capsys):
+    """--n-max replaces the scenario's step budget and is echoed as
+    inputs.n_max; without it the inputs are the scenario alone."""
+    for command in ("swtot", "orbit"):
+        doc = run_json(capsys, command, "--scenario", str(HYPERBOLIC))
+        assert set(doc["inputs"]) == {"scenario", "definition"}
+        doc = run_json(capsys, command, "--scenario", str(HYPERBOLIC), "--n-max", "7")
+        assert doc["inputs"]["n_max"] == 7
+        assert doc["inputs"]["definition"]["n_max"] == 200
+    assert doc["results"]["spinc_orbit"]["bound"] == 7
 
 
 def test_plot_disc_refuses_an_orbit_too_large_to_draw(capsys):
@@ -507,6 +521,59 @@ def test_rank8_scenario_commands_are_pinned(capsys, command, code, digest):
     assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("env, command, code, digest", [
+    ({}, ("rho", "--order", "2", "--q", "1", "--s", "1"), 0,
+     "9be5b5b4bc22d6fc9f1834426bfc7fa8dfc5fedc9f46dcc861b8a901940891f9"),
+    ({}, ("eta", "--p", "3", "--q", "1", "--s", "1"), 0,
+     "ca942f0f2ef756d2b98b5c3324b9359ce499dee93f43ba5e436c47ce47d7e079"),
+    ({}, ("eta", "--p", "3", "--q", "1", "--s", "1", "--formula", "odd-p"), 0,
+     "b99299934a157790f3dcc3601fe01c533a061f27a54e2c8a06320133a53eeb74"),
+    ({}, ("distinguish", "--p", "5", "--q", "1", "--qprime", "3"), 0,
+     "5bbb23306cbeb60d1d9e833f20fe44443ebee3a96d41d3e86d84b9f4de198eee"),
+    ({}, ("sweep", "--p", "7", "--jobs", "4"), 0,
+     "6f80c08a5eb6b207800bd306432e3c7cb02edb5d4a7000c739f61d76831c3b6b"),
+    ({}, ("components", "--p", "11"), 0,
+     "14ae5311e7caf34f9bf57bd69c319e219169d9d87119aa7a6e7f7cdcd2636d53"),
+    ({}, ("swtot", "--scenario", "paper-default"), 0,
+     "74bda8b442463cd9a3003213b48a093449af373b4ba236382fdaa2291165c6d3"),
+    ({}, ("orbit", "--scenario", "paper-default"), 0,
+     "696be5a0b70ae88237cbeff773eac8c2b65d1fb0046ceb0c9c4763bacfaf136e"),
+    ({}, ("metabolizer", "--bound", "1"), 0,
+     "73d6ae01b226580a6ba8819a5691f0197c836c6bd0c8e5d0115b0945db91a0a2"),
+    ({}, ("dimension", "--c1-square", "-1", "--euler", "5", "--signature", "-1"), 0,
+     "d4fdb2071905155bd006f54b2559675985ecabccdef8b60a36ea38f5e0934a4a"),
+    ({}, ("plot-disc", "--out", "disc.svg"), 0,
+     "baf11e5d2b1419f35bcaf444947ad7fc54d03129fe4ceb6ddc5ce4717aeccd87"),
+    ({}, ("--approx", "rho", "--order", "2", "--q", "1", "--s", "1"), 0,
+     "38fb54fb0312f073b431104aaead21f251b7fb0db5d88bf0b8524f8e1744572c"),
+    ({}, ("--approx", "eta", "--p", "3", "--q", "1", "--s", "1"), 0,
+     "baa458ea89d6a7ee8185bf980cd71647119f74a25fccddbb6111ec68f94ac99b"),
+    ({}, ("rho", "--order", "102", "--q", "1", "--s", "1"), 4,
+     "9a243c46db7331033e8e6353a8d28ceace1c1fa2f2b10c992ed0c4f715eea8e4"),
+    ({}, ("eta", "--p", "4", "--q", "1", "--s", "1", "--formula", "odd-p"), 2,
+     "426c0c5008bba20f16ecca4c7b97354a3b37b02517d20cd27997468f45dd04aa"),
+    ({"LENSWALL_MAX_P": "not-a-number"}, ("eta", "--p", "3", "--q", "1", "--s", "1"), 2,
+     "e0e468f15e962e5f6b71ee0f7f3abb4b7185b3a9e3d1afa8e25224a49819e803"),
+], ids=[
+    "rho", "eta", "eta-odd-p", "distinguish", "sweep", "components", "swtot", "orbit",
+    "metabolizer", "dimension", "plot-disc", "approx-rho", "approx-eta",
+    "rho-over-budget", "odd-p-at-even-p", "max-p-not-an-integer",
+])
+def test_value_commands_are_pinned(capsys, monkeypatch, tmp_path, env, command, code, digest):
+    """The README commands, --approx on rho and eta, and the value commands'
+    error documents, byte for byte: sha256 of the exit code, stdout and
+    stderr as a JSON list, plus the text of the SVG that plot-disc writes."""
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    seen_code, out, err = run_cli(capsys, *command)
+    record = [seen_code, out, err]
+    if command[0] == "plot-disc":
+        record.append((tmp_path / "disc.svg").read_text())
+    assert seen_code == code
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+
+
 def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):
     """omega0 = (7/2, 2, 2) is the ray of (7, 4, 4), and the disc image
     does not depend on scale, so the two figures are the same."""
@@ -518,6 +585,28 @@ def test_plot_disc_draws_the_ray_of_a_rational_omega0(capsys, tmp_path):
         assert code == 0
         svgs.append(out)
     assert svgs[0] == svgs[1]
+
+
+def test_plot_disc_refuses_a_gram_other_than_the_standard_one(capsys):
+    """The wall's ideal endpoints are disc coordinates: a rank-3 gram other
+    than diag(1, -1, -1) exits 2 rather than dividing by zero."""
+    code, out, err = run_cli(capsys, "plot-disc", "--scenario", str(NONSTANDARD_GRAM), "--out", "-")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "kind": "parameter",
+        "message": "disc projection needs the standard diag(1,-1,-1) coordinates",
+    }
+
+
+def test_plot_disc_draws_the_x_negative_sheet_as_its_mirror_image(capsys):
+    """paper-default with the positive cone on the x < 0 sheet, and omega0
+    negated: v and -v are one point of the disc, so the figure is the same."""
+    figures = []
+    for scenario in ("paper-default", str(NEGATIVE_SHEET)):
+        code, out, _ = run_cli(capsys, "plot-disc", "--scenario", scenario, "--out", "-")
+        assert code == 0
+        figures.append(out)
+    assert figures[0] == figures[1]
 
 
 def test_orbit_with_a_zero_oracle_value_exits_2(capsys, tmp_path):

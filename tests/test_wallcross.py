@@ -364,6 +364,10 @@ def test_disc_project(lat):
     a = disc_project(lat, (3, 2, 2))
     b = disc_project(lat, (6, 4, 4))
     assert abs(a[0] - b[0]) < 1e-12 and abs(a[1] - b[1]) < 1e-12
+    # on the x < 0 sheet a ray is drawn where its negation is
+    mirror = IntegralLattice(lat.gram, positive_class=(-1, 0, 0))
+    assert disc_project(mirror, (-1, 0, 0)) == (0.0, 0.0)
+    assert disc_project(mirror, (-3, -2, -2)) == a
 
 
 def test_orbit_summary_total_is_sum():
