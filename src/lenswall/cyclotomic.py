@@ -13,7 +13,8 @@ field), not by x^n - 1: the eta sums downstream divide by cyclotomic
 units and need genuine inverses.
 
 A sum of terms b * zeta_n^e (`root_sum`, used by the eta sums) adds the
-rotated numerators over one denominator and reduces mod Phi_n once.
+rotated numerators over one denominator and reduces mod Phi_n once; a
+Galois conjugate (`conjugate`) permutes the exponents and folds once.
 
 Elements of different orders are never combined: mixing orders in
 arithmetic raises OrderMismatchError.
@@ -130,6 +131,11 @@ class Cyclotomic:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic elements are immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _make: restoring the slots one by
+        # one would go through the blocked __setattr__
+        return Cyclotomic._make, (self.order, self._num, self._den)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -184,6 +190,11 @@ class Cyclotomic:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
+
     def __neg__(self):
         return Cyclotomic._make(self.order, tuple(-a for a in self._num), self._den)
 
@@ -212,6 +223,22 @@ class Cyclotomic:
         coefficients rotate through the exponents 0 .. n-1 and are folded
         back by the power table instead of multiplied out."""
         return root_sum(self.order, ((self, k),))
+
+    def conjugate(self, m: int) -> "Cyclotomic":
+        """The Galois automorphism sigma_m: zeta_n -> zeta_n^m, defined for
+        m prime to n (Gal(Q(zeta_n)/Q) is (Z/n)^x).
+
+        Power-basis exponent i moves to i*m mod n and the n coefficients are
+        folded once.  sigma_m maps Z[zeta_n] onto itself, so the content of
+        the numerators, and with it the canonical denominator, is kept.
+        """
+        n = self.order
+        if gcd(m, n) != 1:
+            raise ParameterError(f"m={m} is not prime to the order n={n}")
+        full = [0] * n
+        for i, c in enumerate(self._num):
+            full[i * m % n] = c
+        return Cyclotomic._make(n, _fold(n, full), self._den)
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm on

@@ -12,8 +12,11 @@ any c in M(q); distinguish_metrics, component_classes and matching_sweep
 all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated inside a single
 cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
-exact rationals, so they are independent checks of the integer path; each
-distinct sum (one per exponent, up to sign: see eta_variant) is computed once.
+exact rationals, so they are independent checks of the integer path.  Each
+distinct field element is computed once: each sum (one per exponent, up to
+sign: see eta_variant), each unit inverse (a Galois conjugate of the one at
+exponent 1 wherever the exponent is prime to the order) and each product of
+two inverses (one per unordered pair of exponents).
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -107,14 +110,38 @@ class MatchingResult(namedtuple("MatchingResult", "p q q_prime matches distingui
 
 @lru_cache(maxsize=None)
 def _unit_inverse(n: int, m: int) -> Cyclotomic:
-    """1 / (zeta_n^m - 1), cached per order; m must be nonzero mod n."""
+    """1 / (zeta_n^m - 1), cached per order; m must be nonzero mod n.
+
+    For m prime to n this is sigma_m(1 / (zeta_n - 1)), sigma_m the Galois
+    automorphism zeta_n -> zeta_n^m, so only m = 1 and the m that share a
+    factor with n run the Euclidean inverse."""
+    if m != 1 and gcd(m, n) == 1:
+        return _unit_inverse(n, 1).conjugate(m)
     return (root_of_unity(n, m) - 1).inverse()
 
 
 @lru_cache(maxsize=None)
 def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
-    """1 / (zeta_n^m + 1), cached; nonvanishing whenever n is odd."""
+    """1 / (zeta_n^m + 1), cached; nonvanishing whenever n is odd.
+
+    As for _unit_inverse, m prime to n other than 1 takes the Galois
+    conjugate sigma_m(1 / (zeta_n + 1)) instead of a Euclidean inverse."""
+    if m != 1 and gcd(m, n) == 1:
+        return _plus_one_inverse(n, 1).conjugate(m)
     return (root_of_unity(n, m) + 1).inverse()
+
+
+@lru_cache(maxsize=None)
+def _pair_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
+    return inverse(n, a) * inverse(n, b)
+
+
+def _inverse_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
+    """inverse(n, a) * inverse(n, b), inverse being _unit_inverse or
+    _plus_one_inverse, multiplied once per unordered pair {a mod n, b mod n}:
+    the half-root and odd-p weights and both Fourier forms all read it."""
+    a, b = a % n, b % n
+    return _pair_product(inverse, n, min(a, b), max(a, b))
 
 
 # The s-independent weights of the rewritten eta sums, and each distinct sum
@@ -125,13 +152,13 @@ def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
     """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
     the odd k are exactly the roots with lam^p = -1."""
     n = 2 * p
-    return tuple(_unit_inverse(n, (k * q) % n) * _unit_inverse(n, k) for k in range(1, n, 2))
+    return tuple(_inverse_product(_unit_inverse, n, k * q, k) for k in range(1, n, 2))
 
 
 @lru_cache(maxsize=None)
 def _odd_p_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
     """1/((lam^q + 1)(lam + 1)) for lam = zeta_p^k, k = 0 .. p-1."""
-    return tuple(_plus_one_inverse(p, (k * q) % p) * _plus_one_inverse(p, k) for k in range(p))
+    return tuple(_inverse_product(_plus_one_inverse, p, k * q, k) for k in range(p))
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +292,7 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:
     """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) in Q(zeta_p)."""
     q = _fourier_q(p, q, j)
-    return (_plus_one_inverse(p, (j * q) % p) * _plus_one_inverse(p, j % p)).times_root(j * q)
+    return _inverse_product(_plus_one_inverse, p, j * q, j).times_root(j * q)
 
 
 def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
@@ -278,7 +305,7 @@ def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
     summed over the product of the two inverses in one root_sum.
     """
     q = _fourier_q(p, q, j)
-    w = _unit_inverse(p, (-2 * j * q) % p) * _unit_inverse(p, (2 * j) % p)
+    w = _inverse_product(_unit_inverse, p, -2 * j * q, 2 * j)
     return root_sum(p, ((w, j - j * q), (-w, -j * q), (-w, j), (w, 0)))
 
 

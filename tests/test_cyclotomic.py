@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenswall.cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity, root_sum
-from lenswall.errors import NotRationalError, OrderMismatchError
+from lenswall.errors import NotRationalError, OrderMismatchError, ParameterError
 
 
 def poly_mul(a, b):
@@ -225,17 +226,55 @@ def test_arithmetic_matches_sympy(case, data):
         assert a.inverse().coeffs == _power_basis(n, expected)
     k = data.draw(st.integers(min_value=0, max_value=2 * n))
     r = Fraction(data.draw(_RATIONALS))
+    # a scalar on the left of a difference
+    assert (3 - a).coeffs == _power_basis(n, _sympy_poly([3]) - pa)
+    assert (r - a).coeffs == _power_basis(n, _sympy_poly([r]) - pa)
     # two constructions of the same value are equal and hash equal
     for left, right in (
         (a + r, a + Cyclotomic(n, (r,))),
         (a - 3, a - Cyclotomic(n, (3,))),
         (3 + a, Cyclotomic(n, (3,)) + a),
+        (3 - a, Cyclotomic(n, (3,)) - a),
+        (r - a, Cyclotomic(n, (r,)) - a),
         (product, Cyclotomic(n, _power_basis(n, pa * pb))),
         ((a + b) - b, a),
         ((a * 6) * Fraction(1, 4), a * Fraction(3, 2)),
         (a.times_root(k), a * root_of_unity(n, k)),
     ):
         assert left == right and hash(left) == hash(right)
+
+
+def _units(n, lo, hi):
+    """The m in lo..hi prime to n (every m when n = 1)."""
+    return [m for m in range(lo, hi + 1) if gcd(m, n) == 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_elements(), st.data())
+def test_conjugate_matches_sympy(case, data):
+    """sigma_m (zeta -> zeta^m) against a(x^(m mod n)) mod Phi_n, for m prime
+    to n drawn negative, below n and above it: a field automorphism that
+    sends zeta^k to zeta^(mk), composes as sigma_m sigma_k = sigma_mk and
+    fixes the rationals; an m not prime to n is refused."""
+    n, a_in, b_in = case
+    pa = _sympy_poly(a_in)
+    a, b = Cyclotomic(n, a_in), Cyclotomic(n, b_in)
+    m = data.draw(st.sampled_from(_units(n, -2 * n, 2 * n)))
+    k = data.draw(st.sampled_from(_units(n, 0, n)))
+    image = a.conjugate(m)
+    expected = Cyclotomic(n, _power_basis(n, pa.compose(sympy.Poly(X ** (m % n), X))))
+    assert image == expected and hash(image) == hash(expected)
+    assert (a * b).conjugate(m) == image * b.conjugate(m)
+    assert (a + b).conjugate(m) == image + b.conjugate(m)
+    assert root_of_unity(n, k).conjugate(m) == root_of_unity(n, m * k)
+    assert a.conjugate(k).conjugate(m) == a.conjugate(m * k)
+    assert a.conjugate(1) == a
+    r = Fraction(data.draw(_RATIONALS))
+    assert Cyclotomic(n, (r,)).conjugate(m) == r
+    if n > 1:
+        bad = data.draw(st.sampled_from([m for m in range(-2 * n, 2 * n + 1) if gcd(m, n) != 1]))
+        with pytest.raises(ParameterError, match="not prime to the order"):
+            a.conjugate(bad)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lenswall.cyclotomic import root_of_unity
+from lenswall.cyclotomic import Cyclotomic, root_of_unity
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import (
     component_classes,
@@ -29,6 +29,9 @@ from lenswall.eta import (
     _half_root_weights,
     _odd_p_sum,
     _odd_p_weights,
+    _pair_product,
+    _plus_one_inverse,
+    _unit_inverse,
 )
 from oracles import (
     eta_float,
@@ -192,6 +195,56 @@ def test_each_distinct_sum_is_checked_rational(monkeypatch):
     monkeypatch.undo()
     for formula in ("half-roots", "odd-p"):
         assert eta_variant(5, 1, 0, formula) == eta_flipspun(5, 1, 0)
+
+
+def test_cached_unit_inverses_equal_the_euclidean_ones():
+    """Each cached 1/(zeta_n^m - 1), and each 1/(zeta_n^m + 1) at odd n, is
+    the extended-Euclid inverse for every n <= 60 and every m, whether it is
+    a Galois conjugate (m prime to n, m != 1) or Euclidean itself."""
+    _unit_inverse.cache_clear()
+    _plus_one_inverse.cache_clear()
+    for n in range(1, 61):
+        for m in range(1, n):
+            assert _unit_inverse(n, m) == (root_of_unity(n, m) - 1).inverse(), (n, m)
+        for m in range(n) if n % 2 else ():
+            assert _plus_one_inverse(n, m) == (root_of_unity(n, m) + 1).inverse(), (n, m)
+
+
+def test_each_distinct_field_element_once(monkeypatch):
+    """From cold caches, every oracle block for p = 3, 5, 7, 9, 11 (both eta
+    formulas at every s, both Fourier forms at every j, every q) runs at most
+    31 Euclidean inverses, one per exponent that is 1 or not prime to the
+    order, and at most 349 products of two field elements, one per unordered
+    pair of inverses; one inverse and one product per use would be 100 and 872."""
+    for cache in (
+        _unit_inverse, _plus_one_inverse, _pair_product,
+        _half_root_weights, _odd_p_weights, _half_root_sum, _odd_p_sum,
+    ):
+        cache.cache_clear()
+    calls = {"inverse": 0, "mul": 0}
+    inverse, mul = Cyclotomic.inverse, Cyclotomic.__mul__
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_mul(self, other):
+        calls["mul"] += isinstance(other, Cyclotomic)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
+    for p in (3, 5, 7, 9, 11):
+        for q in [x for x in range(1, 2 * p, 2) if gcd(x, 2 * p) == 1]:
+            for s in range(2 * p):
+                expected = eta_flipspun(p, q, s)
+                assert eta_variant(p, q, s, "half-roots") == expected
+                assert eta_variant(p, q, s, "odd-p") == expected
+            for j in range(1, p):
+                assert fourier_closed_form(p, q, j) == fourier_unit_ratio(p, q, j)
+    assert calls["inverse"] <= 31
+    assert calls["mul"] <= 349
 
 
 def test_fourier_parameter_errors():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lenswall
+from lenswall.cyclotomic import Cyclotomic, root_of_unity
 from lenswall.eta import MatchingResult
 from lenswall.lattice import (
     SIGMA_MINUS,
@@ -129,3 +130,27 @@ def test_records_keep_their_behaviour(cls, kwargs, derived, expected):
             setattr(record, name, None)
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert type(copied) is cls and repr(copied) == expected
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        Cyclotomic(1),
+        Cyclotomic(5, (Fraction(-1, 2),)),
+        root_of_unity(9, 2) * Fraction(3, 7) + 1,
+        (root_of_unity(12, 5) - 1).inverse(),
+    ],
+    ids=repr,
+)
+def test_cyclotomic_elements_round_trip(element):
+    """Field elements pickle (every protocol), copy and deepcopy to an equal
+    element with the same hash that is still immutable."""
+    copies = [pickle.loads(pickle.dumps(element, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(element), copy.deepcopy(element)):
+        assert type(copied) is Cyclotomic
+        assert copied == element and hash(copied) == hash(element)
+        assert repr(copied) == repr(element)
+        for name in ("order", "_num", "_den", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(copied, name, None)
