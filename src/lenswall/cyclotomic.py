@@ -12,9 +12,12 @@ the boundary: constructor input, scalar operands, `coeffs` and
 field), not by x^n - 1: the eta sums downstream divide by cyclotomic
 units and need genuine inverses.
 
-A sum of terms b * zeta_n^e (`root_sum`, used by the eta sums) adds the
-rotated numerators over one denominator and reduces mod Phi_n once; a
-Galois conjugate (`conjugate`) permutes the exponents and folds once.
+A sum of terms b * zeta_n^e (`root_sum`) takes two steps: the b are put
+over one common denominator (`_common_denominator`), and one kernel
+(`_rotate_sum`) adds the numerators rotated by e and reduces mod Phi_n
+once.  The eta sums keep their weights over a common denominator and run
+the kernel alone.  A Galois conjugate (`conjugate`) permutes the exponents
+and folds once.
 
 Elements of different orders are never combined: mixing orders in
 arithmetic raises OrderMismatchError.
@@ -342,21 +345,39 @@ def _cancel(a: int, u: list, b: int, shift: int, v: list) -> list:
     return out
 
 
-def root_sum(order: int, terms) -> Cyclotomic:
-    """sum of b * zeta_order^e over the (b, e) pairs in terms: each b's
-    numerators, scaled to the lcm of the denominators and shifted by
-    e mod order, add into one buffer, wrapped, folded and normalized once."""
-    terms = list(terms)
-    for b, _ in terms:
+def _common_denominator(order: int, elements) -> tuple:
+    """(den, rows): the lcm of the elements' denominators and, per element,
+    the row (den // its denominator, its numerators), so that element i is
+    scale_i * num_i / den; every element must have the given order.
+
+    The numerators are not copied: the kernel multiplies by the scale as it
+    adds, which costs a sum no more than adding a scaled copy would, and
+    spares a single cold sum the copy."""
+    for b in elements:
         if b.order != order:
             raise OrderMismatchError(f"orders differ ({order} vs {b.order})")
-    den = lcm(1, *(b._den for b, _ in terms))
+    den = lcm(1, *(b._den for b in elements))
+    return den, tuple((den // b._den, b._num) for b in elements)
+
+
+def _rotate_sum(order: int, den: int, rows, exponents) -> Cyclotomic:
+    """sum of x^e * scale * num / den over the (scale, num) rows and their
+    exponents e: each row is shifted by e mod order into one buffer, which
+    is wrapped, folded and normalized once."""
     full = [0] * (2 * order)
-    for b, e in terms:
-        scale = den // b._den
-        for i, c in enumerate(b._num, e % order):
+    for (scale, num), e in zip(rows, exponents):
+        for i, c in enumerate(num, e % order):
             full[i] += c * scale
     return Cyclotomic._make(order, *_normalize(order, full, den))
+
+
+def root_sum(order: int, terms) -> Cyclotomic:
+    """sum of b * zeta_order^e over the (b, e) pairs in terms: the b are put
+    over one common denominator, then their numerators are rotated by e and
+    added in one buffer (`_rotate_sum`)."""
+    terms = list(terms)
+    den, rows = _common_denominator(order, [b for b, _ in terms])
+    return _rotate_sum(order, den, rows, [e for _, e in terms])
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:

@@ -13,10 +13,14 @@ all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated inside a single
 cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
 exact rationals, so they are independent checks of the integer path.  Each
-distinct field element is computed once: each sum (one per exponent, up to
-sign: see eta_variant), each unit inverse (a Galois conjugate of the one at
-exponent 1 wherever the exponent is prime to the order) and each product of
-two inverses (one per unordered pair of exponents).
+distinct field element is computed once: each unit inverse (a Galois
+conjugate of the one at exponent 1 wherever the exponent is prime to the
+order), each product of two inverses (one per unordered pair of exponents),
+each sum's weights (put over one common denominator once per (p, q)), each
+sum (one rotation of those weights per exponent, up to sign: see
+eta_variant) and each unit ratio (a Galois conjugate of the one at j = 1
+wherever j is prime to p; the closed form stays a per-j computation, so the
+two Fourier forms check each other at every j).
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import Cyclotomic, root_of_unity, root_sum
+from .cyclotomic import Cyclotomic, _common_denominator, _rotate_sum, root_of_unity, root_sum
 from .errors import ParameterError, ResourceBoundError
 
 __all__ = [
@@ -144,34 +148,39 @@ def _inverse_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
     return _pair_product(inverse, n, min(a, b), max(a, b))
 
 
-# The s-independent weights of the rewritten eta sums, and each distinct sum
-# over them (one root_sum, reduced mod Phi_n and checked rational), cached per
-# (p, q mod 2p) like the tables below; eta_variant reads the sums by exponent t.
+# The s-independent weights of the rewritten eta sums, cached per
+# (p, q mod 2p) like the tables below and put over one common denominator
+# there, as (den, (scale, numerators) rows); each distinct sum over them (one
+# rotation kernel, reduced mod Phi_n and checked rational) is cached per
+# exponent t, which is how eta_variant reads them.
 @lru_cache(maxsize=None)
-def _half_root_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
+def _half_root_weights(p: int, q: int) -> tuple:
     """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
     the odd k are exactly the roots with lam^p = -1."""
     n = 2 * p
-    return tuple(_inverse_product(_unit_inverse, n, k * q, k) for k in range(1, n, 2))
+    weights = [_inverse_product(_unit_inverse, n, k * q, k) for k in range(1, n, 2)]
+    return _common_denominator(n, weights)
 
 
 @lru_cache(maxsize=None)
-def _odd_p_weights(p: int, q: int) -> tuple[Cyclotomic, ...]:
+def _odd_p_weights(p: int, q: int) -> tuple:
     """1/((lam^q + 1)(lam + 1)) for lam = zeta_p^k, k = 0 .. p-1."""
-    return tuple(_inverse_product(_plus_one_inverse, p, k * q, k) for k in range(p))
+    weights = [_inverse_product(_plus_one_inverse, p, k * q, k) for k in range(p)]
+    return _common_denominator(p, weights)
 
 
 @lru_cache(maxsize=None)
 def _half_root_sum(p: int, q: int, t: int) -> Fraction:
     """(1/p) sum over odd k of zeta_2p^(kt) times the half-root weights."""
-    weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q))
-    return root_sum(2 * p, ((b, k * t) for k, b in weights)).as_rational() / p
+    den, rows = _half_root_weights(p, q)
+    return _rotate_sum(2 * p, den, rows, [k * t for k in range(1, 2 * p, 2)]).as_rational() / p
 
 
 @lru_cache(maxsize=None)
 def _odd_p_sum(p: int, q: int, t: int) -> Fraction:
     """(1/p) sum over k of zeta_p^(kt) times the odd-p weights."""
-    return root_sum(p, ((b, k * t) for k, b in enumerate(_odd_p_weights(p, q)))).as_rational() / p
+    den, rows = _odd_p_weights(p, q)
+    return _rotate_sum(p, den, rows, [k * t for k in range(p)]).as_rational() / p
 
 
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
@@ -301,10 +310,22 @@ def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
 
     Each doubled-exponent factor is (x^2-1) = (x-1)(x+1) for the matching
     single-exponent root, so this equals 1/((omega^(-jq)+1)(omega^j+1)).
-    The numerator is expanded, omega^(j-jq) - omega^(-jq) - omega^j + 1, and
-    summed over the product of the two inverses in one root_sum.
+    For j prime to p other than 1 it is the Galois conjugate sigma_j (omega ->
+    omega^j) of the ratio at j = 1: sigma_j is a field automorphism and sends
+    each of the four factors at j = 1 to the same factor at j.  The ratio at
+    j = 1, and at each j sharing a factor with p, is computed by _unit_ratio.
     """
     q = _fourier_q(p, q, j)
+    if j != 1 and gcd(j, p) == 1:
+        return _unit_ratio(p, q, 1).conjugate(j)
+    return _unit_ratio(p, q, j)
+
+
+@lru_cache(maxsize=None)
+def _unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
+    """fourier_unit_ratio with its numerator expanded,
+    omega^(j-jq) - omega^(-jq) - omega^j + 1, and summed over the product of
+    the two inverses in one root_sum; cached per (p, q mod 2p, j)."""
     w = _inverse_product(_unit_inverse, p, -2 * j * q, 2 * j)
     return root_sum(p, ((w, j - j * q), (-w, -j * q), (-w, j), (w, 0)))
 

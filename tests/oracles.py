@@ -7,8 +7,9 @@ machinery.  rho_table_cyclotomic is the exact reference for the integer
 rho tables: it evaluates the defining root-of-unity sum in Q(zeta_n).
 eta_variant_per_s, fourier_closed_form_product and
 fourier_unit_ratio_product are the exact references for the field
-formulas: one root_sum per character s, and the Fourier forms as
-products of their factors, with none of eta's shared sums.
+formulas: one root_sum per character s over weights multiplied here, and
+the Fourier forms as products of their factors at every j, with none of
+eta's shared sums, common-denominator weights or conjugated unit ratios.
 eta_matches and matching_classes are the reference for the matching:
 an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
@@ -36,14 +37,13 @@ through the full map f + id, built the same way.
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
 from lenswall.cyclotomic import root_of_unity, root_sum
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import (
-    _half_root_weights,
-    _odd_p_weights,
     _plus_one_inverse,
     _unit_inverse,
     eta_table,
@@ -126,16 +126,25 @@ def eta_odd_p_float(p: int, q: int, s: int) -> float:
     return total.real
 
 
+@lru_cache(maxsize=None)
+def _per_s_weights(p: int, q: int, formula: str) -> tuple:
+    """(k, weight) for eta_variant's half-roots or odd-p sum, each weight the
+    product of its two cached inverses, multiplied here, not read from the
+    package's common-denominator weights."""
+    if formula == "half-roots":
+        n = 2 * p
+        return tuple((k, _unit_inverse(n, k * q % n) * _unit_inverse(n, k)) for k in range(1, n, 2))
+    return tuple((k, _plus_one_inverse(p, k * q % p) * _plus_one_inverse(p, k)) for k in range(p))
+
+
 def eta_variant_per_s(p: int, q: int, s: int, formula: str) -> Fraction:
     """eta_variant's half-roots or odd-p sum at s with one root_sum of the
     weights per s, at the exponent k * (s + q): no sum is shared between
     characters and no sign symmetry is used."""
-    if formula == "half-roots":
-        weights = zip(range(1, 2 * p, 2), _half_root_weights(p, q % (2 * p)))
-        return root_sum(2 * p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
-    sign = -1 if s % 2 == 0 else 1
-    weights = enumerate(_odd_p_weights(p, q % (2 * p)))
-    return sign * root_sum(p, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
+    order = 2 * p if formula == "half-roots" else p
+    sign = -1 if formula == "odd-p" and s % 2 == 0 else 1
+    weights = _per_s_weights(p, q % (2 * p), formula)
+    return sign * root_sum(order, ((b, k * (s + q)) for k, b in weights)).as_rational() / p
 
 
 def fourier_closed_form_product(p: int, q: int, j: int):

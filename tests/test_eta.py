@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lenswall.cyclotomic import Cyclotomic, root_of_unity
+from lenswall.cyclotomic import Cyclotomic, _common_denominator, root_of_unity
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import (
     component_classes,
@@ -32,6 +32,7 @@ from lenswall.eta import (
     _pair_product,
     _plus_one_inverse,
     _unit_inverse,
+    _unit_ratio,
 )
 from oracles import (
     eta_float,
@@ -164,6 +165,7 @@ def test_field_formulas_match_per_s_references():
     distinct sums per formula, one per exponent t mod p."""
     _half_root_sum.cache_clear()
     _odd_p_sum.cache_clear()
+    _unit_ratio.cache_clear()
     distinct = {"half-roots": 0, "odd-p": 0}
     for p in range(1, 16):
         units = [q for q in range(1, 2 * p, 2) if gcd(q, 2 * p) == 1]
@@ -181,13 +183,42 @@ def test_field_formulas_match_per_s_references():
     assert _odd_p_sum.cache_info().currsize == distinct["odd-p"]
 
 
+def test_fourier_forms_match_per_j_references_at_composite_p():
+    """At p = 21, 25 and 27, for every q and every j, the unit ratio (a
+    Galois conjugate of its value at j = 1 for j prime to p, a root_sum for
+    the j that share a factor with p) and the closed form equal their
+    references multiplied out at that j."""
+    _unit_ratio.cache_clear()
+    for p in (21, 25, 27):
+        for q in [x for x in range(1, 2 * p, 2) if gcd(x, 2 * p) == 1]:
+            for j in range(1, p):
+                ratio, closed = fourier_unit_ratio(p, q, j), fourier_closed_form(p, q, j)
+                assert ratio == fourier_unit_ratio_product(p, q, j), (p, q, j)
+                assert closed == fourier_closed_form_product(p, q, j), (p, q, j)
+
+
+def test_one_cold_value_takes_one_sum():
+    """From cold caches, one eta value at p = 49 computes the weights once
+    and exactly one sum, the one at its exponent."""
+    for formula, weights, sums in (
+        ("half-roots", _half_root_weights, _half_root_sum),
+        ("odd-p", _odd_p_weights, _odd_p_sum),
+    ):
+        weights.cache_clear()
+        sums.cache_clear()
+        assert eta_variant(49, 5, 7, formula, max_p=49) == eta_flipspun(49, 5, 7, max_p=49)
+        assert weights.cache_info().currsize == 1
+        assert sums.cache_info().currsize == 1
+
+
 def test_each_distinct_sum_is_checked_rational(monkeypatch):
     """A sum that leaves Q still raises NotRationalError on the shared path:
     weights zeta_n, 0, 0, 0, 0 are not Galois-stable."""
     cases = ((10, "_half_root_weights", "half-roots"), (5, "_odd_p_weights", "odd-p"))
     for n, weights, formula in cases:
         zeta = root_of_unity(n, 1)
-        monkeypatch.setattr(eta, weights, lambda p, q, zeta=zeta: (zeta,) + (zeta - zeta,) * 4)
+        block = _common_denominator(n, (zeta,) + (zeta - zeta,) * 4)
+        monkeypatch.setattr(eta, weights, lambda p, q, block=block: block)
         _half_root_sum.cache_clear()
         _odd_p_sum.cache_clear()
         with pytest.raises(NotRationalError):
@@ -214,10 +245,13 @@ def test_each_distinct_field_element_once(monkeypatch):
     """From cold caches, every oracle block for p = 3, 5, 7, 9, 11 (both eta
     formulas at every s, both Fourier forms at every j, every q) runs at most
     31 Euclidean inverses, one per exponent that is 1 or not prime to the
-    order, and at most 349 products of two field elements, one per unordered
-    pair of inverses; one inverse and one product per use would be 100 and 872."""
+    order, and at most 267 products of two field elements, one per unordered
+    pair of inverses that a weight or a root_sum unit ratio reads; one inverse
+    and one product per use would be 100 and 872.  The unit ratio runs its
+    root_sum 40 times: once per (p, q) at j = 1 (28) and at the 12 (q, j)
+    with 3 | j at p = 9; every other j is a Galois conjugate."""
     for cache in (
-        _unit_inverse, _plus_one_inverse, _pair_product,
+        _unit_inverse, _plus_one_inverse, _pair_product, _unit_ratio,
         _half_root_weights, _odd_p_weights, _half_root_sum, _odd_p_sum,
     ):
         cache.cache_clear()
@@ -244,7 +278,8 @@ def test_each_distinct_field_element_once(monkeypatch):
             for j in range(1, p):
                 assert fourier_closed_form(p, q, j) == fourier_unit_ratio(p, q, j)
     assert calls["inverse"] <= 31
-    assert calls["mul"] <= 349
+    assert calls["mul"] <= 267
+    assert _unit_ratio.cache_info().misses == 28 + 12
 
 
 def test_fourier_parameter_errors():
