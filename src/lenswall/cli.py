@@ -54,7 +54,7 @@ from .wallcross import (
 )
 
 # error family -> (error kind, exit status); NotRationalError is none of
-# these and escapes as a traceback
+# these and would escape as a traceback; the eta sums, traces, never raise it
 _ERRORS = {
     ParameterError: ("parameter", 2),
     GenericityError: ("genericity", 3),

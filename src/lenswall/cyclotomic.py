@@ -12,12 +12,12 @@ the boundary: constructor input, scalar operands, `coeffs` and
 field), not by x^n - 1: the eta sums downstream divide by cyclotomic
 units and need genuine inverses.
 
-A sum of terms b * zeta_n^e (`root_sum`) takes two steps: the b are put
-over one common denominator (`_common_denominator`), and one kernel
-(`_rotate_sum`) adds the numerators rotated by e and reduces mod Phi_n
-once.  The eta sums keep their weights over a common denominator and run
-the kernel alone.  A Galois conjugate (`conjugate`) permutes the exponents
-and folds once.
+A sum of terms b * zeta_n^e (`root_sum`) puts the b over one common
+denominator, adds their numerators rotated by e and reduces mod Phi_n
+once.  A Galois conjugate (`conjugate`) permutes the exponents and folds
+once.  A trace (`trace`), the sum of all conjugates, is a rational read off
+the numerators against Ramanujan's sums c_n(j) = Tr(zeta_n^j), with no
+product and no fold.
 
 Elements of different orders are never combined: mixing orders in
 arithmetic raises OrderMismatchError.
@@ -74,6 +74,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             if rem:
                 raise AssertionError
     return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def _ramanujan(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^j) for j = 0 .. n-1: Ramanujan's sum c_n(j), the sum of the
+    j-th powers of the primitive n-th roots of unity.
+
+    The j-th powers of all n-th roots of unity sum to n * [n | j], and those
+    roots split by their order d | n, so c_n(j) is n * [n | j] minus c_d(j)
+    over the proper divisors d of n (Hardy-Wright, ch. XVI)."""
+    lower = [_ramanujan(d) for d in range(1, n) if n % d == 0]
+    return tuple(n * (j == 0) - sum(c[j % len(c)] for c in lower) for j in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -243,6 +255,15 @@ class Cyclotomic:
             full[i * m % n] = c
         return Cyclotomic._make(n, _fold(n, full), self._den)
 
+    def trace(self, k: int = 0) -> Fraction:
+        """Tr(zeta_n^k * self), the sum of its Galois conjugates over
+        Q(zeta_n)/Q, which is rational by construction.
+
+        The trace is linear and Tr(zeta_n^j) is Ramanujan's sum c_n(j), so
+        this is sum_i num_i * c_n(i + k) / den over the power basis."""
+        n, sums = self.order, _ramanujan(self.order)
+        return Fraction(sum(c * sums[(i + k) % n] for i, c in enumerate(self._num) if c), self._den)
+
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm on
         (numerator polynomial A, Phi_n) over Z.
@@ -345,39 +366,22 @@ def _cancel(a: int, u: list, b: int, shift: int, v: list) -> list:
     return out
 
 
-def _common_denominator(order: int, elements) -> tuple:
-    """(den, rows): the lcm of the elements' denominators and, per element,
-    the row (den // its denominator, its numerators), so that element i is
-    scale_i * num_i / den; every element must have the given order.
-
-    The numerators are not copied: the kernel multiplies by the scale as it
-    adds, which costs a sum no more than adding a scaled copy would, and
-    spares a single cold sum the copy."""
-    for b in elements:
-        if b.order != order:
-            raise OrderMismatchError(f"orders differ ({order} vs {b.order})")
-    den = lcm(1, *(b._den for b in elements))
-    return den, tuple((den // b._den, b._num) for b in elements)
-
-
-def _rotate_sum(order: int, den: int, rows, exponents) -> Cyclotomic:
-    """sum of x^e * scale * num / den over the (scale, num) rows and their
-    exponents e: each row is shifted by e mod order into one buffer, which
-    is wrapped, folded and normalized once."""
-    full = [0] * (2 * order)
-    for (scale, num), e in zip(rows, exponents):
-        for i, c in enumerate(num, e % order):
-            full[i] += c * scale
-    return Cyclotomic._make(order, *_normalize(order, full, den))
-
-
 def root_sum(order: int, terms) -> Cyclotomic:
     """sum of b * zeta_order^e over the (b, e) pairs in terms: the b are put
-    over one common denominator, then their numerators are rotated by e and
-    added in one buffer (`_rotate_sum`)."""
+    over one common denominator, and their numerators, scaled to it, are
+    rotated by e into one buffer, which is wrapped, folded and normalized
+    once; every b must have the given order."""
     terms = list(terms)
-    den, rows = _common_denominator(order, [b for b, _ in terms])
-    return _rotate_sum(order, den, rows, [e for _, e in terms])
+    for b, _ in terms:
+        if b.order != order:
+            raise OrderMismatchError(f"orders differ ({order} vs {b.order})")
+    den = lcm(1, *(b._den for b, _ in terms))
+    full = [0] * (2 * order)
+    for b, e in terms:
+        scale = den // b._den
+        for i, c in enumerate(b._num, e % order):
+            full[i] += c * scale
+    return Cyclotomic._make(order, *_normalize(order, full, den))
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclotomic:

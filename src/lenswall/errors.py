@@ -2,8 +2,10 @@
 
 The CLI maps these onto exit statuses: ParameterError -> 2,
 GenericityError (and subclasses) -> 3, ResourceBoundError -> 4.
-NotRationalError is deliberately outside those families: when it escapes
-an eta computation it indicates an arithmetic bug, not a user error.
+NotRationalError is deliberately outside those families: only
+Cyclotomic.as_rational raises it, on an element that should be rational
+and is not, which is an arithmetic bug, not a user error.  The package's
+eta sums are traces, rational by construction, and never raise it.
 """
 
 

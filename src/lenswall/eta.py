@@ -10,14 +10,14 @@ E_q o a, and the ascending units M(q) that reach it.  Two tables match iff
 their K agree, and then the matching units are the coset M(q') * c^-1 for
 any c in M(q); distinguish_metrics, component_classes and matching_sweep
 all read these forms.  The rewritten eta sums ("half-roots",
-"odd-p") and the Fourier closed forms are evaluated inside a single
-cyclotomic field (Q(zeta_2p), or Q(zeta_p)) and only then collapsed to
-exact rationals, so they are independent checks of the integer path.  Each
-distinct field element is computed once: each unit inverse (a Galois
-conjugate of the one at exponent 1 wherever the exponent is prime to the
-order), each product of two inverses (one per unordered pair of exponents),
-each sum's weights (put over one common denominator once per (p, q)), each
-sum (one rotation of those weights per exponent, up to sign: see
+"odd-p") and the Fourier closed forms are evaluated in cyclotomic fields,
+so they are independent checks of the integer path.  Each eta sum groups
+its roots by order into Galois traces, one per divisor m of its order, each
+the trace of one element of Q(zeta_m) (see _trace_sum); the Fourier forms
+stay in Q(zeta_p).  Each distinct field element is computed once: each unit
+inverse (a Galois conjugate of the one at exponent 1 wherever the exponent
+is prime to the order), each product of two inverses (one per unordered
+pair of exponents), each sum (one per exponent, up to sign: see
 eta_variant) and each unit ratio (a Galois conjugate of the one at j = 1
 wherever j is prime to p; the closed form stays a per-j computation, so the
 two Fourier forms check each other at every j).
@@ -30,9 +30,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _common_denominator, _rotate_sum, root_of_unity, root_sum
+from .cyclotomic import Cyclotomic, root_of_unity, root_sum
 from .errors import ParameterError, ResourceBoundError
 
 __all__ = [
@@ -143,44 +143,31 @@ def _pair_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
 def _inverse_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
     """inverse(n, a) * inverse(n, b), inverse being _unit_inverse or
     _plus_one_inverse, multiplied once per unordered pair {a mod n, b mod n}:
-    the half-root and odd-p weights and both Fourier forms all read it."""
+    the eta trace sums (one per divisor order n) and both Fourier forms all
+    read it."""
     a, b = a % n, b % n
     return _pair_product(inverse, n, min(a, b), max(a, b))
 
 
-# The s-independent weights of the rewritten eta sums, cached per
-# (p, q mod 2p) like the tables below and put over one common denominator
-# there, as (den, (scale, numerators) rows); each distinct sum over them (one
-# rotation kernel, reduced mod Phi_n and checked rational) is cached per
-# exponent t, which is how eta_variant reads them.
 @lru_cache(maxsize=None)
-def _half_root_weights(p: int, q: int) -> tuple:
-    """1/((lam^q - 1)(lam - 1)) for lam = zeta_2p^k, k = 1, 3, .., 2p-1:
-    the odd k are exactly the roots with lam^p = -1."""
-    n = 2 * p
-    weights = [_inverse_product(_unit_inverse, n, k * q, k) for k in range(1, n, 2)]
-    return _common_denominator(n, weights)
+def _trace_sum(inverse, n: int, p: int, q: int, t: int) -> Fraction:
+    """(1/p) * sum of zeta_n^(kt) * inverse(n, kq) * inverse(n, k) over the
+    k in 0 .. n-1 with gcd(k, n) odd, inverse being _unit_inverse (n = 2p,
+    where these are the odd k: "half-roots") or _plus_one_inverse (n = p
+    odd, every k: "odd-p"); cached per (p, q mod 2p, t).
 
-
-@lru_cache(maxsize=None)
-def _odd_p_weights(p: int, q: int) -> tuple:
-    """1/((lam^q + 1)(lam + 1)) for lam = zeta_p^k, k = 0 .. p-1."""
-    weights = [_inverse_product(_plus_one_inverse, p, k * q, k) for k in range(p)]
-    return _common_denominator(p, weights)
-
-
-@lru_cache(maxsize=None)
-def _half_root_sum(p: int, q: int, t: int) -> Fraction:
-    """(1/p) sum over odd k of zeta_2p^(kt) times the half-root weights."""
-    den, rows = _half_root_weights(p, q)
-    return _rotate_sum(2 * p, den, rows, [k * t for k in range(1, 2 * p, 2)]).as_rational() / p
-
-
-@lru_cache(maxsize=None)
-def _odd_p_sum(p: int, q: int, t: int) -> Fraction:
-    """(1/p) sum over k of zeta_p^(kt) times the odd-p weights."""
-    den, rows = _odd_p_weights(p, q)
-    return _rotate_sum(p, den, rows, [k * t for k in range(p)]).as_rational() / p
+    Write k = d*u with d = gcd(k, n) and m = n/d; then zeta_n^k = zeta_m^u
+    with u a unit mod m, and u runs once over the units mod m as k runs
+    over the k with gcd(k, n) = d.  The term at k is sigma_u(x_m) for
+    x_m = zeta_m^t * inverse(m, q) * inverse(m, 1), sigma_u the Galois
+    automorphism zeta_m -> zeta_m^u, so the terms with gcd(k, n) = d sum to
+    the trace of x_m from Q(zeta_m) to Q.  So the sum takes one product and
+    one trace per divisor m of n with n/m odd; the traces are added over
+    their common denominator, and the 1/p taken, in one Fraction."""
+    divisors = [m for m in range(1, n + 1) if n % m == 0 and (n // m) % 2]
+    traces = [_inverse_product(inverse, m, q, 1).trace(t) for m in divisors]
+    den = lcm(*(x.denominator for x in traces))
+    return Fraction(sum(x.numerator * (den // x.denominator) for x in traces), den * p)
 
 
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
@@ -255,10 +242,11 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     "half-roots" sums lam^(s+q)/((lam^q-1)(lam-1)) over the 2p-th roots
     with lam^p = -1; "odd-p" (p odd only) substitutes -lam to land in
     Q(zeta_p).  All three agree exactly wherever defined.  Each field sum is
-    computed, and checked rational, once per exponent: half-roots depends on
-    t = (s + q) mod 2p alone, and zeta_2p^(k(t+p)) = -zeta_2p^(kt) for odd k,
-    so its sum at t + p is minus that at t; odd-p's roots lie in Q(zeta_p), so
-    its sum depends on (s + q) mod p alone, times the sign (-1)^(s+1).
+    computed once per exponent, as a sum of traces (_trace_sum): half-roots
+    depends on t = (s + q) mod 2p alone, and zeta_2p^(k(t+p)) = -zeta_2p^(kt)
+    for odd k, so its sum at t + p is minus that at t; odd-p's roots lie in
+    Q(zeta_p), so its sum depends on (s + q) mod p alone, times the sign
+    (-1)^(s+1).
     """
     q = _flipspun_q(p, q)
     _check_budget(p, max_p)
@@ -267,11 +255,12 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
         return Fraction(_eta_values(p, q)[s], 4 * p)
     if formula == "half-roots":
         t = (s + q) % (2 * p)
-        return _half_root_sum(p, q, t) if t < p else -_half_root_sum(p, q, t - p)
+        value = _trace_sum(_unit_inverse, 2 * p, p, q, t % p)
+        return value if t < p else -value
     if formula == "odd-p":
         if p % 2 == 0:
             raise ParameterError("the odd-p formula requires p odd")
-        value = _odd_p_sum(p, q, (s + q) % p)
+        value = _trace_sum(_plus_one_inverse, p, p, q, (s + q) % p)
         return -value if s % 2 == 0 else value
     raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
 

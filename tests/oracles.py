@@ -9,7 +9,8 @@ eta_variant_per_s, fourier_closed_form_product and
 fourier_unit_ratio_product are the exact references for the field
 formulas: one root_sum per character s over weights multiplied here, and
 the Fourier forms as products of their factors at every j, with none of
-eta's shared sums, common-denominator weights or conjugated unit ratios.
+eta's per-divisor trace sums or conjugated unit ratios; each eta sum is a
+full field element, checked rational by as_rational.
 eta_matches and matching_classes are the reference for the matching:
 an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
@@ -129,8 +130,8 @@ def eta_odd_p_float(p: int, q: int, s: int) -> float:
 @lru_cache(maxsize=None)
 def _per_s_weights(p: int, q: int, formula: str) -> tuple:
     """(k, weight) for eta_variant's half-roots or odd-p sum, each weight the
-    product of its two cached inverses, multiplied here, not read from the
-    package's common-denominator weights."""
+    product of its two cached inverses at order n, multiplied here: one
+    weight per root, where the package takes one product per divisor."""
     if formula == "half-roots":
         n = 2 * p
         return tuple((k, _unit_inverse(n, k * q % n) * _unit_inverse(n, k)) for k in range(1, n, 2))

@@ -8,7 +8,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lenswall.cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity, root_sum
+from lenswall.cyclotomic import (
+    Cyclotomic,
+    _ramanujan,
+    cyclotomic_polynomial,
+    root_of_unity,
+    root_sum,
+)
 from lenswall.errors import NotRationalError, OrderMismatchError, ParameterError
 
 
@@ -123,6 +129,35 @@ def test_galois_sum_is_rational():
     for k in range(1, n):
         total = total + (root_of_unity(n, k) - 1).inverse()
     assert total.as_rational() == Fraction(-(n - 1), 2)
+
+
+def test_ramanujan_sums_are_the_galois_sums():
+    """_ramanujan(n)[j] is the sum of zeta_n^(u*j) over the units u mod n,
+    summed in the field by root_sum and collapsed by as_rational (which
+    raises if the Galois-stable sum left Q), for every n <= 120 and every j."""
+    for n in range(1, 121):
+        one, units = root_of_unity(n, 0), _units(n, 1, n)
+        sums = _ramanujan(n)
+        assert len(sums) == n
+        for j in range(n):
+            assert sums[j] == root_sum(n, ((one, u * j) for u in units)).as_rational(), (n, j)
+
+
+def test_trace_is_the_sum_of_conjugates():
+    """x.trace(k) is the sum of the Galois conjugates of zeta_n^k * x,
+    collapsed by as_rational, for sampled elements at every n <= 40 and every
+    k in -1 .. n (taken mod n)."""
+    rng = random.Random(26)
+    for n in range(1, 41):
+        deg = len(cyclotomic_polynomial(n)) - 1
+        for _ in range(3):
+            x = Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)])
+            for k in range(-1, n + 1):
+                total = Cyclotomic(n)
+                for u in _units(n, 1, n):
+                    total = total + x.times_root(k).conjugate(u)
+                assert x.trace(k) == total.as_rational(), (n, x, k)
+    assert Cyclotomic(7, (Fraction(3, 2),)).trace() == 9
 
 
 def test_approx_complex_is_ring_hom():

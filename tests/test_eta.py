@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lenswall.cyclotomic import Cyclotomic, _common_denominator, root_of_unity
+from lenswall.cyclotomic import Cyclotomic, root_of_unity
 from lenswall.errors import ParameterError, ResourceBoundError
 from lenswall.eta import (
     component_classes,
@@ -25,15 +25,14 @@ from lenswall.errors import NotRationalError
 from lenswall.eta import (
     _canonical,
     _eta_values,
-    _half_root_sum,
-    _half_root_weights,
-    _odd_p_sum,
-    _odd_p_weights,
+    _inverse_product,
     _pair_product,
     _plus_one_inverse,
+    _trace_sum,
     _unit_inverse,
     _unit_ratio,
 )
+import oracles
 from oracles import (
     eta_float,
     eta_half_roots_float,
@@ -162,9 +161,8 @@ def test_field_formulas_match_per_s_references():
     references that take one root_sum per s and multiply the Fourier
     factors out: half-roots for every p <= 15, odd-p and Fourier for odd p,
     every valid q, every s in -2p..4p and every j.  Each (p, q) takes p
-    distinct sums per formula, one per exponent t mod p."""
-    _half_root_sum.cache_clear()
-    _odd_p_sum.cache_clear()
+    distinct trace sums per formula, one per exponent t mod p."""
+    _trace_sum.cache_clear()
     _unit_ratio.cache_clear()
     distinct = {"half-roots": 0, "odd-p": 0}
     for p in range(1, 16):
@@ -179,8 +177,7 @@ def test_field_formulas_match_per_s_references():
             for j in range(1, p) if p % 2 else ():
                 assert fourier_closed_form(p, q, j) == fourier_closed_form_product(p, q, j)
                 assert fourier_unit_ratio(p, q, j) == fourier_unit_ratio_product(p, q, j)
-    assert _half_root_sum.cache_info().currsize == distinct["half-roots"]
-    assert _odd_p_sum.cache_info().currsize == distinct["odd-p"]
+    assert _trace_sum.cache_info().currsize == distinct["half-roots"] + distinct["odd-p"]
 
 
 def test_fourier_forms_match_per_j_references_at_composite_p():
@@ -197,35 +194,85 @@ def test_fourier_forms_match_per_j_references_at_composite_p():
                 assert closed == fourier_closed_form_product(p, q, j), (p, q, j)
 
 
-def test_one_cold_value_takes_one_sum():
-    """From cold caches, one eta value at p = 49 computes the weights once
-    and exactly one sum, the one at its exponent."""
-    for formula, weights, sums in (
-        ("half-roots", _half_root_weights, _half_root_sum),
-        ("odd-p", _odd_p_weights, _odd_p_sum),
-    ):
-        weights.cache_clear()
-        sums.cache_clear()
+def _count_field_work(monkeypatch) -> dict:
+    """Count Cyclotomic inverses, products of two field elements and
+    as_rational calls from here on."""
+    calls = {"inverse": 0, "mul": 0, "as_rational": 0}
+    inverse, mul, as_rational = Cyclotomic.inverse, Cyclotomic.__mul__, Cyclotomic.as_rational
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_mul(self, other):
+        calls["mul"] += isinstance(other, Cyclotomic)
+        return mul(self, other)
+
+    def counted_as_rational(self):
+        calls["as_rational"] += 1
+        return as_rational(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
+    monkeypatch.setattr(Cyclotomic, "as_rational", counted_as_rational)
+    return calls
+
+
+def _clear_field_caches():
+    for cache in (_unit_inverse, _plus_one_inverse, _pair_product, _unit_ratio, _trace_sum):
+        cache.cache_clear()
+
+
+def test_one_cold_value_takes_one_sum(monkeypatch):
+    """From cold caches, one eta value at p = 49 computes exactly one trace
+    sum, the one at its exponent, from three products, one per divisor m of
+    its order with an odd cofactor: m = 2, 14, 98 for half-roots and
+    m = 1, 7, 49 for odd-p."""
+    calls = _count_field_work(monkeypatch)
+    for formula in ("half-roots", "odd-p"):
+        _clear_field_caches()
+        calls["mul"] = 0
         assert eta_variant(49, 5, 7, formula, max_p=49) == eta_flipspun(49, 5, 7, max_p=49)
-        assert weights.cache_info().currsize == 1
-        assert sums.cache_info().currsize == 1
+        assert _trace_sum.cache_info().currsize == 1
+        assert calls["mul"] == _pair_product.cache_info().currsize == 3
 
 
-def test_each_distinct_sum_is_checked_rational(monkeypatch):
-    """A sum that leaves Q still raises NotRationalError on the shared path:
-    weights zeta_n, 0, 0, 0, 0 are not Galois-stable."""
-    cases = ((10, "_half_root_weights", "half-roots"), (5, "_odd_p_weights", "odd-p"))
-    for n, weights, formula in cases:
+def test_corrupt_divisor_element_is_caught(monkeypatch):
+    """The trace sums are rational by construction, so the value check
+    against the integer table is what catches a wrong field element: adding
+    1 to the element of any one divisor m (so its trace moves by
+    Tr(zeta_m^t) / p, nonzero at t = 0) makes some value at p = 5 differ
+    from eta_flipspun."""
+    for formula, divisors in (("half-roots", (2, 10)), ("odd-p", (1, 5))):
+        for bad in divisors:
+            def corrupted(inverse, n, a, b, bad=bad):
+                element = _inverse_product(inverse, n, a, b)
+                return element + 1 if n == bad else element
+
+            monkeypatch.setattr(eta, "_inverse_product", corrupted)
+            _trace_sum.cache_clear()
+            values = [eta_variant(5, 1, s, formula) for s in range(10)]
+            assert values != list(eta_table(5, 1)), (formula, bad)
+            monkeypatch.undo()
+    _trace_sum.cache_clear()
+    for formula in ("half-roots", "odd-p"):
+        assert [eta_variant(5, 1, s, formula) for s in range(10)] == list(eta_table(5, 1))
+
+
+def test_per_s_reference_is_checked_rational(monkeypatch):
+    """The per-s reference still sums full field elements and collapses
+    each with as_rational: weights zeta_n, 0, 0, 0, 0 are not Galois-stable,
+    so their sum leaves Q and raises NotRationalError."""
+    for n, formula, ks in ((10, "half-roots", range(1, 10, 2)), (5, "odd-p", range(5))):
         zeta = root_of_unity(n, 1)
-        block = _common_denominator(n, (zeta,) + (zeta - zeta,) * 4)
-        monkeypatch.setattr(eta, weights, lambda p, q, block=block: block)
-        _half_root_sum.cache_clear()
-        _odd_p_sum.cache_clear()
+        weights = tuple((k, zeta if i == 0 else zeta - zeta) for i, k in enumerate(ks))
+        monkeypatch.setattr(oracles, "_per_s_weights", lambda p, q, f, weights=weights: weights)
         with pytest.raises(NotRationalError):
-            eta_variant(5, 1, 0, formula)
+            eta_variant_per_s(5, 1, 0, formula)
     monkeypatch.undo()
     for formula in ("half-roots", "odd-p"):
-        assert eta_variant(5, 1, 0, formula) == eta_flipspun(5, 1, 0)
+        assert eta_variant_per_s(5, 1, 0, formula) == eta_flipspun(5, 1, 0)
 
 
 def test_cached_unit_inverses_equal_the_euclidean_ones():
@@ -244,31 +291,16 @@ def test_cached_unit_inverses_equal_the_euclidean_ones():
 def test_each_distinct_field_element_once(monkeypatch):
     """From cold caches, every oracle block for p = 3, 5, 7, 9, 11 (both eta
     formulas at every s, both Fourier forms at every j, every q) runs at most
-    31 Euclidean inverses, one per exponent that is 1 or not prime to the
-    order, and at most 267 products of two field elements, one per unordered
-    pair of inverses that a weight or a root_sum unit ratio reads; one inverse
-    and one product per use would be 100 and 872.  The unit ratio runs its
-    root_sum 40 times: once per (p, q) at j = 1 (28) and at the 12 (q, j)
-    with 3 | j at p = 9; every other j is a Galois conjugate."""
-    for cache in (
-        _unit_inverse, _plus_one_inverse, _pair_product, _unit_ratio,
-        _half_root_weights, _odd_p_weights, _half_root_sum, _odd_p_sum,
-    ):
-        cache.cache_clear()
-    calls = {"inverse": 0, "mul": 0}
-    inverse, mul = Cyclotomic.inverse, Cyclotomic.__mul__
-
-    def counted_inverse(self):
-        calls["inverse"] += 1
-        return inverse(self)
-
-    def counted_mul(self, other):
-        calls["mul"] += isinstance(other, Cyclotomic)
-        return mul(self, other)
-
-    monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
-    monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
-    monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
+    21 Euclidean inverses, one per exponent that is 1 or not prime to the
+    order, and at most 174 products of two field elements, one per unordered
+    pair of inverses that a trace sum (one per divisor order) or a root_sum
+    unit ratio reads; one inverse and one product per use would be 100 and
+    872.  The 464 trace sums, one per (formula, p, q, exponent t mod p), are
+    rational by construction and never call as_rational.  The unit ratio
+    runs its root_sum 40 times: once per (p, q) at j = 1 (28) and at the 12
+    (q, j) with 3 | j at p = 9; every other j is a Galois conjugate."""
+    _clear_field_caches()
+    calls = _count_field_work(monkeypatch)
     for p in (3, 5, 7, 9, 11):
         for q in [x for x in range(1, 2 * p, 2) if gcd(x, 2 * p) == 1]:
             for s in range(2 * p):
@@ -277,9 +309,11 @@ def test_each_distinct_field_element_once(monkeypatch):
                 assert eta_variant(p, q, s, "odd-p") == expected
             for j in range(1, p):
                 assert fourier_closed_form(p, q, j) == fourier_unit_ratio(p, q, j)
-    assert calls["inverse"] <= 31
-    assert calls["mul"] <= 267
+    assert calls["inverse"] <= 21
+    assert calls["mul"] <= 174
+    assert calls["as_rational"] == 0
     assert _unit_ratio.cache_info().misses == 28 + 12
+    assert _trace_sum.cache_info().currsize == 464
 
 
 def test_fourier_parameter_errors():
@@ -453,19 +487,14 @@ def test_table_caches_key_on_normalized_parameters():
     assert eta_table(3, 1) == eta_table(3, 7)
     info = eta_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    # the field sums' s-independent weights are computed once per (p, q mod 2p),
-    # and each distinct sum once per exponent: 7 of them for the 14 s at p = 7
-    for weights, sums, formula in (
-        (_half_root_weights, _half_root_sum, "half-roots"),
-        (_odd_p_weights, _odd_p_sum, "odd-p"),
-    ):
-        weights.cache_clear()
-        sums.cache_clear()
+    # each distinct trace sum is computed once per (p, q mod 2p, exponent):
+    # 7 of them for the 14 s at p = 7, whichever representative of q is given
+    for formula in ("half-roots", "odd-p"):
+        _trace_sum.cache_clear()
         values = [eta_variant(7, q, s, formula) for q in (3, 17, -11) for s in range(14)]
         assert values == [eta_flipspun(7, 3, s) for s in range(14)] * 3
-        info = weights.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert sums.cache_info().currsize == 7
+        info = _trace_sum.cache_info()
+        assert (info.misses, info.currsize) == (7, 7)
 
 
 def test_cached_table_keeps_the_budget():
