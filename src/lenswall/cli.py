@@ -14,7 +14,8 @@ is accepted and echoed but changes nothing).
 
 Environment: LENSWALL_MAX_P overrides the eta-side size budget,
 LENSWALL_SEARCH_BUDGET the metabolizer search budget (the half-vector
-table, then the isotropic pairs and extension steps examined).
+table, then the isotropic pairs and extension steps examined); each must
+be an integer of at least 1, or the command exits 2.
 """
 
 from __future__ import annotations
@@ -63,13 +64,17 @@ _ERRORS = {
 
 
 def _env_int(name: str, default: int | None = None) -> int | None:
+    """A size budget from the environment: an integer of at least 1."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ParameterError(f"{name} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _value(value, approx: bool) -> dict:

@@ -14,10 +14,18 @@ units and need genuine inverses.
 
 A sum of terms b * zeta_n^e (`root_sum`) puts the b over one common
 denominator, adds their numerators rotated by e and reduces mod Phi_n
-once.  A Galois conjugate (`conjugate`) permutes the exponents and folds
-once.  A trace (`trace`), the sum of all conjugates, is a rational read off
-the numerators against Ramanujan's sums c_n(j) = Tr(zeta_n^j), with no
-product and no fold.
+once.  A product by a root of unity (`times_root`) and a Galois conjugate
+(`conjugate`) move the exponents and fold once; both map Z[zeta_n] onto
+itself, so they keep the denominator.  A trace, the sum of all
+conjugates, is read off the numerators against Ramanujan's sums
+c_n(j) = Tr(zeta_n^j) as the integer den * Tr (`_trace_numerator`), with
+no product and no fold; `trace` puts it over the denominator, and a caller
+adding many traces can add the integers and build one Fraction.
+
+Phi_n itself is built from smaller cyclotomic polynomials: from its
+radical's, Phi_n(x) = Phi_rad(n)(x^(n/rad(n))), and at twice an odd
+m >= 3, Phi_2m(x) = Phi_m(-x); only odd squarefree n are divided out of
+x^n - 1.
 
 Elements of different orders are never combined: mixing orders in
 arithmetic raises OrderMismatchError.
@@ -28,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import NotRationalError, OrderMismatchError, ParameterError
 
@@ -58,15 +67,39 @@ def _poly_divmod(num, den):
     return quot, _poly_trim(num)
 
 
+def _radical(n: int) -> int:
+    """The product of the distinct primes dividing n (1 for n = 1)."""
+    rad, rest, f = 1, n, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            rad *= f
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return rad * rest
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first, monic.
 
-    Computed by exact division of x^n - 1 by the Phi_d over proper
-    divisors d of n.
+    For r = rad(n) < n, Phi_n(x) = Phi_r(x^(n/r)): the coefficients are
+    spread n/r apart.  For squarefree n = 2m with m odd and m >= 3,
+    Phi_n(x) = Phi_m(-x), since the primitive 2m-th roots of unity are
+    minus the primitive m-th ones (and phi(m) is even, so the result stays
+    monic).  The rest, n = 2 and odd squarefree n, is the exact division of
+    x^n - 1 by the Phi_d over the proper divisors d of n.
     """
     if n < 1:
         raise ParameterError(f"cyclotomic polynomial needs n >= 1, got {n}")
+    rad = _radical(n)
+    if rad < n:
+        base, step = cyclotomic_polynomial(rad), n // rad
+        spread = [0] * ((len(base) - 1) * step + 1)
+        spread[::step] = base
+        return tuple(spread)
+    if n % 2 == 0 and n > 2:
+        return tuple(-c if i % 2 else c for i, c in enumerate(cyclotomic_polynomial(n // 2)))
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
@@ -90,18 +123,27 @@ def _ramanujan(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """x^e mod Phi_n for e = 0 .. n-1, each row the (index, coefficient)
-    pairs of its nonzero power-basis coefficients."""
+    """x^e mod Phi_n for e = phi(n) .. n-1, the exponents that a fold
+    reduces, each row the (index, coefficient) pairs of its nonzero
+    power-basis coefficients."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows, row = [], [1] + [0] * (deg - 1)
-    for _ in range(n):
-        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
-        # x * row, folding the leading term back with x^deg = -phi[:-1]
-        # since Phi_n is monic
-        lead, row = row[-1], [0] + row[:-1]
+    # Phi_n is monic, so x^deg = -phi[:-1]; each next row is x * row, its
+    # x^deg term folded back the same way.  Rows are kept sparse, so a row
+    # costs its length, not deg, and many are short: for even n,
+    # x^(n/2) = -1, so x^e for e >= n/2 is -x^(e - n/2), one term while
+    # e - n/2 < deg
+    top = {i: -c for i, c in enumerate(phi[:-1]) if c}
+    rows, row = [], dict(top)
+    for _ in range(deg, n):
+        rows.append(tuple(row.items()))
+        lead = row.pop(deg - 1, 0)
+        row = {i + 1: c for i, c in row.items()}
         if lead:
-            row = [c - lead * f for c, f in zip(row, phi)]
+            for i, c in top.items():
+                row[i] = row.get(i, 0) + lead * c
+                if not row[i]:
+                    del row[i]
     return tuple(rows)
 
 
@@ -116,13 +158,12 @@ def _wrap(n: int, coeffs) -> list:
 def _fold(n: int, full: list) -> tuple[int, ...]:
     """Reduce the n coefficients of x^0 .. x^(n-1) into the power basis
     of Q[x]/Phi_n (x^n = 1 there, so these exponents cover every power)."""
-    deg = len(cyclotomic_polynomial(n)) - 1
     table = _power_table(n)
+    deg = n - len(table)
     out = full[:deg]
-    for e in range(deg, n):
-        c = full[e]
+    for c, row in zip(full[deg:], table):
         if c:
-            for i, r in table[e]:
+            for i, r in row:
                 out[i] += c * r
     return tuple(out)
 
@@ -234,10 +275,15 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def times_root(self, k: int) -> "Cyclotomic":
-        """Multiply by zeta_n^k: the one-term `root_sum`, so the
-        coefficients rotate through the exponents 0 .. n-1 and are folded
-        back by the power table instead of multiplied out."""
-        return root_sum(self.order, ((self, k),))
+        """Multiply by zeta_n^k: the coefficients rotate through the
+        exponents 0 .. n-1 and are folded back once by the power table
+        instead of multiplied out.  zeta_n^k is a unit of Z[zeta_n], so, as
+        for `conjugate`, the content of the numerators and the canonical
+        denominator are kept."""
+        n, num = self.order, self._num
+        full = list(num) + [0] * (n - len(num))
+        k %= n
+        return Cyclotomic._make(n, _fold(n, full[-k:] + full[:-k]), self._den)
 
     def conjugate(self, m: int) -> "Cyclotomic":
         """The Galois automorphism sigma_m: zeta_n -> zeta_n^m, defined for
@@ -257,12 +303,17 @@ class Cyclotomic:
 
     def trace(self, k: int = 0) -> Fraction:
         """Tr(zeta_n^k * self), the sum of its Galois conjugates over
-        Q(zeta_n)/Q, which is rational by construction.
+        Q(zeta_n)/Q, which is rational by construction: the integer
+        `_trace_numerator` over the denominator."""
+        return Fraction(self._trace_numerator(k), self._den)
 
-        The trace is linear and Tr(zeta_n^j) is Ramanujan's sum c_n(j), so
-        this is sum_i num_i * c_n(i + k) / den over the power basis."""
-        n, sums = self.order, _ramanujan(self.order)
-        return Fraction(sum(c * sums[(i + k) % n] for i, c in enumerate(self._num) if c), self._den)
+    def _trace_numerator(self, k: int = 0) -> int:
+        """den * Tr(zeta_n^k * self), an integer.  The trace is linear and
+        Tr(zeta_n^j) is Ramanujan's sum c_n(j), so this is
+        sum_i num_i * c_n(i + k) over the power basis, the numerators
+        against the sums rotated by k."""
+        sums, k = _ramanujan(self.order), k % self.order
+        return sum(map(mul, self._num, sums[k:] + sums[:k]))
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm on

@@ -13,12 +13,14 @@ all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated in cyclotomic fields,
 so they are independent checks of the integer path.  Each eta sum groups
 its roots by order into Galois traces, one per divisor m of its order, each
-the trace of one element of Q(zeta_m) (see _trace_sum); the Fourier forms
-stay in Q(zeta_p).  Each distinct field element is computed once: each unit
-inverse (a Galois conjugate of the one at exponent 1 wherever the exponent
-is prime to the order), each product of two inverses (one per unordered
-pair of exponents), each sum (one per exponent, up to sign: see
-eta_variant) and each unit ratio (a Galois conjugate of the one at j = 1
+the trace of one element of Q(zeta_m) (see _trace_sum); the traces stay
+integers, the element's denominator times its trace, until the one
+Fraction that the sum returns.  The Fourier forms stay in Q(zeta_p).
+Each distinct field element is computed once: each unit inverse (a Galois
+conjugate of the one at exponent 1 wherever the exponent is prime to the
+order), each product of two inverses (one per unordered pair of
+exponents), each sum (one per exponent, up to sign: see eta_variant) and
+each unit ratio (a Galois conjugate of the one at j = 1
 wherever j is prime to p; the closed form stays a per-j computation, so the
 two Fourier forms check each other at every j).
 Each public function checks its arguments once, through one gate per family
@@ -162,12 +164,19 @@ def _trace_sum(inverse, n: int, p: int, q: int, t: int) -> Fraction:
     x_m = zeta_m^t * inverse(m, q) * inverse(m, 1), sigma_u the Galois
     automorphism zeta_m -> zeta_m^u, so the terms with gcd(k, n) = d sum to
     the trace of x_m from Q(zeta_m) to Q.  So the sum takes one product and
-    one trace per divisor m of n with n/m odd; the traces are added over
-    their common denominator, and the 1/p taken, in one Fraction."""
-    divisors = [m for m in range(1, n + 1) if n % m == 0 and (n // m) % 2]
-    traces = [_inverse_product(inverse, m, q, 1).trace(t) for m in divisors]
-    den = lcm(*(x.denominator for x in traces))
-    return Fraction(sum(x.numerator * (den // x.denominator) for x in traces), den * p)
+    one trace per divisor m of n with n/m odd.  Each trace stays an integer,
+    den(x_m) * Tr(x_m), scaled to the lcm of the denominators; their sum
+    over that lcm, with the 1/p, is the one Fraction built."""
+    elements = [_inverse_product(inverse, m, q, 1) for m in _odd_cofactor_divisors(n)]
+    den = lcm(*(x._den for x in elements))
+    total = sum(x._trace_numerator(t) * (den // x._den) for x in elements)
+    return Fraction(total, den * p)
+
+
+@lru_cache(maxsize=None)
+def _odd_cofactor_divisors(n: int) -> tuple[int, ...]:
+    """The divisors m of n with n/m odd, ascending; cached per n."""
+    return tuple(m for m in range(1, n + 1) if n % m == 0 and (n // m) % 2)
 
 
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:

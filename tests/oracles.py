@@ -11,6 +11,10 @@ formulas: one root_sum per character s over weights multiplied here, and
 the Fourier forms as products of their factors at every j, with none of
 eta's per-divisor trace sums or conjugated unit ratios; each eta sum is a
 full field element, checked rational by as_rational.
+cyclotomic_polynomial_by_division is the reference for
+cyclotomic.cyclotomic_polynomial: x^n - 1 divided by Phi_d over every
+proper divisor d, at every n, with its own division loop, where the
+package builds Phi_n from smaller cyclotomic polynomials.
 eta_matches and matching_classes are the reference for the matching:
 an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
@@ -69,6 +73,29 @@ from lenswall.wallcross import (
     _unstable,
     cone_point,
 )
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n, constant term first: x^n - 1 divided exactly by Phi_d for
+    each proper divisor d of n, each divisor monic, so the long division
+    needs no rational step; a nonzero remainder raises."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = cyclotomic_polynomial_by_division(d)
+        deg = len(den) - 1
+        quot = [0] * (len(num) - deg)
+        for i in range(len(num) - 1, deg - 1, -1):
+            c = quot[i - deg] = num[i]
+            if c:
+                for j, b in enumerate(den, i - deg):
+                    num[j] -= c * b
+        if any(num[:deg]):
+            raise AssertionError(f"Phi_{d} does not divide at n={n}")
+        num = quot
+    return tuple(num)
 
 
 def rho_table_cyclotomic(n: int, q: int) -> tuple[Fraction, ...]:

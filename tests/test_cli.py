@@ -274,6 +274,10 @@ def test_env_override_max_p(capsys, monkeypatch):
     monkeypatch.setenv("LENSWALL_MAX_P", "not-a-number")
     code, _, _ = run_cli(capsys, "eta", "--p", "3", "--q", "1", "--s", "1")
     assert code == 2
+    for budget in ("0", "-5"):
+        monkeypatch.setenv("LENSWALL_MAX_P", budget)
+        code, _, err = run_cli(capsys, "eta", "--p", "3", "--q", "1", "--s", "1")
+        assert code == 2 and json.loads(err)["error"]["kind"] == "parameter"
 
 
 def test_scenario_file_round_trip(capsys, tmp_path):
@@ -554,10 +558,15 @@ def test_rank8_scenario_commands_are_pinned(capsys, command, code, digest):
      "426c0c5008bba20f16ecca4c7b97354a3b37b02517d20cd27997468f45dd04aa"),
     ({"LENSWALL_MAX_P": "not-a-number"}, ("eta", "--p", "3", "--q", "1", "--s", "1"), 2,
      "e0e468f15e962e5f6b71ee0f7f3abb4b7185b3a9e3d1afa8e25224a49819e803"),
+    ({"LENSWALL_MAX_P": "-5"}, ("eta", "--p", "3", "--q", "1", "--s", "1"), 2,
+     "421788e8a2f30f9368007c089a7308359fdc9b3d558dae3b119b9108e902caf4"),
+    ({"LENSWALL_SEARCH_BUDGET": "-1"}, ("metabolizer", "--bound", "1"), 2,
+     "5db81b6cea80bca5b4f71dc9525e31eb4a1eccae7dfb06da9883853a5b62bfb4"),
 ], ids=[
     "rho", "eta", "eta-odd-p", "distinguish", "sweep", "components", "swtot", "orbit",
     "metabolizer", "dimension", "plot-disc", "approx-rho", "approx-eta",
     "rho-over-budget", "odd-p-at-even-p", "max-p-not-an-integer",
+    "max-p-below-one", "search-budget-below-one",
 ])
 def test_value_commands_are_pinned(capsys, monkeypatch, tmp_path, env, command, code, digest):
     """The README commands, --approx on rho and eta, and the value commands'

@@ -16,6 +16,7 @@ from lenswall.cyclotomic import (
     root_sum,
 )
 from lenswall.errors import NotRationalError, OrderMismatchError, ParameterError
+from oracles import cyclotomic_polynomial_by_division
 
 
 def poly_mul(a, b):
@@ -30,6 +31,14 @@ def embed(element):
     """The complex value of a power-basis element, z -> e^(2 pi i / n)."""
     n = element.order
     return sum(complex(c) * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(element.coeffs))
+
+
+def test_cyclotomic_polynomial_matches_the_division_reference():
+    """Phi_n, built from the radical's Phi and by Phi_2m(x) = Phi_m(-x),
+    equals x^n - 1 divided by the Phi_d of its proper divisors for every
+    n <= 600 and at n = 2018 = 2 * 1009, the order of the p = 1009 field."""
+    for n in [*range(1, 601), 2018]:
+        assert cyclotomic_polynomial(n) == cyclotomic_polynomial_by_division(n), n
 
 
 def test_cyclotomic_polynomial_small():
@@ -144,7 +153,8 @@ def test_ramanujan_sums_are_the_galois_sums():
 
 
 def test_trace_is_the_sum_of_conjugates():
-    """x.trace(k) is the sum of the Galois conjugates of zeta_n^k * x,
+    """x.trace(k) and the integer kernel x._trace_numerator(k) over the
+    denominator are the sum of the Galois conjugates of zeta_n^k * x,
     collapsed by as_rational, for sampled elements at every n <= 40 and every
     k in -1 .. n (taken mod n)."""
     rng = random.Random(26)
@@ -156,8 +166,31 @@ def test_trace_is_the_sum_of_conjugates():
                 total = Cyclotomic(n)
                 for u in _units(n, 1, n):
                     total = total + x.times_root(k).conjugate(u)
-                assert x.trace(k) == total.as_rational(), (n, x, k)
+                kernel = x._trace_numerator(k)
+                assert type(kernel) is int, (n, x, k)
+                assert x.trace(k) == Fraction(kernel, x._den) == total.as_rational(), (n, x, k)
     assert Cyclotomic(7, (Fraction(3, 2),)).trace() == 9
+    assert Cyclotomic(7, (Fraction(3, 2),))._trace_numerator() == 18
+
+
+def test_times_root_is_the_one_term_root_sum():
+    """x.times_root(k), a rotation folded once that keeps the denominator,
+    equals the one-term root_sum (which rescales, wraps, folds and divides
+    out the content) for sampled elements at every n <= 60 and every k in
+    -n .. 2n: one with mixed denominators, two whose numerators share a
+    factor (content 6 over 1, content 4 over 3) and zero."""
+    rng = random.Random(27)
+    for n in range(1, 61):
+        deg = len(cyclotomic_polynomial(n)) - 1
+        samples = (
+            Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]),
+            Cyclotomic(n, [6 * rng.randint(-9, 9) for _ in range(deg - 1)] + [6]),
+            Cyclotomic(n, [Fraction(4 * rng.randint(-9, 9), 3) for _ in range(deg - 1)] + [Fraction(4, 3)]),
+            Cyclotomic(n),
+        )
+        for x in samples:
+            for k in range(-n, 2 * n + 1):
+                assert x.times_root(k) == root_sum(n, ((x, k),)), (n, x, k)
 
 
 def test_approx_complex_is_ring_hom():

@@ -195,10 +195,12 @@ def test_fourier_forms_match_per_j_references_at_composite_p():
 
 
 def _count_field_work(monkeypatch) -> dict:
-    """Count Cyclotomic inverses, products of two field elements and
-    as_rational calls from here on."""
-    calls = {"inverse": 0, "mul": 0, "as_rational": 0}
+    """Count Cyclotomic inverses, products of two field elements,
+    as_rational calls, integer trace kernels and Fraction-returning traces
+    from here on (a trace does not count again as a kernel call)."""
+    calls = {"inverse": 0, "mul": 0, "as_rational": 0, "kernel": 0, "trace": 0}
     inverse, mul, as_rational = Cyclotomic.inverse, Cyclotomic.__mul__, Cyclotomic.as_rational
+    kernel, trace = Cyclotomic._trace_numerator, Cyclotomic.trace
 
     def counted_inverse(self):
         calls["inverse"] += 1
@@ -212,7 +214,17 @@ def _count_field_work(monkeypatch) -> dict:
         calls["as_rational"] += 1
         return as_rational(self)
 
+    def counted_kernel(self, k=0):
+        calls["kernel"] += 1
+        return kernel(self, k)
+
+    def counted_trace(self, k=0):
+        calls["trace"] += 1
+        return Fraction(kernel(self, k), self._den)
+
     monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
+    monkeypatch.setattr(Cyclotomic, "_trace_numerator", counted_kernel)
+    monkeypatch.setattr(Cyclotomic, "trace", counted_trace)
     monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "as_rational", counted_as_rational)
@@ -296,7 +308,9 @@ def test_each_distinct_field_element_once(monkeypatch):
     pair of inverses that a trace sum (one per divisor order) or a root_sum
     unit ratio reads; one inverse and one product per use would be 100 and
     872.  The 464 trace sums, one per (formula, p, q, exponent t mod p), are
-    rational by construction and never call as_rational.  The unit ratio
+    rational by construction and never call as_rational; they read 1036
+    integer trace kernels, one per divisor order of each sum, and build no
+    Fraction per trace (no call of trace).  The unit ratio
     runs its root_sum 40 times: once per (p, q) at j = 1 (28) and at the 12
     (q, j) with 3 | j at p = 9; every other j is a Galois conjugate."""
     _clear_field_caches()
@@ -312,6 +326,8 @@ def test_each_distinct_field_element_once(monkeypatch):
     assert calls["inverse"] <= 21
     assert calls["mul"] <= 174
     assert calls["as_rational"] == 0
+    assert calls["kernel"] == 1036
+    assert calls["trace"] == 0
     assert _unit_ratio.cache_info().misses == 28 + 12
     assert _trace_sum.cache_info().currsize == 464
 
