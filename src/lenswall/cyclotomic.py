@@ -16,11 +16,14 @@ A sum of terms b * zeta_n^e (`root_sum`) puts the b over one common
 denominator, adds their numerators rotated by e and reduces mod Phi_n
 once.  A product by a root of unity (`times_root`) and a Galois conjugate
 (`conjugate`) move the exponents and fold once; both map Z[zeta_n] onto
-itself, so they keep the denominator.  A trace, the sum of all
-conjugates, is read off the numerators against Ramanujan's sums
-c_n(j) = Tr(zeta_n^j) as the integer den * Tr (`_trace_numerator`), with
-no product and no fold; `trace` puts it over the denominator, and a caller
-adding many traces can add the integers and build one Fraction.
+itself, so they keep the denominator.  The traces Tr(zeta_n^t * x), the
+sums of all conjugates, are read for every t at once
+(`_trace_numerators`), as the integers den * Tr, with no product and no
+fold: Ramanujan's sum c_n(j) = Tr(zeta_n^j) is the Moebius sum of d over
+the divisors d of gcd(j, n) with weight mu(n/d), so the traces are the
+numerators summed over each residue class mod d, for each d | n with n/d
+squarefree.  `trace` puts one of them over the denominator; a caller adding
+many traces adds the integers and builds one Fraction.
 
 Phi_n itself is built from smaller cyclotomic polynomials: from its
 radical's, Phi_n(x) = Phi_rad(n)(x^(n/rad(n))), and at twice an odd
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add
 
 from .errors import NotRationalError, OrderMismatchError, ParameterError
 
@@ -67,16 +70,16 @@ def _poly_divmod(num, den):
     return quot, _poly_trim(num)
 
 
-def _radical(n: int) -> int:
-    """The product of the distinct primes dividing n (1 for n = 1)."""
-    rad, rest, f = 1, n, 2
+def _primes(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (none for n = 1)."""
+    primes, rest, f = [], n, 2
     while f * f <= rest:
         if rest % f == 0:
-            rad *= f
+            primes.append(f)
             while rest % f == 0:
                 rest //= f
         f += 1
-    return rad * rest
+    return primes + [rest] * (rest > 1)
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +95,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ParameterError(f"cyclotomic polynomial needs n >= 1, got {n}")
-    rad = _radical(n)
+    rad = prod(_primes(n))  # rad(n), 1 for n = 1
     if rad < n:
         base, step = cyclotomic_polynomial(rad), n // rad
         spread = [0] * ((len(base) - 1) * step + 1)
@@ -110,15 +113,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _ramanujan(n: int) -> tuple[int, ...]:
-    """Tr(zeta_n^j) for j = 0 .. n-1: Ramanujan's sum c_n(j), the sum of the
-    j-th powers of the primitive n-th roots of unity.
-
-    The j-th powers of all n-th roots of unity sum to n * [n | j], and those
-    roots split by their order d | n, so c_n(j) is n * [n | j] minus c_d(j)
-    over the proper divisors d of n (Hardy-Wright, ch. XVI)."""
-    lower = [_ramanujan(d) for d in range(1, n) if n % d == 0]
-    return tuple(n * (j == 0) - sum(c[j % len(c)] for c in lower) for j in range(n))
+def _moebius_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, mu(n/d) * d) over the divisors d of n with n/d
+    squarefree, the only ones with mu(n/d) != 0: Ramanujan's sum
+    c_n(j) = Tr(zeta_n^j) is the sum of mu(n/d) * d over the d | gcd(j, n)
+    (Hardy-Wright, ch. XVI)."""
+    pairs = [(1, 1)]  # (e, mu(e)) over the squarefree e | n
+    for prime in _primes(n):
+        pairs += [(e * prime, -mu) for e, mu in pairs]
+    return tuple((n // e, mu * (n // e)) for e, mu in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -303,17 +306,27 @@ class Cyclotomic:
 
     def trace(self, k: int = 0) -> Fraction:
         """Tr(zeta_n^k * self), the sum of its Galois conjugates over
-        Q(zeta_n)/Q, which is rational by construction: the integer
-        `_trace_numerator` over the denominator."""
-        return Fraction(self._trace_numerator(k), self._den)
+        Q(zeta_n)/Q, which is rational by construction: entry k mod n of
+        `_trace_numerators` over the denominator."""
+        return Fraction(self._trace_numerators()[k % self.order], self._den)
 
-    def _trace_numerator(self, k: int = 0) -> int:
-        """den * Tr(zeta_n^k * self), an integer.  The trace is linear and
-        Tr(zeta_n^j) is Ramanujan's sum c_n(j), so this is
-        sum_i num_i * c_n(i + k) over the power basis, the numerators
-        against the sums rotated by k."""
-        sums, k = _ramanujan(self.order), k % self.order
-        return sum(map(mul, self._num, sums[k:] + sums[:k]))
+    def _trace_numerators(self) -> tuple[int, ...]:
+        """den * Tr(zeta_n^t * self) for t = 0 .. n-1, integers.
+
+        The trace is linear and Tr(zeta_n^j) is Ramanujan's sum
+        c_n(j) = sum of mu(n/d) * d over the d | gcd(j, n), so entry t is
+        sum_i num_i * c_n(i + t) = sum over d | n of mu(n/d) * d * S_d(-t),
+        S_d(r) the sum of the numerators num_i with i = r mod d.  So each d
+        with n/d squarefree adds its weighted class sums, repeated n/d times,
+        into V(u) = sum_d mu(n/d) * d * S_d(u mod d), and entry t is
+        V(-t mod n): O(n) integer work per such d, for all n traces."""
+        n, num = self.order, self._num
+        full = list(num) + [0] * (n - len(num))
+        total = [0] * n
+        for d, weight in _moebius_classes(n):
+            sums = full if d == n else [sum(full[r::d]) for r in range(d)]
+            total = list(map(add, total, [weight * c for c in sums] * (n // d)))
+        return (total[0], *total[:0:-1])
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm on

@@ -13,16 +13,17 @@ all read these forms.  The rewritten eta sums ("half-roots",
 "odd-p") and the Fourier closed forms are evaluated in cyclotomic fields,
 so they are independent checks of the integer path.  Each eta sum groups
 its roots by order into Galois traces, one per divisor m of its order, each
-the trace of one element of Q(zeta_m) (see _trace_sum); the traces stay
-integers, the element's denominator times its trace, until the one
-Fraction that the sum returns.  The Fourier forms stay in Q(zeta_p).
-Each distinct field element is computed once: each unit inverse (a Galois
-conjugate of the one at exponent 1 wherever the exponent is prime to the
-order), each product of two inverses (one per unordered pair of
-exponents), each sum (one per exponent, up to sign: see eta_variant) and
-each unit ratio (a Galois conjugate of the one at j = 1
-wherever j is prime to p; the closed form stays a per-j computation, so the
-two Fourier forms check each other at every j).
+the trace of one element of Q(zeta_m); the sums at every exponent are one
+table per (formula, p, q) (see _trace_table): one product per divisor, and
+every trace of it at once, kept as integers (the element's denominator
+times its trace) until the p Fractions of the table.  The Fourier forms
+stay in Q(zeta_p).  Each distinct field element is computed once: each unit
+inverse (a Galois conjugate of the one at exponent 1 wherever the exponent
+is prime to the order), each product of two inverses (one per unordered
+pair of exponents), each table of sums (one entry per exponent, up to sign:
+see eta_variant) and each unit ratio (a Galois conjugate of the one at
+j = 1 wherever j is prime to p; the closed form stays a per-j computation,
+so the two Fourier forms check each other at every j).
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -33,6 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .cyclotomic import Cyclotomic, root_of_unity, root_sum
 from .errors import ParameterError, ResourceBoundError
@@ -152,25 +154,32 @@ def _inverse_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def _trace_sum(inverse, n: int, p: int, q: int, t: int) -> Fraction:
-    """(1/p) * sum of zeta_n^(kt) * inverse(n, kq) * inverse(n, k) over the
-    k in 0 .. n-1 with gcd(k, n) odd, inverse being _unit_inverse (n = 2p,
-    where these are the odd k: "half-roots") or _plus_one_inverse (n = p
-    odd, every k: "odd-p"); cached per (p, q mod 2p, t).
+def _trace_table(inverse, n: int, p: int, q: int) -> tuple[Fraction, ...]:
+    """Entry t, for t = 0 .. p-1: (1/p) * sum of zeta_n^(kt) * inverse(n, kq)
+    * inverse(n, k) over the k in 0 .. n-1 with gcd(k, n) odd, inverse being
+    _unit_inverse (n = 2p, where these are the odd k: "half-roots") or
+    _plus_one_inverse (n = p odd, every k: "odd-p"); cached per
+    (formula, p, q mod 2p).
 
     Write k = d*u with d = gcd(k, n) and m = n/d; then zeta_n^k = zeta_m^u
     with u a unit mod m, and u runs once over the units mod m as k runs
     over the k with gcd(k, n) = d.  The term at k is sigma_u(x_m) for
     x_m = zeta_m^t * inverse(m, q) * inverse(m, 1), sigma_u the Galois
     automorphism zeta_m -> zeta_m^u, so the terms with gcd(k, n) = d sum to
-    the trace of x_m from Q(zeta_m) to Q.  So the sum takes one product and
-    one trace per divisor m of n with n/m odd.  Each trace stays an integer,
-    den(x_m) * Tr(x_m), scaled to the lcm of the denominators; their sum
-    over that lcm, with the 1/p, is the one Fraction built."""
+    the trace of x_m from Q(zeta_m) to Q, which depends on t mod m alone.
+    So the table takes one product per divisor m of n with n/m odd, and
+    every trace of it at once (Cyclotomic._trace_numerators, the integers
+    den(x_m) * Tr(zeta_m^t * x_m) for t = 0 .. m-1), scaled to the lcm of
+    the denominators and added at t mod m; each entry over that lcm, with
+    the 1/p, is one Fraction."""
     elements = [_inverse_product(inverse, m, q, 1) for m in _odd_cofactor_divisors(n)]
     den = lcm(*(x._den for x in elements))
-    total = sum(x._trace_numerator(t) * (den // x._den) for x in elements)
-    return Fraction(total, den * p)
+    total = [0] * p
+    for x in elements:
+        scale, m = den // x._den, x.order
+        row = [scale * c for c in x._trace_numerators()]
+        total = list(map(add, total, (row * -(-p // m))[:p]))
+    return tuple(Fraction(c, den * p) for c in total)
 
 
 @lru_cache(maxsize=None)
@@ -250,28 +259,30 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     "pinc-difference" is the defining difference of rho invariants;
     "half-roots" sums lam^(s+q)/((lam^q-1)(lam-1)) over the 2p-th roots
     with lam^p = -1; "odd-p" (p odd only) substitutes -lam to land in
-    Q(zeta_p).  All three agree exactly wherever defined.  Each field sum is
-    computed once per exponent, as a sum of traces (_trace_sum): half-roots
-    depends on t = (s + q) mod 2p alone, and zeta_2p^(k(t+p)) = -zeta_2p^(kt)
-    for odd k, so its sum at t + p is minus that at t; odd-p's roots lie in
+    Q(zeta_p).  All three agree exactly wherever defined.  The formula and
+    the parity of p are checked before the size budget.  Each field sum is
+    one entry of a table per (formula, p, q) (_trace_table), built from one
+    product per divisor and every trace of it at once: half-roots depends on
+    t = (s + q) mod 2p alone, and zeta_2p^(k(t+p)) = -zeta_2p^(kt) for
+    odd k, so its sum at t + p is minus that at t; odd-p's roots lie in
     Q(zeta_p), so its sum depends on (s + q) mod p alone, times the sign
     (-1)^(s+1).
     """
     q = _flipspun_q(p, q)
+    if formula not in ETA_FORMULAS:
+        raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
+    if formula == "odd-p" and p % 2 == 0:
+        raise ParameterError("the odd-p formula requires p odd")
     _check_budget(p, max_p)
     s %= 2 * p
     if formula == "pinc-difference":
         return Fraction(_eta_values(p, q)[s], 4 * p)
     if formula == "half-roots":
         t = (s + q) % (2 * p)
-        value = _trace_sum(_unit_inverse, 2 * p, p, q, t % p)
+        value = _trace_table(_unit_inverse, 2 * p, p, q)[t % p]
         return value if t < p else -value
-    if formula == "odd-p":
-        if p % 2 == 0:
-            raise ParameterError("the odd-p formula requires p odd")
-        value = _trace_sum(_plus_one_inverse, p, p, q, (s + q) % p)
-        return -value if s % 2 == 0 else value
-    raise ParameterError(f"unknown eta formula {formula!r}; expected one of {ETA_FORMULAS}")
+    value = _trace_table(_plus_one_inverse, p, p, q)[(s + q) % p]
+    return -value if s % 2 == 0 else value
 
 
 def _fourier_q(p: int, q: int, j: int) -> int:

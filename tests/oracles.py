@@ -15,6 +15,11 @@ cyclotomic_polynomial_by_division is the reference for
 cyclotomic.cyclotomic_polynomial: x^n - 1 divided by Phi_d over every
 proper divisor d, at every n, with its own division loop, where the
 package builds Phi_n from smaller cyclotomic polynomials.
+trace_numerator_by_ramanujan is the per-k reference for
+Cyclotomic._trace_numerators: the numerators against Ramanujan's sums
+c_n(j) (ramanujan_sums, by the recursion over the divisors of n, with no
+Moebius function), where the package sums residue classes for all k at
+once.
 eta_matches and matching_classes are the reference for the matching:
 an all-pairs scan over the public eta_table Fractions and a pairwise
 partition, with none of the package's integer tables or canonical forms.
@@ -73,6 +78,26 @@ from lenswall.wallcross import (
     _unstable,
     cone_point,
 )
+
+
+@lru_cache(maxsize=None)
+def ramanujan_sums(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^j) for j = 0 .. n-1: Ramanujan's sum c_n(j), the sum of the
+    j-th powers of the primitive n-th roots of unity.
+
+    The j-th powers of all n-th roots of unity sum to n * [n | j], and those
+    roots split by their order d | n, so c_n(j) is n * [n | j] minus c_d(j)
+    over the proper divisors d of n (Hardy-Wright, ch. XVI)."""
+    lower = [ramanujan_sums(d) for d in range(1, n) if n % d == 0]
+    return tuple(n * (j == 0) - sum(c[j % len(c)] for c in lower) for j in range(n))
+
+
+def trace_numerator_by_ramanujan(x, k: int) -> int:
+    """den * Tr(zeta_n^k * x), one k at a time: sum_i num_i * c_n(i + k)
+    over the power-basis numerators of x."""
+    n = x.order
+    sums = ramanujan_sums(n)
+    return sum(c * sums[(i + k) % n] for i, c in enumerate(x._num))
 
 
 @lru_cache(maxsize=None)

@@ -556,6 +556,8 @@ def test_rank8_scenario_commands_are_pinned(capsys, command, code, digest):
      "9a243c46db7331033e8e6353a8d28ceace1c1fa2f2b10c992ed0c4f715eea8e4"),
     ({}, ("eta", "--p", "4", "--q", "1", "--s", "1", "--formula", "odd-p"), 2,
      "426c0c5008bba20f16ecca4c7b97354a3b37b02517d20cd27997468f45dd04aa"),
+    ({}, ("eta", "--p", "52", "--q", "1", "--s", "0", "--formula", "odd-p"), 2,
+     "426c0c5008bba20f16ecca4c7b97354a3b37b02517d20cd27997468f45dd04aa"),
     ({"LENSWALL_MAX_P": "not-a-number"}, ("eta", "--p", "3", "--q", "1", "--s", "1"), 2,
      "e0e468f15e962e5f6b71ee0f7f3abb4b7185b3a9e3d1afa8e25224a49819e803"),
     ({"LENSWALL_MAX_P": "-5"}, ("eta", "--p", "3", "--q", "1", "--s", "1"), 2,
@@ -565,7 +567,7 @@ def test_rank8_scenario_commands_are_pinned(capsys, command, code, digest):
 ], ids=[
     "rho", "eta", "eta-odd-p", "distinguish", "sweep", "components", "swtot", "orbit",
     "metabolizer", "dimension", "plot-disc", "approx-rho", "approx-eta",
-    "rho-over-budget", "odd-p-at-even-p", "max-p-not-an-integer",
+    "rho-over-budget", "odd-p-at-even-p", "odd-p-at-even-p-over-budget", "max-p-not-an-integer",
     "max-p-below-one", "search-budget-below-one",
 ])
 def test_value_commands_are_pinned(capsys, monkeypatch, tmp_path, env, command, code, digest):

@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from lenswall.cyclotomic import (
     Cyclotomic,
-    _ramanujan,
+    _normalize,
     cyclotomic_polynomial,
     root_of_unity,
     root_sum,
 )
 from lenswall.errors import NotRationalError, OrderMismatchError, ParameterError
-from oracles import cyclotomic_polynomial_by_division
+from oracles import (
+    cyclotomic_polynomial_by_division,
+    ramanujan_sums,
+    trace_numerator_by_ramanujan,
+)
 
 
 def poly_mul(a, b):
@@ -141,36 +145,82 @@ def test_galois_sum_is_rational():
 
 
 def test_ramanujan_sums_are_the_galois_sums():
-    """_ramanujan(n)[j] is the sum of zeta_n^(u*j) over the units u mod n,
-    summed in the field by root_sum and collapsed by as_rational (which
-    raises if the Galois-stable sum left Q), for every n <= 120 and every j."""
+    """The reference ramanujan_sums(n)[j] is the sum of zeta_n^(u*j) over
+    the units u mod n, summed in the field by root_sum and collapsed by
+    as_rational (which raises if the Galois-stable sum left Q), for every
+    n <= 120 and every j."""
     for n in range(1, 121):
         one, units = root_of_unity(n, 0), _units(n, 1, n)
-        sums = _ramanujan(n)
+        sums = ramanujan_sums(n)
         assert len(sums) == n
         for j in range(n):
             assert sums[j] == root_sum(n, ((one, u * j) for u in units)).as_rational(), (n, j)
 
 
 def test_trace_is_the_sum_of_conjugates():
-    """x.trace(k) and the integer kernel x._trace_numerator(k) over the
-    denominator are the sum of the Galois conjugates of zeta_n^k * x,
-    collapsed by as_rational, for sampled elements at every n <= 40 and every
-    k in -1 .. n (taken mod n)."""
+    """x.trace(k), and entry k mod n of the integer kernel
+    x._trace_numerators() over the denominator, are the sum of the Galois
+    conjugates of zeta_n^k * x, collapsed by as_rational, for sampled
+    elements at every n <= 40 and every k in -1 .. n (taken mod n)."""
     rng = random.Random(26)
     for n in range(1, 41):
         deg = len(cyclotomic_polynomial(n)) - 1
         for _ in range(3):
             x = Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)])
+            kernel = x._trace_numerators()
+            assert len(kernel) == n and all(type(v) is int for v in kernel), (n, x)
             for k in range(-1, n + 1):
                 total = Cyclotomic(n)
                 for u in _units(n, 1, n):
                     total = total + x.times_root(k).conjugate(u)
-                kernel = x._trace_numerator(k)
-                assert type(kernel) is int, (n, x, k)
-                assert x.trace(k) == Fraction(kernel, x._den) == total.as_rational(), (n, x, k)
+                assert x.trace(k) == Fraction(kernel[k % n], x._den) == total.as_rational(), (n, x, k)
     assert Cyclotomic(7, (Fraction(3, 2),)).trace() == 9
-    assert Cyclotomic(7, (Fraction(3, 2),))._trace_numerator() == 18
+    assert Cyclotomic(7, (Fraction(3, 2),))._trace_numerators()[0] == 18
+
+
+def _sample_elements(rng, n):
+    """One element of Q(zeta_n) with mixed denominators, two whose numerators
+    share a factor (content 6 over 1, content 4 over 3) and zero."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    return (
+        Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]),
+        Cyclotomic(n, [6 * rng.randint(-9, 9) for _ in range(deg - 1)] + [6]),
+        Cyclotomic(n, [Fraction(4 * rng.randint(-9, 9), 3) for _ in range(deg - 1)] + [Fraction(4, 3)]),
+        Cyclotomic(n),
+    )
+
+
+def _galois_traces(x):
+    """Tr(zeta_n^t * x) for t = 0 .. n-1 as sums of Galois conjugates: the
+    numerators of sigma_u(zeta_n^t * x) = zeta_n^(ut) * sigma_u(x) over the
+    units u (sigma_u keeps the denominator of x), each rotated by ut through
+    the exponents 0 .. n-1, added column by column, reduced into the power
+    basis and collapsed by as_rational, which raises if the sum left Q."""
+    n = x.order
+    units = _units(n, 1, n)
+    rows = [list(y._num) + [0] * (n - len(y._num)) for y in map(x.conjugate, units)]
+    for t in range(n):
+        shifts = (u * t % n for u in units)
+        rotated = [row[-k:] + row[:-k] if k else row for row, k in zip(rows, shifts)]
+        total = list(map(sum, zip(*rotated)))
+        yield Cyclotomic._make(n, *_normalize(n, total, x._den)).as_rational()
+
+
+def test_trace_numerators_match_ramanujan_and_conjugates():
+    """Every entry t of x._trace_numerators(), which sums the numerators over
+    residue classes weighted by the Moebius function, equals the per-k
+    reference sum_i num_i * c_n(i + t) over the recursive Ramanujan sums,
+    and over the denominator equals the sum of the Galois conjugates of
+    zeta_n^t * x: every n <= 120 (8, 9, 12, 25, 27, 49 and 50 among the
+    non-squarefree ones), every t and the four sampled elements."""
+    rng = random.Random(28)
+    for n in range(1, 121):
+        for x in _sample_elements(rng, n):
+            kernel = x._trace_numerators()
+            assert len(kernel) == n, (n, x)
+            for t, galois in enumerate(_galois_traces(x)):
+                assert kernel[t] == trace_numerator_by_ramanujan(x, t), (n, x, t)
+                assert Fraction(kernel[t], x._den) == galois, (n, x, t)
 
 
 def test_times_root_is_the_one_term_root_sum():
@@ -181,14 +231,7 @@ def test_times_root_is_the_one_term_root_sum():
     factor (content 6 over 1, content 4 over 3) and zero."""
     rng = random.Random(27)
     for n in range(1, 61):
-        deg = len(cyclotomic_polynomial(n)) - 1
-        samples = (
-            Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]),
-            Cyclotomic(n, [6 * rng.randint(-9, 9) for _ in range(deg - 1)] + [6]),
-            Cyclotomic(n, [Fraction(4 * rng.randint(-9, 9), 3) for _ in range(deg - 1)] + [Fraction(4, 3)]),
-            Cyclotomic(n),
-        )
-        for x in samples:
+        for x in _sample_elements(rng, n):
             for k in range(-n, 2 * n + 1):
                 assert x.times_root(k) == root_sum(n, ((x, k),)), (n, x, k)
 

@@ -28,7 +28,7 @@ from lenswall.eta import (
     _inverse_product,
     _pair_product,
     _plus_one_inverse,
-    _trace_sum,
+    _trace_table,
     _unit_inverse,
     _unit_ratio,
 )
@@ -137,6 +137,21 @@ def test_eta_variant_rejects_even_p_odd_formula():
         eta_variant(3, 1, 1, "no-such-formula")
 
 
+def test_eta_variant_checks_formula_and_parity_before_the_budget():
+    """Above the size budget, an unknown formula and odd-p at even p are
+    still parameter errors, as at any p, not resource errors; a valid
+    formula there hits the budget."""
+    with pytest.raises(ParameterError, match="^the odd-p formula requires p odd$"):
+        eta_variant(52, 1, 0, "odd-p")
+    with pytest.raises(ParameterError, match="^unknown eta formula 'bogus'"):
+        eta_variant(52, 1, 0, "bogus")
+    for formula in ("pinc-difference", "half-roots"):
+        with pytest.raises(ResourceBoundError):
+            eta_variant(52, 1, 0, formula)
+    with pytest.raises(ResourceBoundError):
+        eta_variant(53, 1, 0, "odd-p")
+
+
 def test_fourier_frozen_values():
     # p=3, q=1, j=1: the transform collapses to omega/(omega+1)^2 = 1
     assert fourier_coefficient(3, 1, 1) == 1
@@ -160,9 +175,9 @@ def test_field_formulas_match_per_s_references():
     """The shared per-exponent sums and the expanded Fourier forms equal the
     references that take one root_sum per s and multiply the Fourier
     factors out: half-roots for every p <= 15, odd-p and Fourier for odd p,
-    every valid q, every s in -2p..4p and every j.  Each (p, q) takes p
-    distinct trace sums per formula, one per exponent t mod p."""
-    _trace_sum.cache_clear()
+    every valid q, every s in -2p..4p and every j.  Each (p, q) builds one
+    table of sums per formula, every exponent t mod p at once."""
+    _trace_table.cache_clear()
     _unit_ratio.cache_clear()
     distinct = {"half-roots": 0, "odd-p": 0}
     for p in range(1, 16):
@@ -170,14 +185,14 @@ def test_field_formulas_match_per_s_references():
         formulas = ("half-roots", "odd-p") if p % 2 else ("half-roots",)
         for q in units:
             for formula in formulas:
-                distinct[formula] += p
+                distinct[formula] += 1
                 for s in range(-2 * p, 4 * p + 1):
                     expected = eta_variant_per_s(p, q, s, formula)
                     assert eta_variant(p, q, s, formula) == expected, (p, q, s, formula)
             for j in range(1, p) if p % 2 else ():
                 assert fourier_closed_form(p, q, j) == fourier_closed_form_product(p, q, j)
                 assert fourier_unit_ratio(p, q, j) == fourier_unit_ratio_product(p, q, j)
-    assert _trace_sum.cache_info().currsize == distinct["half-roots"] + distinct["odd-p"]
+    assert _trace_table.cache_info().currsize == distinct["half-roots"] + distinct["odd-p"]
 
 
 def test_fourier_forms_match_per_j_references_at_composite_p():
@@ -196,11 +211,12 @@ def test_fourier_forms_match_per_j_references_at_composite_p():
 
 def _count_field_work(monkeypatch) -> dict:
     """Count Cyclotomic inverses, products of two field elements,
-    as_rational calls, integer trace kernels and Fraction-returning traces
-    from here on (a trace does not count again as a kernel call)."""
+    as_rational calls, whole-vector integer trace kernels and
+    Fraction-returning traces from here on (a trace does not count again as
+    a kernel call)."""
     calls = {"inverse": 0, "mul": 0, "as_rational": 0, "kernel": 0, "trace": 0}
     inverse, mul, as_rational = Cyclotomic.inverse, Cyclotomic.__mul__, Cyclotomic.as_rational
-    kernel, trace = Cyclotomic._trace_numerator, Cyclotomic.trace
+    kernel, trace = Cyclotomic._trace_numerators, Cyclotomic.trace
 
     def counted_inverse(self):
         calls["inverse"] += 1
@@ -214,16 +230,16 @@ def _count_field_work(monkeypatch) -> dict:
         calls["as_rational"] += 1
         return as_rational(self)
 
-    def counted_kernel(self, k=0):
+    def counted_kernel(self):
         calls["kernel"] += 1
-        return kernel(self, k)
+        return kernel(self)
 
     def counted_trace(self, k=0):
         calls["trace"] += 1
-        return Fraction(kernel(self, k), self._den)
+        return Fraction(kernel(self)[k % self.order], self._den)
 
     monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
-    monkeypatch.setattr(Cyclotomic, "_trace_numerator", counted_kernel)
+    monkeypatch.setattr(Cyclotomic, "_trace_numerators", counted_kernel)
     monkeypatch.setattr(Cyclotomic, "trace", counted_trace)
     monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
@@ -232,29 +248,29 @@ def _count_field_work(monkeypatch) -> dict:
 
 
 def _clear_field_caches():
-    for cache in (_unit_inverse, _plus_one_inverse, _pair_product, _unit_ratio, _trace_sum):
+    for cache in (_unit_inverse, _plus_one_inverse, _pair_product, _unit_ratio, _trace_table):
         cache.cache_clear()
 
 
 def test_one_cold_value_takes_one_sum(monkeypatch):
-    """From cold caches, one eta value at p = 49 computes exactly one trace
-    sum, the one at its exponent, from three products, one per divisor m of
-    its order with an odd cofactor: m = 2, 14, 98 for half-roots and
-    m = 1, 7, 49 for odd-p."""
+    """From cold caches, one eta value at p = 49 builds exactly one table of
+    trace sums, its formula's for (p, q), from three products, one per
+    divisor m of its order with an odd cofactor: m = 2, 14, 98 for
+    half-roots and m = 1, 7, 49 for odd-p."""
     calls = _count_field_work(monkeypatch)
     for formula in ("half-roots", "odd-p"):
         _clear_field_caches()
         calls["mul"] = 0
         assert eta_variant(49, 5, 7, formula, max_p=49) == eta_flipspun(49, 5, 7, max_p=49)
-        assert _trace_sum.cache_info().currsize == 1
+        assert _trace_table.cache_info().currsize == 1
         assert calls["mul"] == _pair_product.cache_info().currsize == 3
 
 
 def test_corrupt_divisor_element_is_caught(monkeypatch):
-    """The trace sums are rational by construction, so the value check
+    """The trace tables are rational by construction, so the value check
     against the integer table is what catches a wrong field element: adding
-    1 to the element of any one divisor m (so its trace moves by
-    Tr(zeta_m^t) / p, nonzero at t = 0) makes some value at p = 5 differ
+    1 to the element of any one divisor m (so its trace at exponent t moves
+    by Tr(zeta_m^t) / p, nonzero at t = 0) makes some value at p = 5 differ
     from eta_flipspun."""
     for formula, divisors in (("half-roots", (2, 10)), ("odd-p", (1, 5))):
         for bad in divisors:
@@ -263,11 +279,11 @@ def test_corrupt_divisor_element_is_caught(monkeypatch):
                 return element + 1 if n == bad else element
 
             monkeypatch.setattr(eta, "_inverse_product", corrupted)
-            _trace_sum.cache_clear()
+            _trace_table.cache_clear()
             values = [eta_variant(5, 1, s, formula) for s in range(10)]
             assert values != list(eta_table(5, 1)), (formula, bad)
             monkeypatch.undo()
-    _trace_sum.cache_clear()
+    _trace_table.cache_clear()
     for formula in ("half-roots", "odd-p"):
         assert [eta_variant(5, 1, s, formula) for s in range(10)] == list(eta_table(5, 1))
 
@@ -305,12 +321,13 @@ def test_each_distinct_field_element_once(monkeypatch):
     formulas at every s, both Fourier forms at every j, every q) runs at most
     21 Euclidean inverses, one per exponent that is 1 or not prime to the
     order, and at most 174 products of two field elements, one per unordered
-    pair of inverses that a trace sum (one per divisor order) or a root_sum
-    unit ratio reads; one inverse and one product per use would be 100 and
-    872.  The 464 trace sums, one per (formula, p, q, exponent t mod p), are
-    rational by construction and never call as_rational; they read 1036
-    integer trace kernels, one per divisor order of each sum, and build no
-    Fraction per trace (no call of trace).  The unit ratio
+    pair of inverses that a trace table (one per divisor order) or a
+    root_sum unit ratio reads; one inverse and one product per use would be
+    100 and 872.  The 56 trace tables, one per (formula, p, q), are rational
+    by construction and never call as_rational; they read 124 whole-vector
+    integer trace kernels, one per divisor element of each table (every
+    trace of it at once, where one kernel per (exponent, divisor) took
+    1036), and build no Fraction per trace (no call of trace).  The unit ratio
     runs its root_sum 40 times: once per (p, q) at j = 1 (28) and at the 12
     (q, j) with 3 | j at p = 9; every other j is a Galois conjugate."""
     _clear_field_caches()
@@ -326,10 +343,10 @@ def test_each_distinct_field_element_once(monkeypatch):
     assert calls["inverse"] <= 21
     assert calls["mul"] <= 174
     assert calls["as_rational"] == 0
-    assert calls["kernel"] == 1036
+    assert calls["kernel"] == 124
     assert calls["trace"] == 0
     assert _unit_ratio.cache_info().misses == 28 + 12
-    assert _trace_sum.cache_info().currsize == 464
+    assert _trace_table.cache_info().currsize == 56
 
 
 def test_fourier_parameter_errors():
@@ -503,14 +520,14 @@ def test_table_caches_key_on_normalized_parameters():
     assert eta_table(3, 1) == eta_table(3, 7)
     info = eta_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    # each distinct trace sum is computed once per (p, q mod 2p, exponent):
-    # 7 of them for the 14 s at p = 7, whichever representative of q is given
+    # each table of trace sums is built once per (formula, p, q mod 2p): one
+    # for the 14 s at p = 7, whichever representative of q is given
     for formula in ("half-roots", "odd-p"):
-        _trace_sum.cache_clear()
+        _trace_table.cache_clear()
         values = [eta_variant(7, q, s, formula) for q in (3, 17, -11) for s in range(14)]
         assert values == [eta_flipspun(7, 3, s) for s in range(14)] * 3
-        info = _trace_sum.cache_info()
-        assert (info.misses, info.currsize) == (7, 7)
+        info = _trace_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_cached_table_keeps_the_budget():
