@@ -307,8 +307,12 @@ class Cyclotomic:
     def trace(self, k: int = 0) -> Fraction:
         """Tr(zeta_n^k * self), the sum of its Galois conjugates over
         Q(zeta_n)/Q, which is rational by construction: entry k mod n of
-        `_trace_numerators` over the denominator."""
-        return Fraction(self._trace_numerators()[k % self.order], self._den)
+        `_trace_numerators` over the denominator, read alone.  That entry is
+        the sum over d | n with n/d squarefree of mu(n/d) * d * S_d(-k), so
+        only the class -k mod d of the numerators is summed for each d."""
+        num = self._num
+        total = sum(weight * sum(num[-k % d :: d]) for d, weight in _moebius_classes(self.order))
+        return Fraction(total, self._den)
 
     def _trace_numerators(self) -> tuple[int, ...]:
         """den * Tr(zeta_n^t * self) for t = 0 .. n-1, integers.

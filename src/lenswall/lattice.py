@@ -13,7 +13,8 @@ characteristic polynomial, `_charpoly`, gives the signature (Descartes'
 rule of signs) and the unipotent power of a map (Kronecker's theorem).
 Derived isometries carry what their factors know: a product or power its
 inverse, and a power the unipotent power of its dual action, read off
-its base's without a new characteristic polynomial.
+its base's without a new characteristic polynomial.  A map keeps the
+powers it has built, so each power is built once per map.
 """
 
 from __future__ import annotations
@@ -334,9 +335,18 @@ class Isometry:
         lowest set bit of |d| and with no squaring after the highest; each
         product carries its inverse (see compose).  self^0 is the identity,
         its own inverse, and self^1 is self.  A new power also carries
-        (self, d), from which _dual_unipotent derives its certificate."""
+        (self, d), from which _dual_unipotent derives its certificate.
+
+        Each power is built once per map: self keeps the powers it has
+        built in a dict keyed by d (an Isometry is not hashable, so no
+        cache keyed by the map can), and a later call returns the same
+        object, with its inverse and its certificate once derived."""
         if d == 1:
             return self
+        powers = self.__dict__.setdefault("_powers", {})
+        result = powers.get(d)
+        if result is not None:
+            return result
         if d == 0:
             result = identity_isometry(self.lattice)
         else:
@@ -349,6 +359,7 @@ class Isometry:
                 if e & 1:
                     result = result * base
         result._root = (self, d)
+        powers[d] = result
         return result
 
     def adjoint(self) -> "Isometry":
@@ -509,6 +520,7 @@ def metabolizer_search(
     halves = list(product(span, repeat=n))
     duals = [_mat_vec(q, h) for h in halves]
     norms = [_dot(h, qh) for h, qh in zip(halves, duals)]
+    minus_duals = [tuple(-c for c in qh) for qh in duals]
     by_norm: dict[int, list[int]] = {}
     for j, norm in enumerate(norms):
         by_norm.setdefault(norm, []).append(j)
@@ -535,8 +547,7 @@ def metabolizer_search(
             step()
             y = halves[j]
             if (any(x) or _leading(y) > 0) and gcd(*x, *y) == 1:
-                minus_qy = tuple(-c for c in duals[j])
-                candidates.append((x + y, tuple(d + minus_qy for d in x_duals)))
+                candidates.append((x + y, tuple(d + minus_duals[j] for d in x_duals)))
 
     def extend(start: int, chosen: list[tuple[int, ...]], rows: list[tuple[int, ...]]):
         if len(chosen) == n:

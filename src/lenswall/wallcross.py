@@ -15,14 +15,17 @@ wall-side question off one list of sign segments, taken from a closed
 form when the action has a unipotent power (Isometry._dual_unipotent,
 decided once per map, and read off the base's for a power) and from the
 stepped orbit otherwise, and cut where the record and each window begin
-and end.
+and end.  Both read the wall w through gram w, formed once per call: a
+step's pairing is one dot product with it, and the closed form's
+coefficients at each residue are three dot products, with the rows
+gram w, N^T gram w and (N^2)^T gram w.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import pairwise
@@ -41,7 +44,9 @@ from .lattice import (
     _as_int,
     _as_vector,
     _check_acts_on,
+    _dot,
     _mat_vec,
+    _transpose,
     alpha_invariant,
     sw_formal_dimension,
 )
@@ -155,8 +160,10 @@ def cone_point(lattice: IntegralLattice, coords) -> tuple[int, ...]:
 
 
 def _integerize(vec) -> tuple[int, ...]:
-    """The integer ray through vec: vec times the lcm of its denominators."""
-    fracs = [Fraction(x) for x in vec]
+    """The integer ray through vec: vec times the lcm of its denominators.
+    int and Fraction coordinates are used as they are; any other (bool,
+    float, str, ...) is read by Fraction()."""
+    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in vec]
     denom = math.lcm(*(x.denominator for x in fracs))
     return tuple(x.numerator * (denom // x.denominator) for x in fracs)
 
@@ -225,6 +232,17 @@ def _root_brackets(a: int, b: int, c: int) -> list[tuple[int, int]]:
     ]
 
 
+def _residue_coefficients(action, certificate, omega, dual) -> list[tuple[int, int, int]]:
+    """(a_r, b_r, c_r) = (<v, w>, <N v, w>, <N^2 v, w>) for v = A^r omega,
+    r = 0 .. m-1, where certificate = (m, N, N^2) is the dual action A's
+    and dual = gram w.  <N^j v, w> = v . (N^j)^T dual, so the three rows
+    dual, N^T dual and (N^2)^T dual are formed once and each residue's
+    coefficients are three dot products."""
+    m, nil, square = certificate
+    rows = (dual, _mat_vec(_transpose(nil), dual), _mat_vec(_transpose(square), dual))
+    return [tuple(_dot(v, row) for row in rows) for _, v in orbit_walk(action, omega, 0, m - 1)]
+
+
 def _sign_segments(sign, brackets, lo: int, hi: int, period: int, edges) -> list[tuple]:
     """Cover the steps lo..hi by segments (start, end, pattern) in ascending
     order; step n of a segment has the sign pattern[(n - start) % len(pattern)],
@@ -232,13 +250,20 @@ def _sign_segments(sign, brackets, lo: int, hi: int, period: int, edges) -> list
     at every edge and at both ends of every bracket.  Steps inside the brackets
     are evaluated one by one; between them the sign depends only on the step
     mod period, so a gap keeps the signs of its first period steps.  Each
-    gap's signs are evaluated once and rotated into every piece an edge cuts."""
+    gap's signs are evaluated once and rotated into every piece an edge cuts;
+    a gap of one sign gives every piece that sign, with no rotation.  The
+    edges must be strictly ascending."""
     cuts = sorted({lo, hi + 1, *(x for a, b in brackets for x in (a, b + 1))})
     segments = []
     for start, stop in pairwise(cuts):
         dense = any(a <= start <= b for a, b in brackets)
         first = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
-        for a, b in pairwise(sorted({start, stop, *(e for e in edges if start < e < stop)})):
+        inner = edges[bisect_right(edges, start) : bisect_left(edges, stop)]
+        pieces = pairwise((start, *inner, stop))
+        if len(set(first)) == 1:
+            segments += [(a, b - 1, first[:1]) for a, b in pieces]
+            continue
+        for a, b in pieces:
             r = (a - start) % len(first)
             pattern = (first[r:] + first[:r])[: b - a]
             segments.append((a, b - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
@@ -268,15 +293,17 @@ def orbit_swtot(
     When the dual action A of f has a power A^m = I + N with N^3 = 0
     (parabolic and elliptic maps), the pairing at step n = m*k + r is the
     integer quadratic a_r + b_r*k + c_r*k(k-1)/2 with a_r = <A^r omega0, w>,
-    b_r = <N A^r omega0, w> and c_r = <N^2 A^r omega0, w>.  Its sign can change
-    only near the roots, which integer square roots bound, and elsewhere it
-    depends on r alone; so a few closed-form evaluations certify the whole
-    range in time independent of n_max (method "certificate"), and
-    stabilized says whether the sign provably stays fixed beyond both ends.
-    Other maps are stepped through the range (method "sweep"): the range
-    is then one bracket whose ends are the reading's ends, so stabilized is
-    always True.  Both methods read every answer off one list of sign
-    segments, and step only through the record's segments whose sign varies.
+    b_r = <N A^r omega0, w> and c_r = <N^2 A^r omega0, w>, the dot products
+    of A^r omega0 with the wall's dual rows (see _residue_coefficients).  Its
+    sign can change only near the roots, which integer square roots bound,
+    and elsewhere it depends on r alone; so a few closed-form evaluations
+    certify the whole range in time independent of n_max (method
+    "certificate"), and stabilized says whether the sign provably stays
+    fixed beyond both ends.  Other maps are stepped through the range
+    (method "sweep"): the range is then one bracket whose ends are the
+    reading's ends, so stabilized is always True.  Both methods read every
+    answer off one list of sign segments, and step only through the
+    record's segments whose sign varies.
     """
     _check_orbit_inputs(lattice, f, spinc, n_max)
     return _orbit_swtot(lattice, f, spinc.sw_x, cone_point(lattice, omega0), wall.vector(), n_max)
@@ -288,20 +315,21 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
     oracle value sw_x."""
     action = f.adjoint()
     certificate = f._dual_unipotent
+    lattice.pairing(omega, w)  # checks the wall's length for the dot products below
+    dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
     if certificate is None:
-        lattice.pairing(omega, w)  # checks the wall's length for the dot products below
-        dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
         m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
         walk = orbit_walk(action, omega, lo, hi)
         sign = {n: _sign(sum(map(operator.mul, v, dual))) for n, v in walk}.__getitem__
         brackets = [(lo, hi)]
     else:
-        m, nil, square = certificate
-        coeffs, brackets = [], []
-        for r, v in orbit_walk(action, omega, 0, m - 1):
-            a, b, c = (lattice.pairing(u, w) for u in (v, _mat_vec(nil, v), _mat_vec(square, v)))
-            coeffs.append((a, b, c))
-            brackets += [(m * lo + r, m * hi + r) for lo, hi in _root_brackets(a, b, c)]
+        m = certificate[0]
+        coeffs = _residue_coefficients(action, certificate, omega, dual)
+        brackets = [
+            (m * lo + r, m * hi + r)
+            for r, abc in enumerate(coeffs)
+            for lo, hi in _root_brackets(*abc)
+        ]
 
         def sign(n):
             k, r = divmod(n, m)
@@ -385,9 +413,12 @@ def power_swtot(
     Requires the spin-c orbit to show no return within n_max steps; the
     result provably equals the total for f itself, and both totals are
     computed and compared, so the equality is checked rather than assumed.
-    The inputs are checked, and the ray and the wall made integer, once;
-    the power's map is checked again before its total is computed.
+    The inputs are checked first, with orbit_swtot's checks and messages,
+    and the ray and the wall made integer once; then the power and the
+    spin-c orbit are asked about, and the power's map is checked again
+    before its total is computed.
     """
+    _check_orbit_inputs(lattice, f, spinc, n_max)
     if d < 1:
         raise ParameterError(f"power must be a positive integer, got {d}")
     status = spinc_orbit(lattice, f, spinc.c1, bound=n_max)
@@ -396,7 +427,6 @@ def power_swtot(
             f"spin-c orbit is finite (period {status.period}); "
             "use finite_orbit_swtot for the cyclic bookkeeping"
         )
-    _check_orbit_inputs(lattice, f, spinc, n_max)
     omega, w = cone_point(lattice, omega0), wall.vector()
     base = _orbit_swtot(lattice, f, spinc.sw_x, omega, w, n_max)
     g = f.power(d)

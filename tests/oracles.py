@@ -35,6 +35,10 @@ ray) and STAB_WINDOW
 with the package, but not the package's orbit walk or its sign reader.
 sign_segments_per_piece is the reference for wallcross._sign_segments: it
 cuts at the edges first and evaluates the signs of every piece afresh.
+residue_coefficients_by_pairing is the reference for
+wallcross._residue_coefficients: it steps A^r omega with its own loop and
+takes each coefficient as a lattice pairing <u, w> with u = v, N v, N^2 v,
+where the package dots v with the rows of the wall's dual.
 The orbit, ladder and grid references multiply matrices with their own
 index loops, _mat_mul and _mat_vec, not with the package's row-by-column
 kernels, which are compared with sympy.
@@ -331,6 +335,20 @@ def _orbit_sweep(
         for beyond in (range(-horizon, -n_max + 1), range(n_max + 1, horizon + 2))
     )
     return OrbitSummary(crossings=crossings, stabilized=stabilized, steps_used=2 * n_max + 1)
+
+
+def residue_coefficients_by_pairing(lattice, f, omega, w) -> list[tuple[int, int, int]]:
+    """(<v, w>, <N v, w>, <N^2 v, w>) for v = A^r omega, r = 0 .. m-1, each
+    a lattice pairing, where A is the dual action of f and (m, N, N^2) its
+    certificate."""
+    m, nil, square = f._dual_unipotent
+    forward = f.adjoint().matrix
+    coeffs, v = [], omega
+    for _ in range(m):
+        images = (v, _mat_vec(nil, v), _mat_vec(square, v))
+        coeffs.append(tuple(lattice.pairing(u, w) for u in images))
+        v = _mat_vec(forward, v)
+    return coeffs
 
 
 def sign_segments_per_piece(sign, brackets, lo, hi, period, edges) -> list[tuple]:

@@ -223,6 +223,18 @@ def test_trace_numerators_match_ramanujan_and_conjugates():
                 assert Fraction(kernel[t], x._den) == galois, (n, x, t)
 
 
+def test_trace_reads_one_kernel_entry():
+    """x.trace(k), which sums one residue class per divisor, equals entry
+    k mod n of the whole-vector kernel over the denominator, for the
+    sampled elements at every n <= 120 and every k in -n .. 2n - 1."""
+    rng = random.Random(29)
+    for n in range(1, 121):
+        for x in _sample_elements(rng, n):
+            kernel = x._trace_numerators()
+            for k in range(-n, 2 * n):
+                assert x.trace(k) == Fraction(kernel[k % n], x._den), (n, x, k)
+
+
 def test_times_root_is_the_one_term_root_sum():
     """x.times_root(k), a rotation folded once that keeps the denominator,
     equals the one-term root_sum (which rescales, wraps, folds and divides

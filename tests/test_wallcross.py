@@ -48,7 +48,14 @@ from lenswall.wallcross import (
 from lenswall import lattice, wallcross
 from lenswall.lattice import _identity, _unipotent_power
 from lenswall.scenario import load_scenario
-from oracles import _orbit_pairings, _orbit_sweep, sign_segments_per_piece, unipotent_power_ladder
+from oracles import _mat_mul as oracle_mat_mul
+from oracles import (
+    _orbit_pairings,
+    _orbit_sweep,
+    residue_coefficients_by_pairing,
+    sign_segments_per_piece,
+    unipotent_power_ladder,
+)
 
 C1 = (1, 1, 1)
 
@@ -129,6 +136,45 @@ def test_perturbed_wall_missing_the_fixed_ray(lat, parabolic):
     assert summary.crossings == {-2: -1, 0: 1}
     with pytest.raises(UniquenessViolationError):
         unique_crossing_index(lat, parabolic, spinc, (3, 2, 2), wall, n_max=100)
+
+
+def _fraction_ray(coords):
+    """The integer ray through coords with every coordinate read by
+    Fraction(), as cone_point read them before int and Fraction
+    coordinates were taken as they are."""
+    fracs = [Fraction(x) for x in coords]
+    denom = math.lcm(*(x.denominator for x in fracs))
+    return tuple(x.numerator * (denom // x.denominator) for x in fracs)
+
+
+def test_integer_rays_of_every_coordinate_type(lat):
+    """cone_point and WallClass.vector() give the ints that reading every
+    coordinate by Fraction() gives, for int, Fraction, float, str and bool
+    coordinates, and a ConeError quotes the coordinates as given."""
+    rays = [
+        (2, 1, 0),
+        (Fraction(7, 2), 2, 2),
+        (Fraction(6, 2), Fraction(1, 3), 0),
+        (2.5, 0.5, 1),
+        ("7/2", 2, "1/3"),
+        (True, False, False),
+        (3, True, Fraction(1, 2)),
+        (0.5, "1/4", False),
+    ]
+    for coords in rays:
+        ray = cone_point(lat, coords)
+        assert ray == _fraction_ray(coords), coords
+        assert all(type(x) is int for x in ray), coords
+        wall = WallClass(coords).vector()
+        assert wall == _fraction_ray(coords), coords
+        assert all(type(x) is int for x in wall), coords
+    assert WallClass((True, 0, 0), (Fraction(1, 2), 0.5, "1/3")).vector() == (9, 3, 2)
+    for coords in ((1, 1, 1), (1.0, 1, True), ("1", Fraction(1), 1)):
+        with pytest.raises(ConeError, match=re.escape(f"period point {coords} has non-positive")):
+            cone_point(lat, coords)
+    for coords in ((-2, 0, 0), (-2.5, "1/2", False), (Fraction(-7, 2), 2, 2)):
+        with pytest.raises(ConeError, match=re.escape(f"period point {coords} pairs")):
+            cone_point(lat, coords)
 
 
 def test_spinc_validation(lat):
@@ -233,6 +279,24 @@ def test_power_swtot(lat, parabolic, wall, spinc):
 def test_power_swtot_rejects_finite_orbit(lat, wall, spinc):
     with pytest.raises(ParameterError):
         power_swtot(lat, identity_isometry(lat), 2, spinc, (3, 2, 2), wall)
+
+
+def test_power_swtot_checks_its_inputs_first(lat, parabolic, wall, spinc):
+    """power_swtot checks its inputs as orbit_swtot does, with the same
+    messages, before it asks about the spin-c orbit: n_max = 0 is not
+    reported as spinc_orbit's bound, nor an alpha = -1 map (whose spin-c
+    orbit has period 2) as a finite orbit."""
+    flip = Isometry(lat, ((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    cases = (
+        ((parabolic,), {"n_max": 0}, "^n_max must be positive$"),
+        ((flip,), {}, re.escape("orbit sums require an orientation-coherent map (alpha = +1)")),
+    )
+    for (f,), kwargs, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            orbit_swtot(lat, f, spinc, (3, 2, 2), wall, **kwargs)
+        with pytest.raises(ParameterError, match=message):
+            power_swtot(lat, f, 2, spinc, (3, 2, 2), wall, **kwargs)
+    assert spinc_orbit(lat, flip, C1).period == 2
 
 
 def test_consistency_checks_survive_python_O():
@@ -702,13 +766,10 @@ def test_rank8_sign_segments_match_per_piece_reading(case):
             pass
 
 
-def test_powers_carry_the_certificate_of_their_dual_action(lat):
-    """f.power(d) reads the unipotent power of its dual action off f's
-    (m, N, N^2), and it equals _unipotent_power of that action for
-    d = -6..6: on every map that a word of length <= 4 in r+, r-, the
-    quarter turn and their inverses gives, on the A2 maps (m = 3, 6, 6,
-    so gcd(m, d) > 1 occurs), on the rank-8 map (m = 5) and on a
-    hyperbolic map (None)."""
+def power_test_maps(lat):
+    """Every map that a word of length <= 4 in r+, r-, the quarter turn and
+    their inverses gives, the A2 maps (m = 3, 6, 6, so gcd(m, d) > 1
+    occurs), the rank-8 map (m = 5) and a hyperbolic map (None)."""
     letters = [reflection_sphere(lat, sigma) for sigma in (SIGMA_PLUS, SIGMA_MINUS)]
     letters += [Isometry(lat, ROTATION)]
     letters += [g.inverse() for g in letters]
@@ -720,15 +781,40 @@ def test_powers_carry_the_certificate_of_their_dual_action(lat):
     a2 = IntegralLattice(A2_GRAM)
     maps = [*maps.values(), *(Isometry(a2, mat) for mat, _ in A2_MAPS)]
     hyperbolic = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
-    maps += [load_scenario(str(RANK8)).isometry, hyperbolic]
+    return maps + [load_scenario(str(RANK8)).isometry, hyperbolic]
+
+
+def test_powers_carry_the_certificate_of_their_dual_action(lat):
+    """f.power(d) reads the unipotent power of its dual action off f's
+    (m, N, N^2), and it equals _unipotent_power of that action for
+    d = -6..6, on the maps of power_test_maps."""
     exponents = set()
-    for f in maps:
+    for f in power_test_maps(lat):
         for d in range(-6, 7):
             power = f.power(d)
             expected = _unipotent_power(power._inverse)
             assert power._dual_unipotent == expected, (f, d)
             exponents.add((f._dual_unipotent and f._dual_unipotent[0], expected and expected[0]))
     assert {(3, 1), (6, 2), (6, 3), (6, 6), (5, 1), (5, 5), (None, None)} <= exponents
+
+
+def test_powers_are_built_once_per_map(lat):
+    """A map keeps the powers it has built: f.power(d) returns the same
+    object on every call, and for d = -6..6 on the maps of power_test_maps
+    the stored power's matrix is the product of |d| copies of f or f^-1,
+    and its inverse and certificate equal the ones the checking
+    constructor and _unipotent_power compute afresh from that matrix."""
+    for f in power_test_maps(lat):
+        identity = _identity(f.lattice.rank)
+        for d in range(-6, 7):
+            power = f.power(d)
+            assert f.power(d) is power, (f, d)
+            step = f.matrix if d > 0 else f._inverse
+            fresh = Isometry(f.lattice, reduce(oracle_mat_mul, [step] * abs(d), identity))
+            assert power.matrix == fresh.matrix, (f, d)
+            assert power._inverse == fresh._inverse, (f, d)
+            assert power._dual_unipotent == _unipotent_power(fresh._inverse), (f, d)
+        assert f.power(1) is f
 
 
 def test_power_swtot_derives_the_power_certificate(lat, parabolic, wall, spinc, monkeypatch):
@@ -744,3 +830,62 @@ def test_power_swtot_derives_the_power_certificate(lat, parabolic, wall, spinc, 
     for d in range(2, 7):
         assert power_swtot(lat, parabolic, d, spinc, (3, 2, 2), wall) == 1
     assert calls == [parabolic._inverse]
+
+
+NONSTANDARD = Path(__file__).parent / "data" / "nonstandard_gram.json"
+
+
+def _coefficients_agree(lat, f, omega0, wall):
+    """wallcross._residue_coefficients (dot products with the wall's dual
+    rows) equals the per-residue lattice pairings of the reference."""
+    omega, w = cone_point(lat, omega0), wall.vector()
+    rows = wallcross._residue_coefficients(
+        f.adjoint(), f._dual_unipotent, omega, _mat_vec(lat.gram, w)
+    )
+    assert rows == residue_coefficients_by_pairing(lat, f, omega, w), (f, omega0, wall)
+    return rows
+
+
+def test_residue_coefficients_match_lattice_pairings(lat):
+    """On every map with a certificate that a word of length <= 4 in r+,
+    r-, the quarter turn and their inverses gives (m = 1, 2, 4), and on
+    the maps that words of length <= 3 in four sphere reflections give on
+    the nonstandard gram of tests/data/nonstandard_gram.json (where N is
+    not symmetric), for random rays and perturbed walls."""
+    rng = random.Random(29)
+    letters = [reflection_sphere(lat, sigma) for sigma in (SIGMA_PLUS, SIGMA_MINUS)]
+    letters += [Isometry(lat, ROTATION)]
+    letters += [g.inverse() for g in letters]
+    scenario = load_scenario(str(NONSTANDARD))
+    other = scenario.lattice
+    other_letters = [reflection_sphere(other, s) for s in ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 4, 3))]
+    families = (
+        (lat, letters, 4, random_cone_points(4, seed=29, odd_pairing=False)),
+        (other, other_letters, 3, [scenario.omega0, (5, 2, 1), (Fraction(3, 2), 7, 2)]),
+    )
+    asymmetric = 0
+    for lattice_, generators, longest, rays in families:
+        maps = {}
+        for length in range(1, longest + 1):
+            for word in product(generators, repeat=length):
+                f = reduce(Isometry.compose, word)
+                maps.setdefault(f.matrix, f)
+        certified = [f for f in maps.values() if f._dual_unipotent is not None]
+        assert {f._dual_unipotent[0] for f in certified} >= {1, 2}
+        for f in certified:
+            nil = f._dual_unipotent[1]
+            asymmetric += nil != tuple(zip(*nil))
+            for ray in rays:
+                shift = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+                for wall in (WallClass(C1), WallClass(C1, shift)):
+                    _coefficients_agree(lattice_, f, ray, wall)
+    assert asymmetric
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank8_cases())
+def test_rank8_residue_coefficients_match_lattice_pairings(case):
+    """As test_residue_coefficients_match_lattice_pairings, on the rank-8
+    draws (m = 5, so five residues)."""
+    rows = _coefficients_agree(case["lattice"], case["f"], case["omega0"], case["wall"])
+    assert len(rows) == 5
