@@ -10,7 +10,8 @@ All linear algebra is on integers: products multiply row by column
 (`_mat_mul`, `_mat_vec`, `_dot`), one division-free Gauss-Jordan kernel,
 `_echelon`, answers every rank, span and inverse question, and one
 characteristic polynomial, `_charpoly`, gives the signature (Descartes'
-rule of signs) and the unipotent power of a map (Kronecker's theorem).
+rule of signs) and the unipotent power of a map (Kronecker's theorem: its
+cyclotomic factors, which `lenswall.poly` strips on integers).
 Derived isometries carry what their factors know: a product or power its
 inverse, and a power the unipotent power of its dual action, read off
 its base's without a new characteristic polynomial.  A map keeps the
@@ -25,8 +26,8 @@ from itertools import pairwise, product
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import _poly_divmod, cyclotomic_polynomial
 from .errors import ParameterError, ResourceBoundError
+from .poly import _cyclotomic_factors
 
 __all__ = [
     "IntegralLattice",
@@ -114,22 +115,14 @@ def _unipotent_power(mat):
     """(m, N, N^2) for the least m >= 1 such that N = mat^m - I has N^3 = 0,
     or None (hyperbolic maps); then mat^(m*k) = I + k*N + k(k-1)/2 * N^2 for
     every integer k.  By Kronecker's theorem the characteristic polynomial
-    has all its roots on the unit circle iff it is a product of Phi_k, which
-    exact division strips in ascending k; Phi_k divides the rest, of degree
-    d, only if phi(k) <= d, so a larger phi(k) is skipped without building
-    Phi_k and k stops at 2d^2 (phi(k) >= sqrt(k/2)).  mat^m - I is then
-    nilpotent iff every k found divides m, so m is their lcm."""
-    rest, m, k = _charpoly(mat), 1, 1
-    while len(rest) > 1:
-        degree = len(rest) - 1
-        if k > 2 * degree * degree:
-            return None
-        if sum(gcd(a, k) == 1 for a in range(k)) <= degree:  # phi(k), the units mod k
-            quot, rem = _poly_divmod(rest, cyclotomic_polynomial(k))
-            if not rem:
-                rest, m = quot, lcm(m, k)
-                continue
-        k += 1
+    has all its roots on the unit circle iff it is a product of Phi_k, so a
+    map whose polynomial keeps a factor of positive degree once
+    `poly._cyclotomic_factors` has stripped them is hyperbolic.  Otherwise
+    mat^m - I is nilpotent iff every k found divides m, so m is their lcm."""
+    ks, rest = _cyclotomic_factors(_charpoly(mat))
+    if len(rest) > 1:
+        return None
+    m = lcm(*ks)
     nil = _shift(reduce(_mat_mul, [mat] * m), -1)
     square = _mat_mul(nil, nil)
     if any(any(row) for row in _mat_mul(square, nil)):

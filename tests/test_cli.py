@@ -21,6 +21,7 @@ EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
 HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
 RANK8_PARABOLIC = Path(__file__).parent / "data" / "rank8_parabolic.json"
 PERTURBED_PLANE = Path(__file__).parent / "data" / "perturbed_plane.json"
+A2_ELLIPTIC = Path(__file__).parent / "data" / "a2_elliptic.json"
 NONSTANDARD_GRAM = Path(__file__).parent / "data" / "nonstandard_gram.json"
 NEGATIVE_SHEET = Path(__file__).parent / "data" / "negative_sheet.json"
 
@@ -429,7 +430,8 @@ def _pinned_scenario(case, tmp_path) -> str:
     """The --scenario argument of one pinned case: the built-in default, the
     paper map written as an explicit matrix, a hyperbolic map, the paper map
     with a wall whose plane reaches the a != 0 branch of
-    wall_ideal_endpoints, or an invalid variant of them."""
+    wall_ideal_endpoints, an elliptic map of order 3 on (1) + A2(-1), or an
+    invalid variant of them."""
     if case == "paper-default":
         return case
     if case == "explicit-isometry":
@@ -438,6 +440,8 @@ def _pinned_scenario(case, tmp_path) -> str:
         return str(HYPERBOLIC)
     if case == "perturbed-plane":
         return str(PERTURBED_PLANE)
+    if case == "a2-elliptic":
+        return str(A2_ELLIPTIC)
     explicit = json.loads(EXPLICIT_ISOMETRY.read_text())
     doc = {
         "perturbed": {**explicit, "perturbation": ["0/1", "0/1", "1/2"]},
@@ -491,6 +495,12 @@ def _pinned_scenario(case, tmp_path) -> str:
         "3d271db0fc609e714d47d068740cc638adbe926c0da28e9c4caaddaeda9ea7ff",
         "b90e94825c6b7634653ec20dac5b30e1e5774d90b16d578f0628e2fec70ff80c",
         "eaabb28b932b084df6278cf4db49a5e56c5d3ff92a0cd2ee0b5390510686dbbf",
+    ]),
+    ("a2-elliptic", [0, 0, 0, 2], [
+        "94b594726c2a05bc72f18c1c668c8c0b25060a5b98c3d77065858aa5f10a347b",
+        "618b1e18d72842a6c151c9490dfed84147950a61313d49b03eea76f1e2224c46",
+        "1d597e66dae771b40a961fce9cddd23e2360d6a7c5a3df3b189d87a744b6f2bc",
+        "6631428c25e79a0a2067fdf12f9344926c3c81fed423510415f4b1e5e6cc533e",
     ]),
 ])
 def test_scenario_commands_are_pinned(capsys, tmp_path, case, codes, digests):

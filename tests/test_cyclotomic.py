@@ -15,7 +15,9 @@ from lenswall.cyclotomic import (
     root_of_unity,
     root_sum,
 )
+from lenswall import cyclotomic, poly
 from lenswall.errors import NotRationalError, OrderMismatchError, ParameterError
+from lenswall.poly import _cyclotomic_factors
 from oracles import (
     cyclotomic_polynomial_by_division,
     ramanujan_sums,
@@ -63,6 +65,24 @@ def test_product_of_divisors_is_xn_minus_1(n):
     expected = [-1] + [0] * (n - 1) + [1]
     assert prod == expected
     assert len(cyclotomic_polynomial(n)) - 1 == sympy.totient(n)
+
+
+def test_the_field_reads_the_one_cached_phi():
+    assert cyclotomic.cyclotomic_polynomial is poly.cyclotomic_polynomial
+
+
+def test_each_phi_alone_is_one_cyclotomic_factor():
+    """Each Phi_k, k <= 120, is found before the stop at k > 2d^2; k = 2
+    meets that bound exactly (phi(2) = 1), so k = 2d^2 itself is tried."""
+    for k in range(1, 121):
+        assert _cyclotomic_factors(cyclotomic_polynomial(k)) == ([k], [1]), k
+
+
+def test_products_of_two_phi_give_both_cyclotomic_factors():
+    for k in range(1, 31):
+        for j in range(1, k + 1):
+            product = poly_mul(list(cyclotomic_polynomial(j)), list(cyclotomic_polynomial(k)))
+            assert _cyclotomic_factors(product) == (sorted([j, k]), [1]), (j, k)
 
 
 def test_root_of_unity_basics():

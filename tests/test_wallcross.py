@@ -6,10 +6,11 @@ import sys
 import textwrap
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +47,8 @@ from lenswall.wallcross import (
     unique_crossing_index,
 )
 from lenswall import lattice, wallcross
-from lenswall.lattice import _identity, _unipotent_power
+from lenswall.lattice import _charpoly, _identity, _unipotent_power
+from lenswall.poly import _cyclotomic_factors
 from lenswall.scenario import load_scenario
 from oracles import _mat_mul as oracle_mat_mul
 from oracles import (
@@ -276,6 +278,26 @@ def test_power_swtot(lat, parabolic, wall, spinc):
     assert power_swtot(lat, inv, 2, spinc, (3, 2, 2), wall, n_max=200) == -base
 
 
+def test_power_swtot_blames_a_short_window_not_arithmetic(lat):
+    """Swept records that disagree may just need a longer window: on this
+    hyperbolic map at n_max = 1, f's record totals 0 and f^4's totals 3, so
+    power_swtot raises StabilizationError, as orbit_swtot itself does at
+    n_max = 2..5; at n_max = 20 both totals read 3."""
+    f = Isometry(lat, ((3, -2, -2), (-2, 2, 1), (2, -1, -2)))
+    omega0 = (Fraction(87, 5), Fraction(42, 5), Fraction(-39, 5))
+    wall = WallClass(C1, (-2, Fraction(9, 4), 1))
+    spinc = SpinCData(C1, sw_x=-3)
+    assert orbit_swtot(lat, f, spinc, omega0, wall, n_max=1)[1:] == (0, True, 3, "sweep")
+    assert orbit_swtot(lat, f.power(4), spinc, omega0, wall, n_max=1).total == 3
+    with pytest.raises(StabilizationError, match="^wall side has not stabilized within 1 steps"):
+        power_swtot(lat, f, 4, spinc, omega0, wall, n_max=1)
+    for n_max in range(2, 6):
+        with pytest.raises(StabilizationError):
+            orbit_swtot(lat, f, spinc, omega0, wall, n_max=n_max)
+    assert orbit_swtot(lat, f, spinc, omega0, wall, n_max=20).total == 3
+    assert power_swtot(lat, f, 4, spinc, omega0, wall, n_max=20) == 3
+
+
 def test_power_swtot_rejects_finite_orbit(lat, wall, spinc):
     with pytest.raises(ParameterError):
         power_swtot(lat, identity_isometry(lat), 2, spinc, (3, 2, 2), wall)
@@ -303,11 +325,13 @@ def test_consistency_checks_survive_python_O():
     """power_swtot's power invariance, finite_orbit_swtot's closed form and
     cyclotomic_polynomial's exact division are explicit raises, so they
     still fire under python -O, which strips assert statements.  Each is
-    fed a wrong value by a patch in a fresh interpreter."""
+    fed a wrong value by a patch in a fresh interpreter; the two patched
+    records are certified and stabilized, the only ones whose totals must
+    agree."""
     script = textwrap.dedent(
         """
         import math, types
-        from lenswall import cyclotomic, wallcross
+        from lenswall import poly, wallcross
         from lenswall.lattice import SIGMA_MINUS, SIGMA_PLUS, reflection_sphere, standard_lattice
 
         def fails(call):
@@ -319,14 +343,16 @@ def test_consistency_checks_survive_python_O():
         lat = standard_lattice()
         f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
         totals = iter((1, 2))
-        wallcross._orbit_swtot = lambda *args: wallcross.OrbitSummary({0: next(totals)})
+        wallcross._orbit_swtot = lambda *args: wallcross.OrbitSummary(
+            {0: next(totals)}, method="certificate"
+        )
         spinc, wall = wallcross.SpinCData((1, 1, 1), 1), wallcross.WallClass((1, 1, 1))
         print(__debug__)
         print(fails(lambda: wallcross.power_swtot(lat, f, 2, spinc, (3, 2, 2), wall)))
         wallcross.math = types.SimpleNamespace(gcd=math.gcd, lcm=lambda d, n: 2 * math.lcm(d, n))
         print(fails(lambda: wallcross.finite_orbit_swtot(4, (1, 0, -2, 3), 6)))
-        cyclotomic._poly_divmod = lambda num, den: (num, [1])
-        print(fails(lambda: cyclotomic.cyclotomic_polynomial(6)))
+        poly._poly_divmod = lambda num, den: (num, [1])
+        print(fails(lambda: poly.cyclotomic_polynomial(6)))
         """
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
@@ -620,48 +646,86 @@ def _direct_sum(*blocks):
     return tuple(rows)
 
 
-def test_unipotent_power_matches_the_exponent_ladder(lat, parabolic):
-    """On rank 3 the cyclotomic factors of the characteristic polynomial give
-    the same (m, N, N^2), or None, as trying m = 1, 2, 3, 4, 6, 12: on every
-    word of length <= 4 in r+, r-, the quarter turn and their inverses, each
-    as the map and as its adjoint, and on the A2 maps above.  On rank 12 the
-    same holds for two block maps whose eigenvalue orders divide 12."""
+def _ladder_maps(lat, parabolic):
+    """The maps the exponent ladder is checked on: the rank-3 words, each as
+    the map and as its adjoint; the A2 maps above with their orders; and the
+    two rank-12 blocks."""
     letters = [reflection_sphere(lat, sigma) for sigma in (SIGMA_PLUS, SIGMA_MINUS)]
     letters += [Isometry(lat, ROTATION)]
     letters += [g.inverse() for g in letters]
-    matrices = set()
+    words = set()
     for length in range(1, 5):
         for word in product(letters, repeat=length):
             f = reduce(Isometry.compose, word)
-            matrices.update((f.matrix, f.adjoint().matrix))
-    exponents = set()
-    for mat in matrices:
-        expected = unipotent_power_ladder(mat)
-        assert _unipotent_power(mat) == expected, mat
-        exponents.add(expected and expected[0])
-    assert exponents == {None, 1, 2, 4}
+            words.update((f.matrix, f.adjoint().matrix))
     a2 = IntegralLattice(A2_GRAM)
-    for mat, order in A2_MAPS:
-        f = Isometry(a2, mat)
-        for side in (f.matrix, f.adjoint().matrix):
-            assert _unipotent_power(side) == unipotent_power_ladder(side)
-            assert _unipotent_power(side)[0] == order
-        assert classify_isometry(a2, f) == "elliptic"
-    # a unipotent Jordan block of size 4: no power has N^3 = 0
-    jordan = tuple(tuple(int(j in (i, i + 1)) for j in range(4)) for i in range(4))
-    assert _unipotent_power(jordan) is None
+    a2_maps = [(Isometry(a2, mat), order) for mat, order in A2_MAPS]
     # rank 12: a hyperbolic 2x2 block plus the identity has no unipotent
     # power; the paper map plus blocks of order 3 and 4 plus the identity
     # has m = lcm(1, 3, 4) = 12
     hyperbolic = _direct_sum(((2, 1), (1, 1)), _identity(10))
     mixed = _direct_sum(parabolic.adjoint().matrix, ((0, -1), (1, -1)), ((0, -1), (1, 0)),
                         _identity(5))
+    return words, a2_maps, (hyperbolic, mixed)
+
+
+def test_unipotent_power_matches_the_exponent_ladder(lat, parabolic):
+    """On rank 3 the cyclotomic factors of the characteristic polynomial give
+    the same (m, N, N^2), or None, as trying m = 1, 2, 3, 4, 6, 12: on every
+    word of length <= 4 in r+, r-, the quarter turn and their inverses, each
+    as the map and as its adjoint, and on the A2 maps above.  On rank 12 the
+    same holds for two block maps whose eigenvalue orders divide 12."""
+    words, a2_maps, (hyperbolic, mixed) = _ladder_maps(lat, parabolic)
+    exponents = set()
+    for mat in words:
+        expected = unipotent_power_ladder(mat)
+        assert _unipotent_power(mat) == expected, mat
+        exponents.add(expected and expected[0])
+    assert exponents == {None, 1, 2, 4}
+    for f, order in a2_maps:
+        for side in (f.matrix, f.adjoint().matrix):
+            assert _unipotent_power(side) == unipotent_power_ladder(side)
+            assert _unipotent_power(side)[0] == order
+        assert classify_isometry(f.lattice, f) == "elliptic"
+    # a unipotent Jordan block of size 4: no power has N^3 = 0
+    jordan = tuple(tuple(int(j in (i, i + 1)) for j in range(4)) for i in range(4))
+    assert _unipotent_power(jordan) is None
     assert _unipotent_power(hyperbolic) is None is unipotent_power_ladder(hyperbolic)
     assert _unipotent_power(mixed) == unipotent_power_ladder(mixed)
     assert _unipotent_power(mixed)[0] == 12
 
 
 RANK8 = Path(__file__).parent / "data" / "rank8_parabolic.json"
+HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
+
+
+def test_a_hyperbolic_map_keeps_its_real_factor():
+    """x^3 - 3x^2 - 3x + 1 = (x + 1)(x^2 - 4x + 1): Phi_2 and a rest whose
+    roots are 2 +- sqrt(3)."""
+    charpoly = _charpoly(load_scenario(str(HYPERBOLIC)).isometry.matrix)
+    assert _cyclotomic_factors(charpoly) == ([2], [1, -4, 1])
+
+
+def test_cyclotomic_factors_match_sympy(lat, parabolic):
+    """On the characteristic polynomials of the ladder maps and the rank-8
+    map, the stripped Phi_k, one per factor, and the rest are sympy's
+    factor_list: its cyclotomic factors are read as Phi_k for the least k
+    with Phi_k | x^k - 1, the others multiplied into the rest."""
+    words, a2_maps, blocks = _ladder_maps(lat, parabolic)
+    a2_sides = [side for f, _ in a2_maps for side in (f.matrix, f.adjoint().matrix)]
+    rank8 = load_scenario(str(RANK8)).isometry.matrix
+    x = sympy.Symbol("x")
+    for charpoly in {tuple(_charpoly(mat)) for mat in (*words, *a2_sides, *blocks, rank8)}:
+        content, factors = sympy.factor_list(sympy.Poly(charpoly[::-1], x))
+        ks, rest = [], sympy.Poly(content, x)
+        for factor, multiplicity in factors:
+            if factor.is_cyclotomic:
+                k = next(k for k in count(1) if sympy.Poly(x**k - 1, x).rem(factor).is_zero)
+                ks += [k] * multiplicity
+            else:
+                rest *= factor**multiplicity
+        expected = (sorted(ks), [int(c) for c in reversed(rest.all_coeffs())])
+        assert _cyclotomic_factors(charpoly) == expected, charpoly
 
 
 def test_rank8_parabolic_map_has_a_certificate(monkeypatch):
