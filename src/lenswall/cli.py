@@ -44,7 +44,7 @@ from .lattice import (
     metabolizer_search,
     sw_formal_dimension,
 )
-from .scenario import Scenario, format_rational, load_scenario
+from .scenario import Scenario, _step_budget, format_rational, load_scenario
 from .wallcross import (
     classify_isometry,
     cone_point,
@@ -85,13 +85,14 @@ def _value(value, approx: bool) -> dict:
 
 
 def _scenario(args) -> tuple[Scenario, dict]:
-    """The scenario a command names, with --n-max (when given) in place of
-    its step budget, and the inputs echo of both."""
+    """The scenario a command names, with --n-max (when given, and checked
+    as the scenario's own n_max is) in place of its step budget, and the
+    inputs echo of both."""
     scenario = load_scenario(args.scenario)
     inputs = {"scenario": args.scenario, "definition": scenario.definition}
     if getattr(args, "n_max", None) is not None:
         inputs["n_max"] = args.n_max
-        scenario = scenario._replace(n_max=args.n_max)
+        scenario = scenario._replace(n_max=_step_budget(args.n_max))
     return scenario, inputs
 
 

@@ -22,8 +22,8 @@ sums of all conjugates, are read for every t at once
 fold: Ramanujan's sum c_n(j) = Tr(zeta_n^j) is the Moebius sum of d over
 the divisors d of gcd(j, n) with weight mu(n/d), so the traces are the
 numerators summed over each residue class mod d, for each d | n with n/d
-squarefree.  `trace` puts one of them over the denominator; a caller adding
-many traces adds the integers and builds one Fraction.
+squarefree.  The eta tables add these integers and build one Fraction
+per entry.
 
 Phi_n, the primes of n and the trimming of coefficient lists come from
 `lenswall.poly`, the integer polynomial layer that the lattice also uses.
@@ -238,16 +238,6 @@ class Cyclotomic:
         for i, c in enumerate(self._num):
             full[i * m % n] = c
         return Cyclotomic._make(n, _fold(n, full), self._den)
-
-    def trace(self, k: int = 0) -> Fraction:
-        """Tr(zeta_n^k * self), the sum of its Galois conjugates over
-        Q(zeta_n)/Q, which is rational by construction: entry k mod n of
-        `_trace_numerators` over the denominator, read alone.  That entry is
-        the sum over d | n with n/d squarefree of mu(n/d) * d * S_d(-k), so
-        only the class -k mod d of the numerators is summed for each d."""
-        num = self._num
-        total = sum(weight * sum(num[-k % d :: d]) for d, weight in _moebius_classes(self.order))
-        return Fraction(total, self._den)
 
     def _trace_numerators(self) -> tuple[int, ...]:
         """den * Tr(zeta_n^t * self) for t = 0 .. n-1, integers.

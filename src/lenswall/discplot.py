@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError, ResourceBoundError
-from .lattice import IntegralLattice, _as_vector, _mat_vec
+from .lattice import IntegralLattice, _as_vector, _echelon, _mat_vec
 from .wallcross import WallClass, _require_disc_coordinates, disc_project
 
 __all__ = ["sample_wall_points", "wall_ideal_endpoints", "render_disc_svg"]
@@ -36,16 +36,12 @@ def _wall_plane_basis(lattice: IntegralLattice, wall: WallClass):
     for cand in candidates:
         if sum(c * x for c, x in zip(cand, u)) != 0 or not any(cand):
             continue
-        if basis and _parallel(basis[0], cand):
+        if basis and len(_echelon([basis[0], cand])[0]) < 2:
             continue
         basis.append(cand)
         if len(basis) == 2:
             return basis
     raise AssertionError("wall plane basis not found")
-
-
-def _parallel(a, b):
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(3) for j in range(3))
 
 
 def _orient(lattice, v):

@@ -17,13 +17,16 @@ the trace of one element of Q(zeta_m); the sums at every exponent are one
 table per (formula, p, q) (see _trace_table): one product per divisor, and
 every trace of it at once, kept as integers (the element's denominator
 times its trace) until the p Fractions of the table.  The Fourier forms
-stay in Q(zeta_p).  Each distinct field element is computed once: each unit
-inverse (a Galois conjugate of the one at exponent 1 wherever the exponent
-is prime to the order), each product of two inverses (one per unordered
-pair of exponents), each table of sums (one entry per exponent, up to sign:
-see eta_variant) and each unit ratio (a Galois conjugate of the one at
-j = 1 wherever j is prime to p; the closed form stays a per-j computation,
-so the two Fourier forms check each other at every j).
+stay in Q(zeta_p).  All four divide by elements zeta_n^m + c, with the
+shift c = -1 (half-roots, unit ratio) or 1 (odd-p, closed form), through
+one cached inverse, _inverse(n, m, c).  Each distinct field element is
+computed once: each inverse (a Galois conjugate of the one at exponent 1
+wherever the exponent is prime to the order), each product of two inverses
+(one per shift and unordered pair of exponents), each table of sums (one
+entry per exponent, up to sign: see eta_variant) and each unit ratio (a
+Galois conjugate of the one at j = 1 wherever j is prime to p; the closed
+form stays a per-j computation, so the two Fourier forms check each other
+at every j).
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -117,75 +120,59 @@ class MatchingResult(namedtuple("MatchingResult", "p q q_prime matches distingui
 
 
 @lru_cache(maxsize=None)
-def _unit_inverse(n: int, m: int) -> Cyclotomic:
-    """1 / (zeta_n^m - 1), cached per order; m must be nonzero mod n.
+def _inverse(n: int, m: int, c: int) -> Cyclotomic:
+    """1 / (zeta_n^m + c) for the shift c = -1 or 1, cached; zeta_n^m + c
+    must be nonzero (m nonzero mod n for c = -1, n odd for c = 1).
 
-    For m prime to n this is sigma_m(1 / (zeta_n - 1)), sigma_m the Galois
+    For m prime to n this is sigma_m(1 / (zeta_n + c)), sigma_m the Galois
     automorphism zeta_n -> zeta_n^m, so only m = 1 and the m that share a
     factor with n run the Euclidean inverse."""
     if m != 1 and gcd(m, n) == 1:
-        return _unit_inverse(n, 1).conjugate(m)
-    return (root_of_unity(n, m) - 1).inverse()
+        return _inverse(n, 1, c).conjugate(m)
+    return (root_of_unity(n, m) + c).inverse()
 
 
 @lru_cache(maxsize=None)
-def _plus_one_inverse(n: int, m: int) -> Cyclotomic:
-    """1 / (zeta_n^m + 1), cached; nonvanishing whenever n is odd.
-
-    As for _unit_inverse, m prime to n other than 1 takes the Galois
-    conjugate sigma_m(1 / (zeta_n + 1)) instead of a Euclidean inverse."""
-    if m != 1 and gcd(m, n) == 1:
-        return _plus_one_inverse(n, 1).conjugate(m)
-    return (root_of_unity(n, m) + 1).inverse()
+def _pair_product(n: int, a: int, b: int, c: int) -> Cyclotomic:
+    return _inverse(n, a, c) * _inverse(n, b, c)
 
 
-@lru_cache(maxsize=None)
-def _pair_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
-    return inverse(n, a) * inverse(n, b)
-
-
-def _inverse_product(inverse, n: int, a: int, b: int) -> Cyclotomic:
-    """inverse(n, a) * inverse(n, b), inverse being _unit_inverse or
-    _plus_one_inverse, multiplied once per unordered pair {a mod n, b mod n}:
-    the eta trace sums (one per divisor order n) and both Fourier forms all
-    read it."""
+def _inverse_product(n: int, a: int, b: int, c: int) -> Cyclotomic:
+    """_inverse(n, a, c) * _inverse(n, b, c), multiplied once per shift c
+    and unordered pair {a mod n, b mod n}: the eta trace sums (one per
+    divisor order n) and both Fourier forms all read it."""
     a, b = a % n, b % n
-    return _pair_product(inverse, n, min(a, b), max(a, b))
+    return _pair_product(n, min(a, b), max(a, b), c)
 
 
 @lru_cache(maxsize=None)
-def _trace_table(inverse, n: int, p: int, q: int) -> tuple[Fraction, ...]:
-    """Entry t, for t = 0 .. p-1: (1/p) * sum of zeta_n^(kt) * inverse(n, kq)
-    * inverse(n, k) over the k in 0 .. n-1 with gcd(k, n) odd, inverse being
-    _unit_inverse (n = 2p, where these are the odd k: "half-roots") or
-    _plus_one_inverse (n = p odd, every k: "odd-p"); cached per
-    (formula, p, q mod 2p).
+def _trace_table(c: int, p: int, q: int) -> tuple[Fraction, ...]:
+    """Entry t, for t = 0 .. p-1: (1/p) * sum of zeta_n^(kt) * _inverse(n,
+    kq, c) * _inverse(n, k, c) over the k in 0 .. n-1 with gcd(k, n) odd:
+    c = -1 and n = 2p, where these are the odd k ("half-roots"), or c = 1
+    and n = p odd, every k ("odd-p"); cached per (formula, p, q mod 2p).
 
     Write k = d*u with d = gcd(k, n) and m = n/d; then zeta_n^k = zeta_m^u
     with u a unit mod m, and u runs once over the units mod m as k runs
     over the k with gcd(k, n) = d.  The term at k is sigma_u(x_m) for
-    x_m = zeta_m^t * inverse(m, q) * inverse(m, 1), sigma_u the Galois
-    automorphism zeta_m -> zeta_m^u, so the terms with gcd(k, n) = d sum to
-    the trace of x_m from Q(zeta_m) to Q, which depends on t mod m alone.
-    So the table takes one product per divisor m of n with n/m odd, and
-    every trace of it at once (Cyclotomic._trace_numerators, the integers
-    den(x_m) * Tr(zeta_m^t * x_m) for t = 0 .. m-1), scaled to the lcm of
-    the denominators and added at t mod m; each entry over that lcm, with
-    the 1/p, is one Fraction."""
-    elements = [_inverse_product(inverse, m, q, 1) for m in _odd_cofactor_divisors(n)]
+    x_m = zeta_m^t * _inverse(m, q, c) * _inverse(m, 1, c), sigma_u the
+    Galois automorphism zeta_m -> zeta_m^u, so the terms with gcd(k, n) = d
+    sum to the trace of x_m from Q(zeta_m) to Q, which depends on t mod m
+    alone.  So the table takes one product per divisor m of n with n/m odd,
+    and every trace of it at once (Cyclotomic._trace_numerators, the
+    integers den(x_m) * Tr(zeta_m^t * x_m) for t = 0 .. m-1), scaled to the
+    lcm of the denominators and added at t mod m; each entry over that lcm,
+    with the 1/p, is one Fraction."""
+    n = 2 * p if c == -1 else p
+    divisors = [m for m in range(1, n + 1) if n % m == 0 and n // m % 2]
+    elements = [_inverse_product(m, q, 1, c) for m in divisors]
     den = lcm(*(x._den for x in elements))
     total = [0] * p
     for x in elements:
         scale, m = den // x._den, x.order
-        row = [scale * c for c in x._trace_numerators()]
+        row = [scale * v for v in x._trace_numerators()]
         total = list(map(add, total, (row * -(-p // m))[:p]))
-    return tuple(Fraction(c, den * p) for c in total)
-
-
-@lru_cache(maxsize=None)
-def _odd_cofactor_divisors(n: int) -> tuple[int, ...]:
-    """The divisors m of n with n/m odd, ascending; cached per n."""
-    return tuple(m for m in range(1, n + 1) if n % m == 0 and (n // m) % 2)
+    return tuple(Fraction(v, den * p) for v in total)
 
 
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
@@ -279,9 +266,9 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
         return Fraction(_eta_values(p, q)[s], 4 * p)
     if formula == "half-roots":
         t = (s + q) % (2 * p)
-        value = _trace_table(_unit_inverse, 2 * p, p, q)[t % p]
+        value = _trace_table(-1, p, q)[t % p]
         return value if t < p else -value
-    value = _trace_table(_plus_one_inverse, p, p, q)[(s + q) % p]
+    value = _trace_table(1, p, q)[(s + q) % p]
     return -value if s % 2 == 0 else value
 
 
@@ -310,7 +297,7 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:
     """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) in Q(zeta_p)."""
     q = _fourier_q(p, q, j)
-    return _inverse_product(_plus_one_inverse, p, j * q, j).times_root(j * q)
+    return _inverse_product(p, j * q, j, 1).times_root(j * q)
 
 
 def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
@@ -335,7 +322,7 @@ def _unit_ratio(p: int, q: int, j: int) -> Cyclotomic:
     """fourier_unit_ratio with its numerator expanded,
     omega^(j-jq) - omega^(-jq) - omega^j + 1, and summed over the product of
     the two inverses in one root_sum; cached per (p, q mod 2p, j)."""
-    w = _inverse_product(_unit_inverse, p, -2 * j * q, 2 * j)
+    w = _inverse_product(p, -2 * j * q, 2 * j, -1)
     return root_sum(p, ((w, j - j * q), (-w, -j * q), (-w, j), (w, 0)))
 
 

@@ -71,6 +71,14 @@ def _matrix(rows, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_integers(row, f"{what} row") for row in _entries(rows, what))
 
 
+def _step_budget(n_max) -> int:
+    """n_max itself when it is a positive integer, from a scenario or from
+    the command line's --n-max."""
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+        raise ParameterError("n_max must be a positive integer")
+    return n_max
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
@@ -115,9 +123,7 @@ class Scenario(
         sw_x = doc["sw_x"]
         if not isinstance(sw_x, int) or isinstance(sw_x, bool):
             raise ParameterError("sw_x must be an integer")
-        n_max = doc.get("n_max", 1000)
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-            raise ParameterError("n_max must be a positive integer")
+        n_max = _step_budget(doc.get("n_max", 1000))
         parsed = {
             "gram": _matrix(doc["gram"], "gram"),
             "positive_class": _integers(doc["positive_class"], "positive_class"),

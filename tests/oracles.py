@@ -10,7 +10,10 @@ fourier_unit_ratio_product are the exact references for the field
 formulas: one root_sum per character s over weights multiplied here, and
 the Fourier forms as products of their factors at every j, with none of
 eta's per-divisor trace sums or conjugated unit ratios; each eta sum is a
-full field element, checked rational by as_rational.
+full field element, checked rational by as_rational.  These references
+and rho_table_cyclotomic divide through euclidean_inverse, an
+extended-Euclid inverse at every exponent, so they share no Galois
+conjugate with the package's eta._inverse.
 cyclotomic_polynomial_by_division is the reference for
 cyclotomic.cyclotomic_polynomial: x^n - 1 divided by Phi_d over every
 proper divisor d, at every n, with its own division loop, where the
@@ -57,11 +60,7 @@ from math import gcd
 
 from lenswall.cyclotomic import root_of_unity, root_sum
 from lenswall.errors import ParameterError, ResourceBoundError
-from lenswall.eta import (
-    _plus_one_inverse,
-    _unit_inverse,
-    eta_table,
-)
+from lenswall.eta import eta_table
 from lenswall.lattice import (
     IntegralLattice,
     IsometricStructure,
@@ -127,6 +126,14 @@ def cyclotomic_polynomial_by_division(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def euclidean_inverse(n: int, m: int, c: int):
+    """1 / (zeta_n^m + c) by the extended-Euclid Cyclotomic.inverse at every
+    exponent, with no Galois conjugate, cached per (n, m, c): the field
+    references divide through it, not through the package's eta._inverse."""
+    return (root_of_unity(n, m) + c).inverse()
+
+
 def rho_table_cyclotomic(n: int, q: int) -> tuple[Fraction, ...]:
     """Reduced eta invariants of L(n, q) for every character s = 0..n-1.
 
@@ -137,7 +144,7 @@ def rho_table_cyclotomic(n: int, q: int) -> tuple[Fraction, ...]:
     q %= n
     if n == 1:
         return (Fraction(0),)
-    base = [_unit_inverse(n, (k * q) % n) * _unit_inverse(n, k) for k in range(1, n)]
+    base = [euclidean_inverse(n, k * q % n, -1) * euclidean_inverse(n, k, -1) for k in range(1, n)]
 
     def lam_sum(s):
         """sum over lam = zeta_n^k, k = 1 .. n-1, of lam^(s+q) * base."""
@@ -188,10 +195,8 @@ def _per_s_weights(p: int, q: int, formula: str) -> tuple:
     """(k, weight) for eta_variant's half-roots or odd-p sum, each weight the
     product of its two cached inverses at order n, multiplied here: one
     weight per root, where the package takes one product per divisor."""
-    if formula == "half-roots":
-        n = 2 * p
-        return tuple((k, _unit_inverse(n, k * q % n) * _unit_inverse(n, k)) for k in range(1, n, 2))
-    return tuple((k, _plus_one_inverse(p, k * q % p) * _plus_one_inverse(p, k)) for k in range(p))
+    n, c, ks = (2 * p, -1, range(1, 2 * p, 2)) if formula == "half-roots" else (p, 1, range(p))
+    return tuple((k, euclidean_inverse(n, k * q % n, c) * euclidean_inverse(n, k, c)) for k in ks)
 
 
 def eta_variant_per_s(p: int, q: int, s: int, formula: str) -> Fraction:
@@ -206,14 +211,15 @@ def eta_variant_per_s(p: int, q: int, s: int, formula: str) -> Fraction:
 
 def fourier_closed_form_product(p: int, q: int, j: int):
     """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) as two products."""
-    return root_of_unity(p, j * q) * _plus_one_inverse(p, (j * q) % p) * _plus_one_inverse(p, j % p)
+    inverses = euclidean_inverse(p, j * q % p, 1) * euclidean_inverse(p, j % p, 1)
+    return root_of_unity(p, j * q) * inverses
 
 
 def fourier_unit_ratio_product(p: int, q: int, j: int):
     """((omega^(-jq) - 1)(omega^j - 1)) / ((omega^(-2jq) - 1)(omega^(2j) - 1))
     with the numerator multiplied out as a product of its two factors."""
     num = (root_of_unity(p, -j * q) - 1) * (root_of_unity(p, j) - 1)
-    return num * _unit_inverse(p, (-2 * j * q) % p) * _unit_inverse(p, (2 * j) % p)
+    return num * euclidean_inverse(p, -2 * j * q % p, -1) * euclidean_inverse(p, 2 * j % p, -1)
 
 
 def eta_matches(p: int, q: int, q_prime: int) -> tuple[int, ...]:

@@ -200,7 +200,10 @@ def test_exit_codes_parameter_errors(capsys, tmp_path):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert "must be" in json.loads(err)["error"]["message"]
+        message = json.loads(err)["error"]["message"]
+        assert "must be" in message
+        if "--n-max" in argv:  # checked as the scenario's n_max, and named so
+            assert "n_max" in message, (argv, message)
     # a quarter turn of the positive-definite plane sends the positive class
     # orthogonal to itself, so its orientation sign is undefined; integer
     # scenario entries are neither truncated nor left to int()

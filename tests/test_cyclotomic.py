@@ -178,10 +178,10 @@ def test_ramanujan_sums_are_the_galois_sums():
 
 
 def test_trace_is_the_sum_of_conjugates():
-    """x.trace(k), and entry k mod n of the integer kernel
-    x._trace_numerators() over the denominator, are the sum of the Galois
-    conjugates of zeta_n^k * x, collapsed by as_rational, for sampled
-    elements at every n <= 40 and every k in -1 .. n (taken mod n)."""
+    """Entry k mod n of the integer kernel x._trace_numerators() over the
+    denominator is the sum of the Galois conjugates of zeta_n^k * x,
+    collapsed by as_rational, for sampled elements at every n <= 40 and
+    every k in -1 .. n (taken mod n)."""
     rng = random.Random(26)
     for n in range(1, 41):
         deg = len(cyclotomic_polynomial(n)) - 1
@@ -193,8 +193,7 @@ def test_trace_is_the_sum_of_conjugates():
                 total = Cyclotomic(n)
                 for u in _units(n, 1, n):
                     total = total + x.times_root(k).conjugate(u)
-                assert x.trace(k) == Fraction(kernel[k % n], x._den) == total.as_rational(), (n, x, k)
-    assert Cyclotomic(7, (Fraction(3, 2),)).trace() == 9
+                assert Fraction(kernel[k % n], x._den) == total.as_rational(), (n, x, k)
     assert Cyclotomic(7, (Fraction(3, 2),))._trace_numerators()[0] == 18
 
 
@@ -241,18 +240,6 @@ def test_trace_numerators_match_ramanujan_and_conjugates():
             for t, galois in enumerate(_galois_traces(x)):
                 assert kernel[t] == trace_numerator_by_ramanujan(x, t), (n, x, t)
                 assert Fraction(kernel[t], x._den) == galois, (n, x, t)
-
-
-def test_trace_reads_one_kernel_entry():
-    """x.trace(k), which sums one residue class per divisor, equals entry
-    k mod n of the whole-vector kernel over the denominator, for the
-    sampled elements at every n <= 120 and every k in -n .. 2n - 1."""
-    rng = random.Random(29)
-    for n in range(1, 121):
-        for x in _sample_elements(rng, n):
-            kernel = x._trace_numerators()
-            for k in range(-n, 2 * n):
-                assert x.trace(k) == Fraction(kernel[k % n], x._den), (n, x, k)
 
 
 def test_times_root_is_the_one_term_root_sum():

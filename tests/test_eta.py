@@ -25,11 +25,10 @@ from lenswall.errors import NotRationalError
 from lenswall.eta import (
     _canonical,
     _eta_values,
+    _inverse,
     _inverse_product,
     _pair_product,
-    _plus_one_inverse,
     _trace_table,
-    _unit_inverse,
     _unit_ratio,
 )
 import oracles
@@ -211,12 +210,10 @@ def test_fourier_forms_match_per_j_references_at_composite_p():
 
 def _count_field_work(monkeypatch) -> dict:
     """Count Cyclotomic inverses, products of two field elements,
-    as_rational calls, whole-vector integer trace kernels and
-    Fraction-returning traces from here on (a trace does not count again as
-    a kernel call)."""
-    calls = {"inverse": 0, "mul": 0, "as_rational": 0, "kernel": 0, "trace": 0}
+    as_rational calls and whole-vector integer trace kernels from here on."""
+    calls = {"inverse": 0, "mul": 0, "as_rational": 0, "kernel": 0}
     inverse, mul, as_rational = Cyclotomic.inverse, Cyclotomic.__mul__, Cyclotomic.as_rational
-    kernel, trace = Cyclotomic._trace_numerators, Cyclotomic.trace
+    kernel = Cyclotomic._trace_numerators
 
     def counted_inverse(self):
         calls["inverse"] += 1
@@ -234,13 +231,8 @@ def _count_field_work(monkeypatch) -> dict:
         calls["kernel"] += 1
         return kernel(self)
 
-    def counted_trace(self, k=0):
-        calls["trace"] += 1
-        return Fraction(kernel(self)[k % self.order], self._den)
-
     monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
     monkeypatch.setattr(Cyclotomic, "_trace_numerators", counted_kernel)
-    monkeypatch.setattr(Cyclotomic, "trace", counted_trace)
     monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "as_rational", counted_as_rational)
@@ -248,7 +240,7 @@ def _count_field_work(monkeypatch) -> dict:
 
 
 def _clear_field_caches():
-    for cache in (_unit_inverse, _plus_one_inverse, _pair_product, _unit_ratio, _trace_table):
+    for cache in (_inverse, _pair_product, _unit_ratio, _trace_table):
         cache.cache_clear()
 
 
@@ -274,8 +266,8 @@ def test_corrupt_divisor_element_is_caught(monkeypatch):
     from eta_flipspun."""
     for formula, divisors in (("half-roots", (2, 10)), ("odd-p", (1, 5))):
         for bad in divisors:
-            def corrupted(inverse, n, a, b, bad=bad):
-                element = _inverse_product(inverse, n, a, b)
+            def corrupted(n, a, b, c, bad=bad):
+                element = _inverse_product(n, a, b, c)
                 return element + 1 if n == bad else element
 
             monkeypatch.setattr(eta, "_inverse_product", corrupted)
@@ -304,16 +296,16 @@ def test_per_s_reference_is_checked_rational(monkeypatch):
 
 
 def test_cached_unit_inverses_equal_the_euclidean_ones():
-    """Each cached 1/(zeta_n^m - 1), and each 1/(zeta_n^m + 1) at odd n, is
-    the extended-Euclid inverse for every n <= 60 and every m, whether it is
-    a Galois conjugate (m prime to n, m != 1) or Euclidean itself."""
-    _unit_inverse.cache_clear()
-    _plus_one_inverse.cache_clear()
+    """Each cached _inverse(n, m, c) = 1/(zeta_n^m + c), at the shift c = -1
+    for every m != 0 and at c = 1 for every m at odd n, is the extended-Euclid
+    inverse of the reference for every n <= 60, whether it is a Galois
+    conjugate (m prime to n, m != 1) or Euclidean itself; both shifts share
+    one cache, so a value filed under the wrong shift fails here."""
+    _inverse.cache_clear()
     for n in range(1, 61):
-        for m in range(1, n):
-            assert _unit_inverse(n, m) == (root_of_unity(n, m) - 1).inverse(), (n, m)
-        for m in range(n) if n % 2 else ():
-            assert _plus_one_inverse(n, m) == (root_of_unity(n, m) + 1).inverse(), (n, m)
+        for c, ms in ((-1, range(1, n)), (1, range(n) if n % 2 else ())):
+            for m in ms:
+                assert _inverse(n, m, c) == oracles.euclidean_inverse(n, m, c), (n, m, c)
 
 
 def test_each_distinct_field_element_once(monkeypatch):
@@ -327,7 +319,7 @@ def test_each_distinct_field_element_once(monkeypatch):
     by construction and never call as_rational; they read 124 whole-vector
     integer trace kernels, one per divisor element of each table (every
     trace of it at once, where one kernel per (exponent, divisor) took
-    1036), and build no Fraction per trace (no call of trace).  The unit ratio
+    1036), and build no Fraction per trace.  The unit ratio
     runs its root_sum 40 times: once per (p, q) at j = 1 (28) and at the 12
     (q, j) with 3 | j at p = 9; every other j is a Galois conjugate."""
     _clear_field_caches()
@@ -344,7 +336,6 @@ def test_each_distinct_field_element_once(monkeypatch):
     assert calls["mul"] <= 174
     assert calls["as_rational"] == 0
     assert calls["kernel"] == 124
-    assert calls["trace"] == 0
     assert _unit_ratio.cache_info().misses == 28 + 12
     assert _trace_table.cache_info().currsize == 56
 
