@@ -185,6 +185,10 @@ def _cmd_plot_disc(args) -> tuple[dict, dict]:
     if args.orbit_steps < 0:
         raise ParameterError(f"orbit steps must be >= 0, got {args.orbit_steps}")
     scenario, inputs = _scenario(args)
+    if args.orbit_steps > scenario.n_max:
+        raise ResourceBoundError(
+            f"orbit steps {args.orbit_steps} exceed the scenario's step budget {scenario.n_max}"
+        )
     lat, f, wall = scenario.lattice, scenario.isometry, scenario.wall
     action = f.adjoint()
     # the integer ray through omega0 has the same disc image and can be stepped exactly

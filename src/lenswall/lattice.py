@@ -12,10 +12,10 @@ All linear algebra is on integers: products multiply row by column
 characteristic polynomial, `_charpoly`, gives the signature (Descartes'
 rule of signs) and the unipotent power of a map (Kronecker's theorem: its
 cyclotomic factors, which `lenswall.poly` strips on integers).
-Derived isometries carry what their factors know: a product or power its
-inverse, and a power the unipotent power of its dual action, read off
-its base's without a new characteristic polynomial.  A map keeps the
-powers it has built, so each power is built once per map.
+Every map derived from an isometry is one of its powers, the inverse
+(and adjoint) power(-1) included, kept per map: each is built once, powers
+share their halves, and each carries its inverse and reads the unipotent
+power of its dual action off its base's, with no characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -268,14 +268,15 @@ class Isometry:
 
     @cached_property
     def _dual_unipotent(self):
-        """_unipotent_power of the dual action (see adjoint), once per map.
+        """(m, N^T, (N^2)^T), _unipotent_power of the transposed dual action
+        (see adjoint), once per map: the rows an orbit reads its wall by.
 
-        A power f = base^d reads it off the base's (m, N, N^2), with no new
+        A power f = base^d reads it off the base's, with no new
         characteristic polynomial.  The dual actions are B and A = B^d.  Put
         g = gcd(m, d) and k = d/g; then A^(m/g) = (B^m)^k = (I + N)^k =
         I + kN + k(k-1)/2 N^2, as N^3 = 0, so the certificate is
-        (m/g, kN + k(k-1)/2 N^2, k^2 N^2).  It is the one _unipotent_power
-        would find:
+        (m/g, kN + k(k-1)/2 N^2, k^2 N^2), transposed term by term, as it is
+        linear in N and N^2.  It is the one _unipotent_power would find:
         - m/g is least: A^j - I is nilpotent iff B^(dj) - I is, iff m | dj,
           iff m/g | j;
         - d = 0 gives the identity, (1, 0, 0);
@@ -283,7 +284,7 @@ class Isometry:
           |lambda| != 1, and (N (kI + k(k-1)/2 N))^3 vanishes iff N^3 does,
           since kI + k(k-1)/2 N is invertible over Q."""
         if self._root is None:
-            return _unipotent_power(self._inverse)
+            return _unipotent_power(_transpose(self._inverse))
         base, d = self._root
         if d == 0:
             zero = ((0,) * self.lattice.rank,) * self.lattice.rank
@@ -321,19 +322,20 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        return Isometry._checked(self.lattice, self._inverse, self.matrix)
+        """self^-1, the map's one inverse object (see power)."""
+        return self.power(-1)
 
     def power(self, d: int) -> "Isometry":
-        """self^d by repeated squaring of self or its inverse, from the
-        lowest set bit of |d| and with no squaring after the highest; each
-        product carries its inverse (see compose).  self^0 is the identity,
-        its own inverse, and self^1 is self.  A new power also carries
-        (self, d), from which _dual_unipotent derives its certificate.
+        """self^d: self for d = 1, the identity (its own inverse) for 0,
+        the known inverse for -1, and otherwise the square of the power at
+        d/2 (rounded toward 0), times self^+-1 when d is odd.  Each product
+        carries its inverse (see compose), and a new power (self, d), from
+        which _dual_unipotent derives its certificate.
 
         Each power is built once per map: self keeps the powers it has
         built in a dict keyed by d (an Isometry is not hashable, so no
-        cache keyed by the map can), and a later call returns the same
-        object, with its inverse and its certificate once derived."""
+        cache keyed by the map can), and reads every factor through it, so
+        powers share their halves and a later call returns the same object."""
         if d == 1:
             return self
         powers = self.__dict__.setdefault("_powers", {})
@@ -342,15 +344,14 @@ class Isometry:
             return result
         if d == 0:
             result = identity_isometry(self.lattice)
+        elif d == -1:
+            result = Isometry._checked(self.lattice, self._inverse, self.matrix)
         else:
-            e, base = abs(d), self if d > 0 else self.inverse()
-            while not e & 1:
-                base, e = base * base, e >> 1
-            result = base
-            while e := e >> 1:
-                base = base * base
-                if e & 1:
-                    result = result * base
+            unit = 1 if d > 0 else -1
+            half = self.power(unit * (abs(d) // 2))
+            result = half * half
+            if d & 1:
+                result = result * self.power(unit)
         result._root = (self, d)
         powers[d] = result
         return result
@@ -358,8 +359,8 @@ class Isometry:
     def adjoint(self) -> "Isometry":
         """The pairing-adjoint gram^-1 f^T gram, the action induced on the
         dual coordinates.  It needs a nondegenerate gram, which the lattice
-        decides once, and is then the known inverse: f^T gram f = gram
-        gives gram^-1 f^T gram = f^-1."""
+        decides once, and is then the known inverse, the object inverse()
+        returns: f^T gram f = gram gives gram^-1 f^T gram = f^-1."""
         if not self.lattice._nondegenerate:
             raise ParameterError("matrix is singular")
         return self.inverse()
@@ -388,14 +389,12 @@ def reflection_sphere(lattice: IntegralLattice, sigma) -> Isometry:
     For any symmetric gram it preserves the pairing and is its own
     inverse, since R x . sigma = -(x . sigma)."""
     sigma = _as_vector(sigma, lattice.rank)
-    if lattice.norm(sigma) != -1:
-        raise ParameterError(f"reflection class must have square -1, got {lattice.norm(sigma)}")
-    cols = []
-    for j in range(lattice.rank):
-        e = tuple(int(i == j) for i in range(lattice.rank))
-        coef = 2 * lattice.pairing(e, sigma)
-        cols.append(tuple(e[i] + coef * sigma[i] for i in range(lattice.rank)))
-    matrix = tuple(zip(*cols))
+    g = _mat_vec(lattice.gram, sigma)  # x . sigma = x . g
+    if (square := _dot(sigma, g)) != -1:
+        raise ParameterError(f"reflection class must have square -1, got {square}")
+    matrix = tuple(
+        tuple((i == j) + 2 * s * x for j, x in enumerate(g)) for i, s in enumerate(sigma)
+    )
     return Isometry._checked(lattice, matrix, matrix)
 
 

@@ -13,12 +13,12 @@ on them by the pairing-adjoint gram^-1 f^T gram, and orbit_walk is the
 one place that steps a ray through that action.  orbit_swtot reads every
 wall-side question off one list of sign segments, taken from a closed
 form when the action has a unipotent power (Isometry._dual_unipotent,
-decided once per map, and read off the base's for a power) and from the
-stepped orbit otherwise, and cut where the record and each window begin
-and end.  Both read the wall w through gram w, formed once per call: a
-step's pairing is one dot product with it, and the closed form's
-coefficients at each residue are three dot products, with the rows
-gram w, N^T gram w and (N^2)^T gram w.
+decided once per map, and read off the base's for a power or an inverse)
+and from the stepped orbit otherwise, and cut where the record and each
+window begin and end.  Both read the wall w through gram w, formed once
+per call: a step's pairing is one dot product with it, and the closed
+form's coefficients at each residue are three dot products, with gram w
+and its products with the certificate's stored N^T and (N^2)^T.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .lattice import (
     _check_acts_on,
     _dot,
     _mat_vec,
-    _transpose,
     alpha_invariant,
     sw_formal_dimension,
 )
@@ -234,12 +233,12 @@ def _root_brackets(a: int, b: int, c: int) -> list[tuple[int, int]]:
 
 def _residue_coefficients(action, certificate, omega, dual) -> list[tuple[int, int, int]]:
     """(a_r, b_r, c_r) = (<v, w>, <N v, w>, <N^2 v, w>) for v = A^r omega,
-    r = 0 .. m-1, where certificate = (m, N, N^2) is the dual action A's
-    and dual = gram w.  <N^j v, w> = v . (N^j)^T dual, so the three rows
-    dual, N^T dual and (N^2)^T dual are formed once and each residue's
-    coefficients are three dot products."""
-    m, nil, square = certificate
-    rows = (dual, _mat_vec(_transpose(nil), dual), _mat_vec(_transpose(square), dual))
+    r = 0 .. m-1, where certificate = (m, N^T, (N^2)^T) is the dual action
+    A's (Isometry._dual_unipotent) and dual = gram w.  <N^j v, w> =
+    v . (N^j)^T dual, so the rows dual, N^T dual and (N^2)^T dual are
+    formed once and each residue's coefficients are three dot products."""
+    m, nil_t, square_t = certificate
+    rows = (dual, _mat_vec(nil_t, dual), _mat_vec(square_t, dual))
     return [tuple(_dot(v, row) for row in rows) for _, v in orbit_walk(action, omega, 0, m - 1)]
 
 

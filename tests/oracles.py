@@ -41,7 +41,8 @@ cuts at the edges first and evaluates the signs of every piece afresh.
 residue_coefficients_by_pairing is the reference for
 wallcross._residue_coefficients: it steps A^r omega with its own loop and
 takes each coefficient as a lattice pairing <u, w> with u = v, N v, N^2 v,
-where the package dots v with the rows of the wall's dual.
+N from _unipotent_power of A itself, where the package dots v with the
+rows of the wall's dual, read through the transposed certificate it stores.
 The orbit, ladder and grid references multiply matrices with their own
 index loops, _mat_mul and _mat_vec, not with the package's row-by-column
 kernels, which are compared with sympy.
@@ -68,6 +69,7 @@ from lenswall.lattice import (
     _echelon,
     _identity,
     _in_span,
+    _unipotent_power,
     metabolizer_check,
 )
 from lenswall.wallcross import (
@@ -346,9 +348,10 @@ def _orbit_sweep(
 def residue_coefficients_by_pairing(lattice, f, omega, w) -> list[tuple[int, int, int]]:
     """(<v, w>, <N v, w>, <N^2 v, w>) for v = A^r omega, r = 0 .. m-1, each
     a lattice pairing, where A is the dual action of f and (m, N, N^2) its
-    certificate."""
-    m, nil, square = f._dual_unipotent
+    unipotent power, computed afresh from A rather than read off the
+    certificate f stores."""
     forward = f.adjoint().matrix
+    m, nil, square = _unipotent_power(forward)
     coeffs, v = [], omega
     for _ in range(m):
         images = (v, _mat_vec(nil, v), _mat_vec(square, v))

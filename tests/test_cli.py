@@ -19,6 +19,7 @@ from lenswall.scenario import (
 
 EXPLICIT_ISOMETRY = Path(__file__).parent / "data" / "explicit_isometry.json"
 HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
+HYPERBOLIC_LONG = Path(__file__).parent / "data" / "hyperbolic_long.json"
 RANK8_PARABOLIC = Path(__file__).parent / "data" / "rank8_parabolic.json"
 PERTURBED_PLANE = Path(__file__).parent / "data" / "perturbed_plane.json"
 A2_ELLIPTIC = Path(__file__).parent / "data" / "a2_elliptic.json"
@@ -126,18 +127,36 @@ def test_n_max_is_echoed_when_given(capsys):
 
 def test_plot_disc_refuses_an_orbit_too_large_to_draw(capsys):
     """The hyperbolic orbit's integers pass float range after about 540
-    steps; the figure is then refused as a resource error, not a traceback."""
+    steps; the figure is then refused as a resource error, not a traceback.
+    tests/data/hyperbolic_long.json is tests/data/hyperbolic.json with a
+    step budget of 1000, so both step counts are within it."""
+    scenario = str(HYPERBOLIC_LONG)
     code, out, _ = run_cli(
-        capsys, "plot-disc", "--scenario", str(HYPERBOLIC), "--out", "-", "--orbit-steps", "400"
+        capsys, "plot-disc", "--scenario", scenario, "--out", "-", "--orbit-steps", "400"
     )
     assert code == 0 and out.startswith("<?xml")
     code, out, err = run_cli(
-        capsys, "plot-disc", "--scenario", str(HYPERBOLIC), "--out", "-", "--orbit-steps", "700"
+        capsys, "plot-disc", "--scenario", scenario, "--out", "-", "--orbit-steps", "700"
     )
     assert code == 4 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "resource"
     assert "too large to draw" in error["message"]
+
+
+def test_plot_disc_draws_at_most_the_step_budget(capsys):
+    """--orbit-steps above the scenario's n_max (1000 for paper-default) is
+    refused as a resource error before any orbit point is drawn; a negative
+    count is still a parameter error."""
+    code, out, _ = run_cli(capsys, "plot-disc", "--out", "-", "--orbit-steps", "1000")
+    assert code == 0 and out.startswith("<?xml")
+    code, out, err = run_cli(capsys, "plot-disc", "--out", "-", "--orbit-steps", "1001")
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "resource"
+    assert "step budget 1000" in error["message"]
+    code, _, _ = run_cli(capsys, "plot-disc", "--out", "-", "--orbit-steps", "-1")
+    assert code == 2
 
 
 def test_metabolizer_command(capsys):

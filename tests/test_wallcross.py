@@ -47,7 +47,7 @@ from lenswall.wallcross import (
     unique_crossing_index,
 )
 from lenswall import lattice, wallcross
-from lenswall.lattice import _charpoly, _identity, _unipotent_power
+from lenswall.lattice import _charpoly, _identity, _transpose, _unipotent_power
 from lenswall.poly import _cyclotomic_factors
 from lenswall.scenario import load_scenario
 from oracles import _mat_mul as oracle_mat_mul
@@ -850,13 +850,13 @@ def power_test_maps(lat):
 
 def test_powers_carry_the_certificate_of_their_dual_action(lat):
     """f.power(d) reads the unipotent power of its dual action off f's
-    (m, N, N^2), and it equals _unipotent_power of that action for
-    d = -6..6, on the maps of power_test_maps."""
+    (m, N^T, (N^2)^T), and it equals _unipotent_power of that action's
+    transpose for d = -6..6, on the maps of power_test_maps."""
     exponents = set()
     for f in power_test_maps(lat):
         for d in range(-6, 7):
             power = f.power(d)
-            expected = _unipotent_power(power._inverse)
+            expected = _unipotent_power(_transpose(power._inverse))
             assert power._dual_unipotent == expected, (f, d)
             exponents.add((f._dual_unipotent and f._dual_unipotent[0], expected and expected[0]))
     assert {(3, 1), (6, 2), (6, 3), (6, 6), (5, 1), (5, 5), (None, None)} <= exponents
@@ -864,26 +864,56 @@ def test_powers_carry_the_certificate_of_their_dual_action(lat):
 
 def test_powers_are_built_once_per_map(lat):
     """A map keeps the powers it has built: f.power(d) returns the same
-    object on every call, and for d = -6..6 on the maps of power_test_maps
-    the stored power's matrix is the product of |d| copies of f or f^-1,
-    and its inverse and certificate equal the ones the checking
-    constructor and _unipotent_power compute afresh from that matrix."""
-    for f in power_test_maps(lat):
+    object on every call, and f.inverse() and f.adjoint() are f.power(-1).
+    For d = -6..6 on the maps of power_test_maps, and d = +-7..+-40 on the
+    paper map, the rank-8 map and the hyperbolic map (longer halving
+    chains), the stored power's matrix is the product of |d| copies of f
+    or f^-1, and its inverse and certificate equal the ones the checking
+    constructor and _unipotent_power of the transpose compute afresh."""
+    maps = power_test_maps(lat)
+    paper = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+    deep = [*range(-40, -6), *range(7, 41)]
+    cases = [(f, range(-6, 7)) for f in maps] + [(f, deep) for f in (paper, *maps[-2:])]
+    for f, exponents in cases:
         identity = _identity(f.lattice.rank)
-        for d in range(-6, 7):
+        for d in exponents:
             power = f.power(d)
             assert f.power(d) is power, (f, d)
             step = f.matrix if d > 0 else f._inverse
             fresh = Isometry(f.lattice, reduce(oracle_mat_mul, [step] * abs(d), identity))
             assert power.matrix == fresh.matrix, (f, d)
             assert power._inverse == fresh._inverse, (f, d)
-            assert power._dual_unipotent == _unipotent_power(fresh._inverse), (f, d)
+            expected = _unipotent_power(_transpose(fresh._inverse))
+            assert power._dual_unipotent == expected, (f, d)
         assert f.power(1) is f
+        assert f.inverse() is f.inverse() is f.adjoint() is f.power(-1), f
+
+
+def test_powers_share_their_halves(lat):
+    """A new power is the square of the power at d/2 times f^+-1 when d is
+    odd, each read through the map's store: on a fresh map d = 2..6 take
+    7 products (1, 2, 1, 2, 1), and so do d = -6..-2 after the inverse."""
+    calls = []
+    compose = Isometry.compose
+
+    def counted(self, other):
+        calls.append((self, other))
+        return compose(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Isometry, "compose", counted)
+        for exponents in (range(2, 7), range(-6, -1)):
+            f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+            calls.clear()
+            for d in exponents:
+                f.power(d)
+            assert len(calls) == 7, exponents
 
 
 def test_power_swtot_derives_the_power_certificate(lat, parabolic, wall, spinc, monkeypatch):
-    """Across power_swtot for d = 2..6 on one map, only the map's own
-    certificate is computed; each power's is derived from it."""
+    """Across orbit_swtot on the map and on its inverse and power_swtot for
+    d = 2..6, only the map's own certificate is computed; the inverse's
+    and each power's are derived from it."""
     calls = []
 
     def counted(mat):
@@ -891,9 +921,11 @@ def test_power_swtot_derives_the_power_certificate(lat, parabolic, wall, spinc, 
         return _unipotent_power(mat)
 
     monkeypatch.setattr(lattice, "_unipotent_power", counted)
+    assert orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall).total == 1
+    assert orbit_swtot(lat, parabolic.inverse(), spinc, (3, 2, 2), wall).total == -1
     for d in range(2, 7):
         assert power_swtot(lat, parabolic, d, spinc, (3, 2, 2), wall) == 1
-    assert calls == [parabolic._inverse]
+    assert calls == [_transpose(parabolic._inverse)]
 
 
 NONSTANDARD = Path(__file__).parent / "data" / "nonstandard_gram.json"
