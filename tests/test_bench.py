@@ -1,4 +1,7 @@
+import hashlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 PAIRS = Path(__file__).parent.parent / "bench" / "pairs.py"
@@ -20,3 +23,20 @@ def test_pairs_summarizes_a_single_pair():
     run = {"parent": {"metrics": {"wall_s": 2.0}}, "change": {"metrics": {"wall_s": 1.0}}}
     summary = pairs.summarize([run], {"wall_s": "lower"})["wall_s"]
     assert (summary["parent_q1"], summary["parent_q3"], summary["change_wins"]) == (2.0, 2.0, 1)
+
+
+def test_layers_probe_reads_one_call():
+    """The layer probe runs one call in a fresh interpreter on a checkout's
+    src/ and reports its answer's digest, wall time and peak RSS."""
+    spec = importlib.util.spec_from_file_location("layers", PAIRS.parent / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PAIRS.parent))
+    try:
+        spec.loader.exec_module(layers)
+    finally:
+        sys.path.remove(str(PAIRS.parent))
+    run = layers.run_once(PAIRS.parent.parent, "component_classes", 5)
+    expected = hashlib.sha256(json.dumps([[1], [3, 7], [9]]).encode()).hexdigest()
+    assert run["answer"] == expected
+    assert set(run["metrics"]) == set(layers.BETTER)
+    assert run["metrics"]["wall_s"] >= 0 and run["metrics"]["peak_rss_mb"] > 0

@@ -112,6 +112,17 @@ def test_eta_antisymmetry():
             assert eta_flipspun(p, q, s) == -eta_flipspun(p, q, s + p)
 
 
+def test_eta_tables_are_antiperiodic():
+    """E(s + p) = -E(s) on the public Fractions for every q at odd p <= 61:
+    _canonical narrows columns 1..p-1 only, and the class keys keep K[:p],
+    on the strength of this identity."""
+    for p in range(1, 62, 2):
+        for q in range(1, 2 * p, 2):
+            if gcd(q, p) == 1:
+                table = eta_table(p, q, max_p=61)
+                assert table[p:] == tuple(-v for v in table[:p]), (p, q)
+
+
 def test_eta_variants_agree():
     for p, q in [(3, 1), (5, 3), (7, 3), (9, 7)]:
         for s in range(2 * p):
@@ -436,12 +447,13 @@ def test_component_classes_agree_with_reference_partition():
 
 def test_component_classes_are_the_inverse_pairs():
     """The classes are {q, q^-1 mod 2p} in order of least member, for every
-    odd p <= 201 (a check of the theorem, which the package never uses)."""
-    for p in range(1, 202, 2):
+    odd p <= 201 and at the sampled p = 255, 273 and 301 (a check of the
+    theorem, which the package never uses)."""
+    for p in (*range(1, 202, 2), 255, 273, 301):
         n = 2 * p
         units = [q for q in range(1, n, 2) if gcd(q, n) == 1]
         expected = [sorted({q, pow(q, -1, n)}) for q in units if q <= pow(q, -1, n)]
-        assert component_classes(p, max_p=201) == expected, p
+        assert component_classes(p, max_p=301) == expected, p
 
 
 def test_canonical_form_is_the_brute_force_minimum():
@@ -456,9 +468,20 @@ def test_canonical_form_is_the_brute_force_minimum():
             relabelled = {a: tuple(table[(a * s) % n] for s in range(n)) for a in units}
             least = min(relabelled.values())
             minimisers = tuple(a for a in units if relabelled[a] == least)
-            assert _canonical(p, q, units) == (least, minimisers), (p, q)
+            assert _canonical(_eta_values(p, q), units) == (least, minimisers), (p, q)
         if p > 1:
-            assert _canonical(p, 1, units)[1] == (1, n - 1), p
+            assert _canonical(_eta_values(p, 1), units)[1] == (1, n - 1), p
+
+
+def test_class_tables_are_not_cached():
+    """component_classes and matching_sweep read each table once and keep
+    none: both table caches stay empty."""
+    for p in (1, 3, 15, 49):
+        rho_table.cache_clear()
+        eta_table.cache_clear()
+        component_classes(p)
+        matching_sweep(p)
+        assert rho_table.cache_info().currsize == eta_table.cache_info().currsize == 0, p
 
 
 def test_public_values_are_fractions():
