@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
 
-from pairs import summarize
+from pairs import host, summarize
 
 PAIRS = 5
 LAYERS = {"matching": [("component_classes", p) for p in (101, 1001, 2001)]}
@@ -66,11 +65,7 @@ def main() -> int:
     args = parser.parse_args()
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("host", {
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-    })
+    doc.setdefault("host", host())
     layers = {}
     for layer, calls in LAYERS.items():
         layers[layer] = {}

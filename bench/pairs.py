@@ -57,6 +57,14 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def host() -> dict:
+    return {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
@@ -95,14 +103,7 @@ def main() -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.update({
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
-        "seconds": args.seconds,
-    })
+    doc.update({"host": host(), "seconds": args.seconds})
     doc.setdefault("workloads", {})
     for workload in args.workload:
         runs = []
