@@ -6,6 +6,13 @@ checkout, added to a BENCH_*.json document under "layers".
 The layers measured so far:
 
 - "matching": component_classes(p) at p = 101, 1001 and 2001.
+- "orbit": on the paper map, orbit_swtot for f and f^-1 and power_swtot
+  for d = 2..6 on six fixed generic rays, and metabolizer_search at
+  bound 2.  One answer takes tens of microseconds, so the size of each
+  of these three calls is a number of rounds, each round on a newly
+  built map, whose powers, certificate and orientation are therefore
+  computed afresh, as in one perfbench round.  It times power_swtot's
+  orbits, which the perfbench tracer's orbit_swtot counters do not see.
 
 Each run is a fresh interpreter on the checkout's src/: it times the one
 call (the import excluded) and reports the process's peak RSS (ru_maxrss).
@@ -26,15 +33,60 @@ from pathlib import Path
 from pairs import host, summarize
 
 PAIRS = 5
-LAYERS = {"matching": [("component_classes", p) for p in (101, 1001, 2001)]}
+# each layer: the name of its size argument and its (call, size) runs
+LAYERS = {
+    "matching": ("p", [("component_classes", p) for p in (101, 1001, 2001)]),
+    "orbit": ("rounds", [("orbit_swtot", 200), ("power_swtot", 50), ("metabolizer_search", 100)]),
+}
 BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 PROBE = """
 import hashlib, json, resource, sys, time
-from lenswall import eta
-name, p = sys.argv[1], int(sys.argv[2])
+from fractions import Fraction
+import lenswall as lw
+
+# generic rays as in perfbench's wallcross-orbits: x - z = 60, y odd
+RAYS = [
+    tuple(Fraction(c, d) for c in ray)
+    for ray, d in (((72, -7, 12), 3), ((75, 11, 15), 1), ((78, -23, 18), 5),
+                   ((71, 3, 11), 2), ((80, 19, 20), 7), ((73, -1, 13), 4))
+]
+SPINC, WALL = lw.SpinCData((1, 1, 1), sw_x=1), lw.WallClass((1, 1, 1))
+
+
+def paper_map():
+    lat = lw.standard_lattice()
+    return lat, lw.reflection_sphere(lat, (1, 1, 1)) * lw.reflection_sphere(lat, (1, -1, 1))
+
+
+def orbit_swtot(rounds):
+    for _ in range(rounds):
+        lat, f = paper_map()
+        summaries = [lw.orbit_swtot(lat, g, SPINC, ray, WALL) for ray in RAYS for g in (f, f.inverse())]
+    return [(s.total, sorted(s.crossings.items())) for s in summaries]
+
+
+def power_swtot(rounds):
+    for _ in range(rounds):
+        lat, f = paper_map()
+        answer = [lw.power_swtot(lat, f, d, SPINC, ray, WALL) for ray in RAYS for d in range(2, 7)]
+    return answer
+
+
+def metabolizer_search(rounds):
+    for _ in range(rounds):
+        lat, f = paper_map()
+        answer = lw.metabolizer_search(lw.double_structure(lat, f), 2)
+    return answer
+
+
+def component_classes(p):
+    return lw.component_classes(p, max_p=p)
+
+
+name, size = sys.argv[1], int(sys.argv[2])
 start = time.perf_counter()
-result = getattr(eta, name)(p, max_p=p)
+result = globals()[name](size)
 wall = time.perf_counter() - start
 print(json.dumps({
     "answer": hashlib.sha256(json.dumps(result).encode()).hexdigest(),
@@ -46,14 +98,14 @@ print(json.dumps({
 """
 
 
-def run_once(checkout: Path, name: str, p: int) -> dict:
+def run_once(checkout: Path, name: str, size: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, name, str(p)],
+        [sys.executable, "-c", PROBE, name, str(size)],
         cwd=checkout, env=env, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{name}({p}) failed in {checkout}: {proc.stderr.strip()}")
+        raise RuntimeError(f"{name}({size}) failed in {checkout}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)
 
 
@@ -67,22 +119,23 @@ def main() -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("host", host())
     layers = {}
-    for layer, calls in LAYERS.items():
+    for layer, (size_name, calls) in LAYERS.items():
         layers[layer] = {}
-        for name, p in calls:
+        for name, size in calls:
+            label = f"{name} {size_name}={size}"
             runs = []
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_once(getattr(args, side), name, p)
+                    pair[side] = run_once(getattr(args, side), name, size)
                 if pair["parent"]["answer"] != pair["change"]["answer"]:
-                    raise RuntimeError(f"{name}({p}): parent and change answers differ")
+                    raise RuntimeError(f"{label}: parent and change answers differ")
                 runs.append(pair)
-                print(f"{name} p={p} pair {i + 1}/{PAIRS}: wall_s parent "
+                print(f"{label} pair {i + 1}/{PAIRS}: wall_s parent "
                       f"{pair['parent']['metrics']['wall_s']:.3f} change "
                       f"{pair['change']['metrics']['wall_s']:.3f}", file=sys.stderr)
-            layers[layer][f"{name} p={p}"] = {"metrics": summarize(runs, BETTER), "runs": runs}
+            layers[layer][label] = {"metrics": summarize(runs, BETTER), "runs": runs}
     doc["layers"] = layers
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -10,12 +10,13 @@ exactly.  One canonical form decides the matching: for each q, the least
 relabelled table K(q) = min over odd units a mod 2p of E_q o a, and the
 ascending units M(q) that reach it.  Every eta table is antiperiodic,
 E(s + p) = -E(s), and so is every relabelling of it, so columns 0..p-1
-decide K and M.  Two tables match iff their K agree, and then the matching
-units are the coset M(q') * c^-1 for any c in M(q); distinguish_metrics,
-component_classes and matching_sweep all read these forms.  The single
-values and distinguish_metrics read cached tables; component_classes and
-matching_sweep read each table once, uncached, and keep K[:p] as the class
-key, so their memory is the keys, not the tables.  The rewritten eta sums
+decide K and M, and the form keeps K as those columns, K[:p].  Two tables
+match iff their K[:p] agree, and then the matching units are the coset
+M(q') * c^-1 for any c in M(q); distinguish_metrics, component_classes and
+matching_sweep all read these forms.  The single values and
+distinguish_metrics read cached tables; component_classes and matching_sweep
+read each table once, uncached, and keep K[:p] as the class key, so their
+memory is the keys, not the tables.  The rewritten eta sums
 ("half-roots", "odd-p") and the Fourier closed forms are evaluated in
 cyclotomic fields, so they are independent checks of the integer path.
 Each eta sum groups its roots by order into Galois traces, one per divisor
@@ -358,10 +359,12 @@ def _check_odd_p(p: int, max_p: int | None) -> None:
 
 
 def _canonical(table: tuple[int, ...], units: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The canonical form (K, M) of the table E_q = 4p * eta(p, q, .): K is
-    the least relabelled table min over a in units of E_q o a,
+    """The canonical form (K[:p], M) of the table E_q = 4p * eta(p, q, .):
+    K is the least relabelled table min over a in units of E_q o a,
     (E o a)(s) = E(a*s mod 2p), and M the ascending units a with
-    E_q o a = K.
+    E_q o a = K.  The form keeps K's columns 0..p-1, which determine K by
+    the antiperiod below (K = K[:p] followed by its negation), so two forms
+    have equal keys iff their K are equal.
 
     The candidates are narrowed column by column: column s keeps the units
     with the least E_q(a*s).  After column s the survivors are the units whose
@@ -381,12 +384,13 @@ def _canonical(table: tuple[int, ...], units: list[int]) -> tuple[tuple[int, ...
         least = min(column)
         survivors = [a for a, value in zip(survivors, column) if value == least]
     c = survivors[0]
-    return tuple(table[(c * s) % n] for s in range(n)), tuple(survivors)
+    return tuple([table[(c * s) % n] for s in range(n // 2)]), tuple(survivors)
 
 
 def _matches(n: int, form_q, form_qp) -> tuple[int, ...]:
     """Every unit a mod n with E_q = E_q' o a, in ascending order, from the
-    canonical forms (K, M) of E_q and (K', M') of E_q'.
+    canonical forms (K, M) of E_q and (K', M') of E_q' (each K kept as its
+    columns 0..p-1, which decide whether K = K').
 
     Take any c in M, so E_q o c = K; note (E o a) o b = E o (ab).  If
     E_q = E_q' o a then E_q' o (ac) = K, and K' = min over b of E_q' o b =
@@ -404,14 +408,9 @@ def _matches(n: int, form_q, form_qp) -> tuple[int, ...]:
 
 def _forms(p: int) -> dict:
     """The canonical form of every q of X(p), in ascending order of q, with
-    K(q)[:p] as the key: each table is read once, uncached, and by the
-    antiperiod (see _canonical) K[:p] determines K."""
+    K(q)[:p] as the key (see _canonical): each table is read once, uncached."""
     units = _odd_units(2 * p)
-    forms = {}
-    for q in units:
-        key, minimisers = _canonical(_eta_row(p, q), units)
-        forms[q] = key[:p], minimisers
-    return forms
+    return {q: _canonical(_eta_row(p, q), units) for q in units}
 
 
 def _group(forms: dict) -> list[list[int]]:
@@ -448,7 +447,7 @@ def component_classes(p: int, max_p: int | None = None) -> list[list[int]]:
     q ~ q' iff E_q = E_q' o a for some a in the group U of odd units mod 2p,
     and by the coset rule of the canonical forms that holds iff
     K(q) = K(q'), K(q) = min over a in U of E_q o a; so each q is filed under
-    K(q)[:p], which determines K(q) by the antiperiod (see _canonical).  Each
+    its canonical key K(q)[:p], which determines K(q) (see _canonical).  Each
     table is read once and cached nowhere, so rho_table and eta_table keep
     no entry from this call.  Classes list by least q."""
     _check_odd_p(p, max_p)

@@ -299,6 +299,21 @@ class Isometry:
         nil_d = tuple(tuple(k * x + c * y for x, y in zip(*rows)) for rows in zip(nil, square))
         return m // g, nil_d, tuple(tuple(k * k * y for y in row) for row in square)
 
+    @cached_property
+    def _orientation(self) -> int:
+        """alpha_invariant's sign, once per map: +1 or -1 as <f v, v> is
+        positive or negative for the designated positive class v.  A
+        failure raises and so is not cached, and raises again on every
+        call."""
+        lattice = self.lattice
+        v = lattice.positive_class
+        if v is None:
+            raise ParameterError("lattice has no designated positive class")
+        value = _dot(_mat_vec(self.matrix, v), _mat_vec(lattice.gram, v))
+        if value == 0:
+            raise ParameterError("isometry sent the positive class orthogonal to itself")
+        return 1 if value > 0 else -1
+
     @classmethod
     def _checked(cls, lattice: IntegralLattice, matrix, inverse) -> "Isometry":
         # trusted fast path: matrix is an isometry of lattice and inverse its
@@ -400,15 +415,9 @@ def reflection_sphere(lattice: IntegralLattice, sigma) -> Isometry:
 
 def alpha_invariant(f: Isometry) -> int:
     """+1 when f preserves the positive-cone component of the designated
-    positive class, -1 when it swaps the components."""
-    lattice = f.lattice
-    v = lattice.positive_class
-    if v is None:
-        raise ParameterError("lattice has no designated positive class")
-    value = lattice.pairing(f.apply(v), v)
-    if value == 0:
-        raise ParameterError("isometry sent the positive class orthogonal to itself")
-    return 1 if value > 0 else -1
+    positive class, -1 when it swaps the components; decided once per map
+    (Isometry._orientation)."""
+    return f._orientation
 
 
 def _check_acts_on(lattice: IntegralLattice, f: Isometry) -> None:
@@ -519,9 +528,9 @@ def metabolizer_search(
 
     steps = 0
 
-    def step():
+    def step(count: int = 1):
         nonlocal steps
-        steps += 1
+        steps += count
         if steps > budget:
             raise ResourceBoundError(f"metabolizer search exceeded its budget of {budget} steps")
 
@@ -534,12 +543,15 @@ def metabolizer_search(
         qfx = _mat_vec(qf, x)
         if _dot(x, qfx) != norms[i]:  # <v, Fv> != 0 for every partner y
             continue
-        x_duals = (duals[i], qfx, _mat_vec(qf_inv, x))
-        for j in by_norm[norms[i]]:
-            step()
+        partners = by_norm[norms[i]]
+        step(len(partners))  # one step per isotropic pair
+        qx, qf_inv_x = duals[i], _mat_vec(qf_inv, x)
+        g, nonzero = gcd(*x), any(x)  # gcd(x, y) = gcd(g, *y)
+        for j in partners:
             y = halves[j]
-            if (any(x) or _leading(y) > 0) and gcd(*x, *y) == 1:
-                candidates.append((x + y, tuple(d + minus_duals[j] for d in x_duals)))
+            if (nonzero or _leading(y) > 0) and gcd(g, *y) == 1:
+                my = minus_duals[j]
+                candidates.append((x + y, (qx + my, qfx + my, qf_inv_x + my)))
 
     def extend(start: int, chosen: list[tuple[int, ...]], rows: list[tuple[int, ...]]):
         if len(chosen) == n:

@@ -9,8 +9,9 @@ starting ray under the dual action of an isometry crosses the wall of
 reducibles, and the signed count of crossings times the oracle invariant
 of the closed piece is the total one-parameter invariant.  Walls and
 period points use dual (H^2) coordinates throughout: an isometry f acts
-on them by the pairing-adjoint gram^-1 f^T gram, and orbit_walk is the
-one place that steps a ray through that action.  orbit_swtot reads every
+on them by the pairing-adjoint gram^-1 f^T gram, and orbit_walk steps a
+ray through that action (the closed form's m residues are m plain steps,
+see _residue_coefficients).  orbit_swtot reads every
 wall-side question off one list of sign segments, taken from a closed
 form when the action has a unipotent power (Isometry._dual_unipotent,
 decided once per map, and read off the base's for a power or an inverse)
@@ -28,7 +29,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import pairwise
+from itertools import cycle, pairwise
 
 from .errors import (
     ConeError,
@@ -151,9 +152,10 @@ def cone_point(lattice: IntegralLattice, coords) -> tuple[int, ...]:
     vec = _integerize(coords)
     if len(vec) != lattice.rank:
         raise ParameterError(f"period point length {len(vec)} does not match rank {lattice.rank}")
-    if lattice.norm(vec) <= 0:
+    dual = _mat_vec(lattice.gram, vec)  # <u, vec> = u . dual, as the gram is symmetric
+    if _dot(vec, dual) <= 0:
         raise ConeError(f"period point {coords} has non-positive square")
-    if lattice.pairing(vec, lattice.positive_class) <= 0:
+    if _dot(lattice.positive_class, dual) <= 0:
         raise ConeError(f"period point {coords} pairs non-positively with the positive class")
     return vec
 
@@ -236,10 +238,16 @@ def _residue_coefficients(action, certificate, omega, dual) -> list[tuple[int, i
     r = 0 .. m-1, where certificate = (m, N^T, (N^2)^T) is the dual action
     A's (Isometry._dual_unipotent) and dual = gram w.  <N^j v, w> =
     v . (N^j)^T dual, so the rows dual, N^T dual and (N^2)^T dual are
-    formed once and each residue's coefficients are three dot products."""
+    formed once and each residue's coefficients are three dot products;
+    each A^r omega is one product of A's matrix with the one before."""
     m, nil_t, square_t = certificate
-    rows = (dual, _mat_vec(nil_t, dual), _mat_vec(square_t, dual))
-    return [tuple(_dot(v, row) for row in rows) for _, v in orbit_walk(action, omega, 0, m - 1)]
+    nil_dual, square_dual = _mat_vec(nil_t, dual), _mat_vec(square_t, dual)
+    coeffs, v = [], omega
+    for r in range(m):
+        if r:
+            v = _mat_vec(action.matrix, v)
+        coeffs.append((_dot(v, dual), _dot(v, nil_dual), _dot(v, square_dual)))
+    return coeffs
 
 
 def _sign_segments(sign, brackets, lo: int, hi: int, period: int, edges) -> list[tuple]:
@@ -312,9 +320,12 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
     """orbit_swtot on checked inputs: the integer ray omega (from
     cone_point), the integer wall w (from WallClass.vector()) and the
     oracle value sw_x."""
+    if len(w) != lattice.rank:  # the dot products below need the wall's length
+        raise ParameterError(
+            f"vectors of length {len(omega)}, {len(w)} on a rank-{lattice.rank} lattice"
+        )
     action = f.adjoint()
     certificate = f._dual_unipotent
-    lattice.pairing(omega, w)  # checks the wall's length for the dot products below
     dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
     if certificate is None:
         m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
@@ -355,14 +366,23 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
     below, low, _, high, above = sides
     if len(low) != 1 or len(high) != 1:
         raise _unstable(n_max)
-    # a segment of one sign shows its ends, any other every step
-    steps = (
-        (n, p[(n - a) % len(p)])
-        for a, b, p in record
-        for n in (range(a, b + 1) if len(p) > 1 else (a, b))
-    )
-    pairs = pairwise(steps) if sw_x else ()
-    crossings = {n: (t - s) // 2 * sw_x for (n, s), (_, t) in pairs if s != t}
+    # one pass over the record: a segment of one sign shows its two ends,
+    # any other every step; the record holds no 0, so a change of side
+    # from step n to n+1 counts the new side times sw_x at n
+    crossings = {}
+    if sw_x:
+        last, last_side = record[0][0], record[0][2][0]
+        for a, b, pattern in record:
+            if len(pattern) == 1:
+                side = pattern[0]
+                if side != last_side:
+                    crossings[last] = side * sw_x
+                last, last_side = b, side
+                continue
+            for n, side in zip(range(a, b + 1), cycle(pattern)):
+                if side != last_side:
+                    crossings[last] = side * sw_x
+                last, last_side = n, side
     return OrbitSummary(
         crossings=crossings,
         stabilized=below <= low and above <= high,

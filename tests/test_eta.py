@@ -457,9 +457,11 @@ def test_component_classes_are_the_inverse_pairs():
 
 
 def test_canonical_form_is_the_brute_force_minimum():
-    """_canonical's K is the least of all relabelled tables and its M every
-    unit that reaches it, for every q at odd p <= 61: this covers the stop at
-    one survivor and the exit with several (q = 1 has M = {1, 2p - 1})."""
+    """_canonical's key is the first p columns of the least of all
+    relabelled tables, which is that key followed by its negation, and its
+    M every unit that reaches it, for every q at odd p <= 61: this covers
+    the stop at one survivor and the exit with several (q = 1 has
+    M = {1, 2p - 1})."""
     for p in range(1, 62, 2):
         n = 2 * p
         units = [a for a in range(1, n, 2) if gcd(a, n) == 1]
@@ -468,7 +470,9 @@ def test_canonical_form_is_the_brute_force_minimum():
             relabelled = {a: tuple(table[(a * s) % n] for s in range(n)) for a in units}
             least = min(relabelled.values())
             minimisers = tuple(a for a in units if relabelled[a] == least)
-            assert _canonical(_eta_values(p, q), units) == (least, minimisers), (p, q)
+            key, found = _canonical(_eta_values(p, q), units)
+            assert (key, found) == (least[:p], minimisers), (p, q)
+            assert least == key + tuple(-v for v in key), (p, q)
         if p > 1:
             assert _canonical(_eta_values(p, 1), units)[1] == (1, n - 1), p
 

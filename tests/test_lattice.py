@@ -150,6 +150,25 @@ def test_alpha_invariant(lat, composed):
         alpha_invariant(identity_isometry(bare))
 
 
+def test_alpha_invariant_failures_raise_on_every_call(lat):
+    """The orientation is kept on the map once decided, but a failure is
+    not: a lattice with no positive class, and on diag(1, 1, -1) a swap
+    that sends the positive class (1, 0, 0) to its orthogonal (0, 1, 0),
+    raise the same ParameterError on every call."""
+    bare = identity_isometry(IntegralLattice(lat.gram))
+    plane = IntegralLattice(((1, 0, 0), (0, 1, 0), (0, 0, -1)), positive_class=(1, 0, 0))
+    swap = Isometry(plane, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    cases = (
+        (bare, "^lattice has no designated positive class$"),
+        (swap, "^isometry sent the positive class orthogonal to itself$"),
+    )
+    for f, message in cases:
+        for _ in range(3):
+            with pytest.raises(ParameterError, match=message):
+                alpha_invariant(f)
+        assert "_orientation" not in f.__dict__
+
+
 def test_alpha_multiplicative(lat):
     rp = reflection_sphere(lat, SIGMA_PLUS)
     rm = reflection_sphere(lat, SIGMA_MINUS)

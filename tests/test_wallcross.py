@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import count, product
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from lenswall.lattice import (
     IntegralLattice,
     Isometry,
     _mat_vec,
+    alpha_invariant,
     identity_isometry,
     reflection_sphere,
     standard_lattice,
@@ -224,9 +225,14 @@ def test_orbit_swtot_scales_with_oracle(lat, parabolic, wall):
 
 
 def test_orbit_swtot_alpha_precondition(lat, wall, spinc):
+    """An alpha = -1 map is refused with the same message on every call,
+    also once its orientation is kept on the map."""
     minus = Isometry(lat, ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
-    with pytest.raises(ParameterError):
-        orbit_swtot(lat, minus, spinc, (3, 2, 2), wall)
+    message = re.escape("orbit sums require an orientation-coherent map (alpha = +1)")
+    for _ in range(2):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            orbit_swtot(lat, minus, spinc, (3, 2, 2), wall)
+    assert minus._orientation == -1
 
 
 def test_orbit_swtot_non_generic_start(lat, parabolic, wall, spinc):
@@ -697,6 +703,7 @@ def test_unipotent_power_matches_the_exponent_ladder(lat, parabolic):
 
 RANK8 = Path(__file__).parent / "data" / "rank8_parabolic.json"
 HYPERBOLIC = Path(__file__).parent / "data" / "hyperbolic.json"
+A2_ELLIPTIC = Path(__file__).parent / "data" / "a2_elliptic.json"
 
 
 def test_a_hyperbolic_map_keeps_its_real_factor():
@@ -985,3 +992,109 @@ def test_rank8_residue_coefficients_match_lattice_pairings(case):
     draws (m = 5, so five residues)."""
     rows = _coefficients_agree(case["lattice"], case["f"], case["omega0"], case["wall"])
     assert len(rows) == 5
+
+
+def test_orientation_is_decided_once_per_map(lat, monkeypatch):
+    """orbit_swtot, power_swtot and unique_crossing_index on the paper map
+    and its powers run the orientation kernel once per map: f and f^d for
+    d = 2..6, each kept on the map however often it is asked."""
+    kernel, calls = Isometry._orientation.func, []
+
+    def counted(self):
+        calls.append(self)
+        return kernel(self)
+
+    counted_property = cached_property(counted)
+    counted_property.__set_name__(Isometry, "_orientation")
+    monkeypatch.setattr(Isometry, "_orientation", counted_property)
+    f = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+    spinc, wall = SpinCData(C1, sw_x=1), WallClass(C1)
+    for ray in random_cone_points(3, seed=11):
+        assert orbit_swtot(lat, f, spinc, ray, wall).total == 1
+        for d in range(2, 7):
+            assert power_swtot(lat, f, d, spinc, ray, wall) == 1
+            assert orbit_swtot(lat, f.power(d), spinc, ray, wall).total == 1
+        unique_crossing_index(lat, f, spinc, ray, wall)
+    assert len(calls) == 6
+    assert {id(g) for g in calls} == {id(f.power(d)) for d in range(1, 7)}
+
+
+def test_kept_orientation_matches_a_fresh_reading(lat):
+    """alpha_invariant, read once and kept on the map, equals the sign of
+    <g v, v> for the positive class v, computed afresh, for every map of
+    power_test_maps and its powers d = -3..3 (inverses included), for
+    products of pairs of them and for products with -I, which swaps the
+    cone components; a map of the A2 lattice, which has no positive class,
+    raises on every call."""
+    maps = power_test_maps(lat)
+    minus = Isometry(lat, ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    family = [f.power(d) for f in [*maps, minus] for d in range(-3, 4)]
+    family += [f * g for f, g in zip(maps, maps[1:]) if f.lattice == g.lattice]
+    family += [minus * f for f in maps if f.lattice == lat]
+    for g in family:
+        v = g.lattice.positive_class
+        if v is None:
+            for _ in range(2):
+                with pytest.raises(ParameterError, match="^lattice has no designated positive class$"):
+                    alpha_invariant(g)
+            assert "_orientation" not in g.__dict__
+            continue
+        value = g.lattice.pairing(_mat_vec(g.matrix, v), v)
+        assert alpha_invariant(g) == (1 if value > 0 else -1) == g.__dict__["_orientation"]
+    assert {alpha_invariant(g) for g in family if g.lattice.positive_class} == {1, -1}
+
+
+def window_cases():
+    """The paper map on (3, 2, 2) with the plain wall and with a wall
+    crossed twice, the quarter turn (m = 4), whose one-step segments change
+    sign back and forth, the A2 elliptic map (m = 3), the rank-8 map (m = 5)
+    and the hyperbolic map, which orbit_swtot sweeps."""
+    lat = standard_lattice()
+    paper = reflection_sphere(lat, SIGMA_PLUS) * reflection_sphere(lat, SIGMA_MINUS)
+    twice = WallClass(C1, (Fraction(-3, 5), Fraction(-2, 5), Fraction(-2, 5)))
+    cases = [
+        (lat, paper, C1, (3, 2, 2), WallClass(C1)),
+        (lat, paper, C1, (3, 2, 2), twice),
+        (lat, Isometry(lat, ROTATION), C1, (3, 2, 2), WallClass(C1)),
+    ]
+    for path in (A2_ELLIPTIC, RANK8, HYPERBOLIC):
+        scenario = load_scenario(str(path))
+        cases.append(
+            (scenario.lattice, scenario.isometry, scenario.spinc.c1, scenario.omega0, scenario.wall)
+        )
+    return cases
+
+
+def test_orbit_swtot_matches_the_sweep_around_the_window():
+    """orbit_swtot's one-pass crossing read equals the reference sweep at
+    n_max = 1, 2 and 15..17 (below, at and above the 16-step window), on
+    every map of window_cases, with sw_x = 0, 1 and -3."""
+    methods = set()
+    for lattice_, f, c1, omega0, wall in window_cases():
+        for sw_x in (0, 1, -3):
+            spinc = SpinCData(c1, sw_x)
+            for n_max in (1, 2, 15, 16, 17):
+                args = (lattice_, f, spinc, omega0, wall)
+                assert outcome(orbit_swtot, *args, n_max=n_max) == outcome(
+                    _orbit_sweep, *args, n_max=n_max
+                ), (f, sw_x, n_max)
+                try:
+                    methods.add(orbit_swtot(*args, n_max=n_max).method)
+                except LenswallError:
+                    pass
+    assert methods == {"certificate", "sweep"}
+
+
+def test_a_wall_of_the_wrong_length_is_refused(lat, parabolic, spinc):
+    """A wall whose length is not the rank is refused before the orbit is
+    read, by orbit_swtot and power_swtot, with the lattice pairing's
+    message."""
+    for c1, message in (((1, 1), "vectors of length 3, 2 on a rank-3 lattice"),
+                        ((1, 1, 1, 0), "vectors of length 3, 4 on a rank-3 lattice")):
+        wall = WallClass(c1)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            power_swtot(lat, parabolic, 2, spinc, (3, 2, 2), wall)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            lat.pairing((3, 2, 2), wall.vector())
