@@ -39,7 +39,7 @@ from .eta import (
 )
 from .lattice import (
     DEFAULT_SEARCH_BUDGET,
-    double_structure,
+    IsometricStructure,
     metabolizer_check,
     metabolizer_search,
     sw_formal_dimension,
@@ -164,7 +164,7 @@ def _cmd_orbit(args) -> tuple[dict, dict]:
 
 def _cmd_metabolizer(args) -> tuple[dict, dict]:
     scenario, inputs = _scenario(args)
-    structure = double_structure(scenario.lattice, scenario.isometry)
+    structure = IsometricStructure(scenario.lattice, scenario.isometry)
     budget = _env_int("LENSWALL_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET)
     found = metabolizer_search(structure, args.bound, budget=budget)
     results: dict = {"found": found is not None, "coefficient_bound": args.bound}
@@ -205,8 +205,11 @@ def _cmd_plot_disc(args) -> tuple[dict, dict]:
     if args.out == "-":
         sys.stdout.write(svg)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out}: {exc}") from exc
     return inputs, {
         "out": args.out,
         "orbit_points": 2 * args.orbit_steps + 1,

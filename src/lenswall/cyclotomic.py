@@ -23,7 +23,7 @@ fold: Ramanujan's sum c_n(j) = Tr(zeta_n^j) is the Moebius sum of d over
 the divisors d of gcd(j, n) with weight mu(n/d), so the traces are the
 numerators summed over each residue class mod d, for each d | n with n/d
 squarefree.  The eta tables add these integers and build one Fraction
-per entry.
+per value read.
 
 Phi_n, the primes of n and the trimming of coefficient lists come from
 `lenswall.poly`, the integer polynomial layer that the lattice also uses.

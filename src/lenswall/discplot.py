@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError, ResourceBoundError
-from .lattice import IntegralLattice, _as_vector, _echelon, _mat_vec
+from .lattice import IntegralLattice, _as_vector, _dot, _echelon, _mat_vec
 from .wallcross import WallClass, _require_disc_coordinates, disc_project
 
 __all__ = ["sample_wall_points", "wall_ideal_endpoints", "render_disc_svg"]
@@ -34,7 +34,7 @@ def _wall_plane_basis(lattice: IntegralLattice, wall: WallClass):
     ]
     basis = []
     for cand in candidates:
-        if sum(c * x for c, x in zip(cand, u)) != 0 or not any(cand):
+        if _dot(cand, u) != 0 or not any(cand):
             continue
         if basis and len(_echelon([basis[0], cand])[0]) < 2:
             continue

@@ -19,21 +19,20 @@ read each table once, uncached, and keep K[:p] as the class key, so their
 memory is the keys, not the tables.  The rewritten eta sums
 ("half-roots", "odd-p") and the Fourier closed forms are evaluated in
 cyclotomic fields, so they are independent checks of the integer path.
-Each eta sum groups its roots by order into Galois traces, one per divisor
-m of its order, each the trace of one element of Q(zeta_m); the sums at
-every exponent are one table per (formula, p, q) (see _trace_table): one
-product per divisor, and every trace of it at once, kept as integers (the
-element's denominator times its trace) until the p Fractions of the table.
-The Fourier forms stay in Q(zeta_p).  All four divide by elements
-zeta_n^m + c, with the shift c = -1 (half-roots, unit ratio) or 1 (odd-p,
-closed form), through one cached inverse, _inverse(n, m, c).  Each distinct
-field element is computed once: each inverse (a Galois conjugate of the one
-at exponent 1 wherever the exponent is prime to the order), each product of
-two inverses (one per shift and unordered pair of exponents), each table of
-sums (one entry per exponent, up to sign: see eta_variant) and each unit
-ratio (a Galois conjugate of the one at j = 1 wherever j is prime to p; the
-closed form stays a per-j computation, so the two Fourier forms check each
-other at every j).
+Each eta sum groups its roots by order into Galois traces, one per divisor m
+of its order, each the trace of one element of Q(zeta_m); one product per
+divisor, and every trace of it at once, give a formula's integer table over
+the 2p characters (see _trace_table), so eta_variant reads all three
+formulas alike, one Fraction per value.  The Fourier forms stay in
+Q(zeta_p).  All four divide by elements zeta_n^m + c, with the shift c = -1
+(half-roots, unit ratio) or 1 (odd-p, closed form), through one cached
+inverse, _inverse(n, m, c).  Each distinct field element is computed once:
+each inverse (a Galois conjugate of the one at exponent 1 wherever the
+exponent is prime to the order), each product of two inverses (one per shift
+and unordered pair of exponents), each table of sums (one entry per
+character) and each unit ratio (a Galois conjugate of the one at j = 1
+wherever j is prime to p; the closed form stays a per-j computation, so the
+two Fourier forms check each other at every j).
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -157,11 +156,13 @@ def _inverse_product(n: int, a: int, b: int, c: int) -> Cyclotomic:
 
 
 @lru_cache(maxsize=None)
-def _trace_table(c: int, p: int, q: int) -> tuple[Fraction, ...]:
-    """Entry t, for t = 0 .. p-1: (1/p) * sum of zeta_n^(kt) * _inverse(n,
-    kq, c) * _inverse(n, k, c) over the k in 0 .. n-1 with gcd(k, n) odd:
-    c = -1 and n = 2p, where these are the odd k ("half-roots"), or c = 1
-    and n = p odd, every k ("odd-p"); cached per (formula, p, q mod 2p).
+def _trace_table(c: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
+    """A field formula's eta sequence, integers v and one den with eta(s) =
+    v[s] / den for s = 0 .. 2p-1, cached per (formula, p, q mod 2p): eta(s)
+    is (1/p) * sum of zeta_n^(kt) * _inverse(n, kq, c) * _inverse(n, k, c)
+    at t = s + q over the k in 0 .. n-1 with gcd(k, n) odd: c = -1, n = 2p
+    and the odd k ("half-roots"), or c = 1, n = p odd and every k, times
+    (-1)^(s+1) ("odd-p").
 
     Write k = d*u with d = gcd(k, n) and m = n/d; then zeta_n^k = zeta_m^u
     with u a unit mod m, and u runs once over the units mod m as k runs
@@ -172,18 +173,22 @@ def _trace_table(c: int, p: int, q: int) -> tuple[Fraction, ...]:
     alone.  So the table takes one product per divisor m of n with n/m odd,
     and every trace of it at once (Cyclotomic._trace_numerators, the
     integers den(x_m) * Tr(zeta_m^t * x_m) for t = 0 .. m-1), scaled to the
-    lcm of the denominators and added at t mod m; each entry over that lcm,
-    with the 1/p, is one Fraction."""
+    lcm of the denominators (den is p times it) and tiled to the 2p
+    exponents.  For half-roots zeta_m^p = -1 (n/m odd), so the antiperiod
+    comes out of the traces; entry s reads exponent (s + q) mod 2p, and
+    odd-p's sign is applied once.  No Fraction is built."""
     n = 2 * p if c == -1 else p
     divisors = [m for m in range(1, n + 1) if n % m == 0 and n // m % 2]
     elements = [_inverse_product(m, q, 1, c) for m in divisors]
     den = lcm(*(x._den for x in elements))
-    total = [0] * p
+    total = [0] * (2 * p)
     for x in elements:
-        scale, m = den // x._den, x.order
-        row = [scale * v for v in x._trace_numerators()]
-        total = list(map(add, total, (row * -(-p // m))[:p]))
-    return tuple(Fraction(v, den * p) for v in total)
+        row = [den // x._den * v for v in x._trace_numerators()]
+        total = list(map(add, total, row * (2 * p // x.order)))
+    values = total[q:] + total[:q]
+    if c == 1:
+        values[::2] = [-v for v in values[::2]]
+    return tuple(values), den * p
 
 
 def rho_table(n: int, q: int, max_p: int | None = None) -> tuple[Fraction, ...]:
@@ -253,9 +258,7 @@ eta_table.cache_clear = _eta_values.cache_clear
 
 
 def eta_flipspun(p: int, q: int, s: int, max_p: int | None = None) -> Fraction:
-    q = _flipspun_q(p, q)
-    _check_budget(p, max_p)
-    return Fraction(_eta_values(p, q)[s % (2 * p)], 4 * p)
+    return eta_variant(p, q, s, "pinc-difference", max_p)
 
 
 def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) -> Fraction:
@@ -265,13 +268,9 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     "half-roots" sums lam^(s+q)/((lam^q-1)(lam-1)) over the 2p-th roots
     with lam^p = -1; "odd-p" (p odd only) substitutes -lam to land in
     Q(zeta_p).  All three agree exactly wherever defined.  The formula and
-    the parity of p are checked before the size budget.  Each field sum is
-    one entry of a table per (formula, p, q) (_trace_table), built from one
-    product per divisor and every trace of it at once: half-roots depends on
-    t = (s + q) mod 2p alone, and zeta_2p^(k(t+p)) = -zeta_2p^(kt) for
-    odd k, so its sum at t + p is minus that at t; odd-p's roots lie in
-    Q(zeta_p), so its sum depends on (s + q) mod p alone, times the sign
-    (-1)^(s+1).
+    the parity of p are checked before the size budget.  Each formula is one
+    integer table over the 2p characters and one denominator (_eta_values
+    over 4p, or _trace_table), and a value is one Fraction of its entry.
     """
     q = _flipspun_q(p, q)
     if formula not in ETA_FORMULAS:
@@ -279,15 +278,11 @@ def eta_variant(p: int, q: int, s: int, formula: str, max_p: int | None = None) 
     if formula == "odd-p" and p % 2 == 0:
         raise ParameterError("the odd-p formula requires p odd")
     _check_budget(p, max_p)
-    s %= 2 * p
     if formula == "pinc-difference":
-        return Fraction(_eta_values(p, q)[s], 4 * p)
-    if formula == "half-roots":
-        t = (s + q) % (2 * p)
-        value = _trace_table(-1, p, q)[t % p]
-        return value if t < p else -value
-    value = _trace_table(1, p, q)[(s + q) % p]
-    return -value if s % 2 == 0 else value
+        values, den = _eta_values(p, q), 4 * p
+    else:
+        values, den = _trace_table(-1 if formula == "half-roots" else 1, p, q)
+    return Fraction(values[s % (2 * p)], den)
 
 
 def _fourier_q(p: int, q: int, j: int) -> int:

@@ -454,7 +454,8 @@ class IsometricStructure(namedtuple("IsometricStructure", "lattice map")):
 
 
 def double_structure(lattice: IntegralLattice, f: Isometry) -> IsometricStructure:
-    """(H + H, f + id, q + -q) from a lattice and an isometry of it."""
+    """(H + H, f + id, q + -q) from a lattice and an isometry of it; only
+    perfbench and the tests still call it, not the package."""
     return IsometricStructure(lattice, f)
 
 

@@ -183,14 +183,15 @@ def load_scenario(source: str) -> Scenario:
     """A built-in scenario by name, or a JSON scenario file by path."""
     if source in BUILTIN_SCENARIOS:
         return Scenario.from_dict(BUILTIN_SCENARIOS[source])
-    path = Path(source)
-    if not path.exists():
+    try:
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise ParameterError(
             f"unknown scenario {source!r}: not a built-in "
             f"({', '.join(sorted(BUILTIN_SCENARIOS))}) and no such file"
-        )
-    try:
-        doc = json.loads(path.read_text())
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"scenario file {source} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read scenario file {source}: {exc}") from exc
     return Scenario.from_dict(doc)

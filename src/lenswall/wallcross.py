@@ -25,7 +25,6 @@ and its products with the certificate's stored N^T and (N^2)^T.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
@@ -330,7 +329,7 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
     if certificate is None:
         m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
         walk = orbit_walk(action, omega, lo, hi)
-        sign = {n: _sign(sum(map(operator.mul, v, dual))) for n, v in walk}.__getitem__
+        sign = {n: _sign(_dot(v, dual)) for n, v in walk}.__getitem__
         brackets = [(lo, hi)]
     else:
         m = certificate[0]

@@ -320,6 +320,26 @@ def test_scenario_file_must_be_an_object(capsys, tmp_path):
         assert "must be a JSON object" in json.loads(err)["error"]["message"]
 
 
+def test_unreadable_scenario_files_exit_2(capsys, tmp_path):
+    """A scenario path that is a directory, or a file whose bytes are not
+    UTF-8, is a parameter error that names the path, not a traceback; a
+    missing path, or one below a file, keeps its message."""
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"gram": "\xe9"}')
+    for path in (tmp_path, undecodable):
+        code, out, err = run_cli(capsys, "swtot", "--scenario", str(path))
+        assert (code, out) == (2, ""), path
+        error = json.loads(err)["error"]
+        assert error["kind"] == "parameter"
+        assert error["message"].startswith(f"cannot read scenario file {path}: "), error
+    for missing in (tmp_path / "missing.json", undecodable / "below-a-file.json"):
+        code, out, err = run_cli(capsys, "swtot", "--scenario", str(missing))
+        assert (code, out) == (2, ""), missing
+        assert json.loads(err)["error"]["message"] == (
+            f"unknown scenario {str(missing)!r}: not a built-in (paper-default) and no such file"
+        )
+
+
 def test_scenario_validation(tmp_path):
     base = load_scenario("paper-default").definition
     bad = dict(base)
@@ -401,6 +421,16 @@ def test_plot_disc(capsys, tmp_path):
     # zero steps draw the single point n = 0
     doc = run_json(capsys, "plot-disc", "--out", str(out2), "--orbit-steps", "0")
     assert doc["results"]["orbit_points"] == 1
+
+
+def test_plot_disc_to_an_unopenable_path_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.svg"
+    code, stdout, err = run_cli(capsys, "plot-disc", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parameter"
+    assert error["message"].startswith(f"cannot write {out}: "), error
+    assert not out.parent.exists()
 
 
 def test_plot_disc_samples_the_wall_once(capsys, monkeypatch, tmp_path):

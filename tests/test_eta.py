@@ -269,6 +269,43 @@ def test_one_cold_value_takes_one_sum(monkeypatch):
         assert calls["mul"] == _pair_product.cache_info().currsize == 3
 
 
+def test_field_tables_equal_the_integer_table():
+    """Each field formula's table (v, den) is the eta sequence entry for
+    entry: v[s] * 4p == E(s) * den for the integer table E = 4p * eta, at
+    every character s.  Both formulas at every odd p <= 101 and every q,
+    half-roots at every even p <= 60 and every q, and both at (p, q) =
+    (401, 5), (1009, 5) and (2003, 5)."""
+    cases = [(p, q) for p in range(1, 102, 2) for q in range(1, 2 * p, 2) if gcd(q, p) == 1]
+    cases += [(p, q) for p in range(2, 61, 2) for q in range(1, 2 * p, 2) if gcd(q, p) == 1]
+    cases += [(401, 5), (1009, 5), (2003, 5)]
+    for p, q in cases:
+        eta_values = _eta_values(p, q)
+        for c in (-1, 1) if p % 2 else (-1,):
+            values, den = _trace_table(c, p, q)
+            assert len(values) == 2 * p, (p, q, c)
+            assert all(v * 4 * p == e * den for v, e in zip(values, eta_values)), (p, q, c)
+    _clear_field_caches()
+
+
+def test_one_cold_value_builds_one_fraction(monkeypatch):
+    """The field tables stay integers: from cold caches, one eta_variant at
+    p = 199 builds exactly one Fraction in eta, the value it returns."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(eta, "Fraction", counted)
+    for formula in ("half-roots", "odd-p"):
+        _clear_field_caches()
+        built.clear()
+        value = eta_variant(199, 5, 7, formula, max_p=199)
+        assert len(built) == 1, formula
+        assert value == Fraction(_eta_values(199, 5)[7], 4 * 199)
+    _clear_field_caches()
+
+
 def test_corrupt_divisor_element_is_caught(monkeypatch):
     """The trace tables are rational by construction, so the value check
     against the integer table is what catches a wrong field element: adding
