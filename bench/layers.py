@@ -13,6 +13,10 @@ The layers measured so far:
   built map, whose powers, certificate and orientation are therefore
   computed afresh, as in one perfbench round.  It times power_swtot's
   orbits, which the perfbench tracer's orbit_swtot counters do not see.
+  rank8_orbit_swtot reads tests/data/rank8_parabolic.json's orbit at
+  n_max 3, 17 and 1000 with the map rebuilt each round: its closed form
+  has period m = 5, the only timed orbit whose pieces read more than one
+  step each, as no perfbench workload has m > 1.
 
 Each run is a fresh interpreter on the checkout's src/: it times the one
 call (the import excluded) and reports the process's peak RSS (ru_maxrss).
@@ -36,7 +40,15 @@ PAIRS = 5
 # each layer: the name of its size argument and its (call, size) runs
 LAYERS = {
     "matching": ("p", [("component_classes", p) for p in (101, 1001, 2001)]),
-    "orbit": ("rounds", [("orbit_swtot", 200), ("power_swtot", 50), ("metabolizer_search", 100)]),
+    "orbit": (
+        "rounds",
+        [
+            ("orbit_swtot", 200),
+            ("power_swtot", 50),
+            ("metabolizer_search", 100),
+            ("rank8_orbit_swtot", 200),
+        ],
+    ),
 }
 BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
@@ -78,6 +90,15 @@ def metabolizer_search(rounds):
         lat, f = paper_map()
         answer = lw.metabolizer_search(lw.double_structure(lat, f), 2)
     return answer
+
+
+def rank8_orbit_swtot(rounds):
+    scenario = lw.load_scenario("tests/data/rank8_parabolic.json")
+    lat, spinc, ray, wall = scenario.lattice, scenario.spinc, scenario.omega0, scenario.wall
+    for _ in range(rounds):
+        f = lw.Isometry(lat, scenario.isometry.matrix)
+        summaries = [lw.orbit_swtot(lat, f, spinc, ray, wall, n) for n in (3, 17, 1000)]
+    return [(s.total, sorted(s.crossings.items())) for s in summaries]
 
 
 def component_classes(p):

@@ -192,6 +192,8 @@ def load_scenario(source: str) -> Scenario:
         ) from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"scenario file {source} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParameterError(f"scenario file {source} is nested too deeply to read") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read scenario file {source}: {exc}") from exc
     return Scenario.from_dict(doc)

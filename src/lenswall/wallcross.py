@@ -11,21 +11,22 @@ of the closed piece is the total one-parameter invariant.  Walls and
 period points use dual (H^2) coordinates throughout: an isometry f acts
 on them by the pairing-adjoint gram^-1 f^T gram, and orbit_walk steps a
 ray through that action (the closed form's m residues are m plain steps,
-see _residue_coefficients).  orbit_swtot reads every
-wall-side question off one list of sign segments, taken from a closed
-form when the action has a unipotent power (Isometry._dual_unipotent,
-decided once per map, and read off the base's for a power or an inverse)
-and from the stepped orbit otherwise, and cut where the record and each
-window begin and end.  Both read the wall w through gram w, formed once
-per call: a step's pairing is one dot product with it, and the closed
-form's coefficients at each residue are three dot products, with gram w
-and its products with the certificate's stored N^T and (N^2)^T.
+see _residue_coefficients).  orbit_swtot cuts the steps at both ends of
+every bracket and at the edges of the record and its two windows, and
+answers every wall-side question in one loop over those pieces, each
+reading its own signs: from a closed form when the action has a
+unipotent power (Isometry._dual_unipotent, decided once per map, and
+read off the base's for a power or an inverse) and from the stepped
+orbit otherwise.  Both read the wall w through gram w, formed once per
+call: a step's pairing is one dot product with it, and the closed form's
+coefficients at each residue are three dot products, with gram w and its
+products with the certificate's stored N^T and (N^2)^T.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle, pairwise
@@ -249,33 +250,6 @@ def _residue_coefficients(action, certificate, omega, dual) -> list[tuple[int, i
     return coeffs
 
 
-def _sign_segments(sign, brackets, lo: int, hi: int, period: int, edges) -> list[tuple]:
-    """Cover the steps lo..hi by segments (start, end, pattern) in ascending
-    order; step n of a segment has the sign pattern[(n - start) % len(pattern)],
-    and a pattern of more than one sign takes more than one.  A segment starts
-    at every edge and at both ends of every bracket.  Steps inside the brackets
-    are evaluated one by one; between them the sign depends only on the step
-    mod period, so a gap keeps the signs of its first period steps.  Each
-    gap's signs are evaluated once and rotated into every piece an edge cuts;
-    a gap of one sign gives every piece that sign, with no rotation.  The
-    edges must be strictly ascending."""
-    cuts = sorted({lo, hi + 1, *(x for a, b in brackets for x in (a, b + 1))})
-    segments = []
-    for start, stop in pairwise(cuts):
-        dense = any(a <= start <= b for a, b in brackets)
-        first = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
-        inner = edges[bisect_right(edges, start) : bisect_left(edges, stop)]
-        pieces = pairwise((start, *inner, stop))
-        if len(set(first)) == 1:
-            segments += [(a, b - 1, first[:1]) for a, b in pieces]
-            continue
-        for a, b in pieces:
-            r = (a - start) % len(first)
-            pattern = (first[r:] + first[:r])[: b - a]
-            segments.append((a, b - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
-    return segments
-
-
 def orbit_swtot(
     lattice: IntegralLattice,
     f: Isometry,
@@ -307,9 +281,11 @@ def orbit_swtot(
     "certificate"), and stabilized says whether the sign provably stays
     fixed beyond both ends.  Other maps are stepped through the range
     (method "sweep"): the range is then one bracket whose ends are the
-    reading's ends, so stabilized is always True.  Both methods read every
-    answer off one list of sign segments, and step only through the
-    record's segments whose sign varies.
+    reading's ends, so stabilized is always True.  Both methods cut the
+    steps at the brackets' ends and the window edges and read every answer
+    in one loop over those pieces: a piece inside a bracket reads every
+    step, any other its first m steps, and the crossings step only through
+    the record's pieces whose sign varies.
     """
     _check_orbit_inputs(lattice, f, spinc, n_max)
     return _orbit_swtot(lattice, f, spinc.sw_x, cone_point(lattice, omega0), wall.vector(), n_max)
@@ -353,19 +329,24 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
     window = min(STAB_WINDOW, n_max)
     # stretches: below, low window, middle, high window, above; the record is 1..3
     edges = (-n_max, -n_max + window, n_max + 2 - window, n_max + 2)
+    cuts = sorted({lo, hi + 1, *edges, *(x for a, b in brackets for x in (a, b + 1))})
     sides, record = [set() for _ in range(5)], []
-    for segment in _sign_segments(sign, brackets, lo, hi, m, edges):
-        start, _, pattern = segment
+    for start, stop in pairwise(cuts):
+        # step n has the sign pattern[(n - start) % len(pattern)]; outside the
+        # brackets the sign depends only on n mod m, so m steps show it all
+        dense = any(a <= start <= b for a, b in brackets)
+        pattern = tuple(map(sign, range(start, stop if dense else min(stop, start + m))))
+        pattern = pattern[:1] if len(set(pattern)) == 1 else pattern
         stretch = bisect_right(edges, start)
         if 0 < stretch < 4:
             if 0 in pattern:
                 raise _on_wall(start + pattern.index(0))
-            record.append(segment)
+            record.append((start, stop - 1, pattern))
         sides[stretch].update(pattern)
     below, low, _, high, above = sides
     if len(low) != 1 or len(high) != 1:
         raise _unstable(n_max)
-    # one pass over the record: a segment of one sign shows its two ends,
+    # one pass over the record: a piece of one sign shows its two ends,
     # any other every step; the record holds no 0, so a change of side
     # from step n to n+1 counts the new side times sw_x at n
     crossings = {}

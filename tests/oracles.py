@@ -36,8 +36,6 @@ directly; it shares the input check, the error messages, cone_point
 (which returns the integer ray), WallClass.vector() (the wall's integer
 ray) and STAB_WINDOW
 with the package, but not the package's orbit walk or its sign reader.
-sign_segments_per_piece is the reference for wallcross._sign_segments: it
-cuts at the edges first and evaluates the signs of every piece afresh.
 residue_coefficients_by_pairing is the reference for
 wallcross._residue_coefficients: it steps A^r omega with its own loop and
 takes each coefficient as a lattice pairing <u, w> with u = v, N v, N^2 v,
@@ -358,19 +356,6 @@ def residue_coefficients_by_pairing(lattice, f, omega, w) -> list[tuple[int, int
         coeffs.append(tuple(lattice.pairing(u, w) for u in images))
         v = _mat_vec(forward, v)
     return coeffs
-
-
-def sign_segments_per_piece(sign, brackets, lo, hi, period, edges) -> list[tuple]:
-    """wallcross._sign_segments with each piece between consecutive cuts
-    (edges included) read on its own: every step of a piece inside a
-    bracket, and the first period steps of any other piece."""
-    cuts = sorted({lo, hi + 1, *edges, *(x for a, b in brackets for x in (a, b + 1))})
-    segments = []
-    for start, stop in zip(cuts, cuts[1:]):
-        dense = any(a <= start <= b for a, b in brackets)
-        pattern = tuple(map(sign, range(start, stop if dense else min(stop, start + period))))
-        segments.append((start, stop - 1, pattern[:1] if len(set(pattern)) == 1 else pattern))
-    return segments
 
 
 def metabolizer_search_grid(

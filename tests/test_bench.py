@@ -29,7 +29,8 @@ def test_layers_probe_reads_one_call():
     """The layer probe runs one call in a fresh interpreter on a checkout's
     src/ and reports its answer's digest, wall time and peak RSS; one round
     of the orbit layer's power_swtot gives total 1 for each of its six rays
-    and d = 2..6."""
+    and d = 2..6, and one of its rank-8 orbit_swtot one crossing, at step 0,
+    at each of its three n_max."""
     spec = importlib.util.spec_from_file_location("layers", PAIRS.parent / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     sys.path.insert(0, str(PAIRS.parent))
@@ -44,3 +45,6 @@ def test_layers_probe_reads_one_call():
     assert run["metrics"]["wall_s"] >= 0 and run["metrics"]["peak_rss_mb"] > 0
     rounds = layers.run_once(PAIRS.parent.parent, "power_swtot", 1)
     assert rounds["answer"] == hashlib.sha256(json.dumps([1] * 30).encode()).hexdigest()
+    rank8 = layers.run_once(PAIRS.parent.parent, "rank8_orbit_swtot", 1)
+    expected = hashlib.sha256(json.dumps([[1, [[0, 1]]]] * 3).encode()).hexdigest()
+    assert rank8["answer"] == expected

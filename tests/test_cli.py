@@ -340,6 +340,22 @@ def test_unreadable_scenario_files_exit_2(capsys, tmp_path):
         )
 
 
+def test_deeply_nested_scenario_files_exit_2(capsys, tmp_path):
+    """100 000 nested arrays or objects are a parameter error that names
+    the path and says the file is nested too deeply, not a RecursionError
+    traceback."""
+    for name, text in (("arrays.json", "[" * 100_000), ("objects.json", '{"a":' * 100_000)):
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("swtot", "orbit"):
+            code, out, err = run_cli(capsys, command, "--scenario", str(path))
+            assert (code, out) == (2, ""), (name, command)
+            assert json.loads(err)["error"] == {
+                "kind": "parameter",
+                "message": f"scenario file {path} is nested too deeply to read",
+            }
+
+
 def test_scenario_validation(tmp_path):
     base = load_scenario("paper-default").definition
     bad = dict(base)

@@ -38,6 +38,7 @@ from lenswall.wallcross import (
     OrbitSummary,
     SpinCData,
     WallClass,
+    _sign,
     classify_isometry,
     cone_point,
     disc_project,
@@ -56,7 +57,6 @@ from oracles import (
     _orbit_pairings,
     _orbit_sweep,
     residue_coefficients_by_pairing,
-    sign_segments_per_piece,
     unipotent_power_ladder,
 )
 
@@ -799,42 +799,18 @@ def test_rank8_certificate_matches_sweep(case):
     assert far.stabilized or not summary.stabilized
 
 
-def checked_segments(log):
-    """A stand-in for wallcross._sign_segments that logs every sign it reads
-    and the segments, and checks them against sign_segments_per_piece."""
-    builder = wallcross._sign_segments
-
-    def segments(sign, *args):
-        result = builder(lambda n: log.append(n) or sign(n), *args)
-        assert result == sign_segments_per_piece(sign, *args)
-        return result
-
-    return segments
-
-
-def test_sign_segments_read_each_gap_once(lat, parabolic, spinc, wall, monkeypatch):
-    """The paper map's orbit of (70, 3, 10) has one bracket and m = 1: each
-    gap reads its first sign once and the bracket its two steps, so the
-    signs are read 4 times, not once per piece the edges cut (8)."""
+def test_paper_orbit_reads_eight_signs(lat, parabolic, spinc, wall, monkeypatch):
+    """The paper map's orbit of (70, 3, 10) has one bracket and m = 1: the
+    bracket reads its two steps and each of the six other pieces that the
+    window edges cut reads its first step, so the signs are read 8 times,
+    whatever n_max."""
     log = []
-    monkeypatch.setattr(wallcross, "_sign_segments", checked_segments(log))
-    summary = orbit_swtot(lat, parabolic, spinc, (70, 3, 10), wall)
-    assert (summary.crossings, summary.method) == ({-1: 1}, "certificate")
-    assert len(log) == 4
-
-
-@settings(max_examples=100, deadline=None)
-@given(rank8_cases())
-def test_rank8_sign_segments_match_per_piece_reading(case):
-    """On the draws of test_rank8_certificate_matches_sweep the segments
-    are the ones that cutting at the edges first and reading every piece
-    afresh gives."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wallcross, "_sign_segments", checked_segments([]))
-        try:
-            orbit_swtot(**case)
-        except LenswallError:
-            pass
+    monkeypatch.setattr(wallcross, "_sign", lambda x: log.append(x) or _sign(x))
+    for n_max in (10**3, 10**9):
+        log.clear()
+        summary = orbit_swtot(lat, parabolic, spinc, (70, 3, 10), wall, n_max)
+        assert (summary.crossings, summary.method) == ({-1: 1}, "certificate")
+        assert len(log) == 8
 
 
 def power_test_maps(lat):
