@@ -17,6 +17,12 @@ The layers measured so far:
   n_max 3, 17 and 1000 with the map rebuilt each round: its closed form
   has period m = 5, the only timed orbit whose pieces read more than one
   step each, as no perfbench workload has m > 1.
+- "field": one cold eta_variant(p, 5, 7, f, max_p=p) for the two field
+  formulas, half-roots and odd-p, at p = 199, 1009, 2003 and 4001: the
+  closed-form inverses, the products at degree up to p and the traces of
+  a cyclotomic-field value, where perfbench's cyclotomic-oracle stops at
+  p = 11.  After the timing each value is checked against the integer
+  path (pinc-difference), and a value that differs fails the run.
 
 Each run is a fresh interpreter on the checkout's src/: it times the one
 call (the import excluded) and reports the process's peak RSS (ru_maxrss).
@@ -49,6 +55,7 @@ LAYERS = {
             ("rank8_orbit_swtot", 200),
         ],
     ),
+    "field": ("p", [(f, p) for p in (199, 1009, 2003, 4001) for f in ("half_roots", "odd_p")]),
 }
 BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
@@ -105,10 +112,20 @@ def component_classes(p):
     return lw.component_classes(p, max_p=p)
 
 
+def half_roots(p):
+    return str(lw.eta_variant(p, 5, 7, "half-roots", max_p=p))
+
+
+def odd_p(p):
+    return str(lw.eta_variant(p, 5, 7, "odd-p", max_p=p))
+
+
 name, size = sys.argv[1], int(sys.argv[2])
 start = time.perf_counter()
 result = globals()[name](size)
 wall = time.perf_counter() - start
+if name in ("half_roots", "odd_p") and result != str(lw.eta_flipspun(size, 5, 7, max_p=size)):
+    sys.exit(f"{name}({size}) = {result} is not the pinc-difference value")
 print(json.dumps({
     "answer": hashlib.sha256(json.dumps(result).encode()).hexdigest(),
     "metrics": {

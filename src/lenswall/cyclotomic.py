@@ -10,7 +10,14 @@ Algebraic Number Theory, 1993, section 4.2).  Fractions appear only at
 the boundary: constructor input, scalar operands, `coeffs` and
 `as_rational`.  The quotient is by the n-th cyclotomic polynomial (a
 field), not by x^n - 1: the eta sums downstream divide by cyclotomic
-units and need genuine inverses.
+units and need genuine inverses.  They take them from a certified closed
+form (`eta._inverse`); the extended-Euclid `inverse` stays as a general
+inverse that no package path calls.
+
+A product multiplies the two numerator vectors schoolbook below
+_PACKED_DEGREE terms and, from there on, packs each into one integer at a
+power-of-two radix and takes one big-integer product (Kronecker
+substitution), then folds and normalizes once.
 
 A sum of terms b * zeta_n^e (`root_sum`) puts the b over one common
 denominator, adds their numerators rotated by e and reduces mod Phi_n
@@ -45,6 +52,15 @@ from .poly import _poly_trim, _primes, cyclotomic_polynomial
 __all__ = ["Cyclotomic", "cyclotomic_polynomial", "root_of_unity", "root_sum"]
 
 _set = object.__setattr__
+
+# Products of numerator vectors of this many terms (the degree phi(n)) and
+# more are packed (_packed_product); shorter ones are schoolbook.  Measured
+# on the products 1/(zeta_n + c) * 1/(zeta_n^a + c) of the eta sums (timeit,
+# best of 5; 2 vCPU x86_64, Python 3.11.7), packed over schoolbook time:
+# 2.5-4.8 at degree 6-10, 0.8-1.7 at degree 18-24, 0.7-1.1 at degree
+# 30-36, and 0.33-0.91 at every degree 40-42 measured, 0.21-0.55 at 66-70,
+# 0.18 at 198.
+_PACKED_DEGREE = 40
 
 
 @lru_cache(maxsize=None)
@@ -201,14 +217,8 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check_order(other)
-        a, b = self._num, other._num
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    prod[j] += ai * bj
         n, den = self.order, self._den * other._den
-        return Cyclotomic._make(n, *_normalize(n, prod, den))
+        return Cyclotomic._make(n, *_normalize(n, _product(self._num, other._num), den))
 
     __rmul__ = __mul__
 
@@ -349,6 +359,44 @@ def _normalize(order: int, num, den: int) -> tuple[tuple[int, ...], int]:
     if g == 1:
         return tuple(num), den
     return tuple(c // g for c in num), den // g
+
+
+def _product(a: tuple, b: tuple) -> list:
+    """The coefficients of the product of the integer polynomials a and b
+    (lowest degree first, both nonempty): schoolbook below _PACKED_DEGREE
+    terms, one packed integer product (_packed_product) from there on."""
+    if len(a) >= _PACKED_DEGREE:
+        return _packed_product(a, b)
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    return prod
+
+
+def _packed_product(a: tuple, b: tuple) -> list:
+    """a * b by Kronecker substitution: each vector is packed into one
+    integer at the radix R = 2^(8w), the two integers are multiplied once
+    (CPython multiplies large ints by Karatsuba) and the product's digits
+    are read back.  Every product coefficient c has
+    |c| <= min(len a, len b) * max|a| * max|b| < R/2 by the choice of w, so
+    the digits are stored offset by R/2: each packed vector is its bytes
+    of c + R/2 minus the offset R/2 * sum R^i, and the product plus that
+    offset has the bytes of c + R/2, all in [0, R)."""
+    bits = sum(max(map(abs, v)).bit_length() for v in (a, b)) + min(len(a), len(b)).bit_length()
+    width = bits // 8 + 1  # bytes per digit, 8 * width >= bits + 1
+    half = 1 << (8 * width - 1)
+    offset = bytes(width - 1) + b"\x80"  # the digit R/2, little-endian
+
+    def pack(vec) -> int:
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in vec])
+        return int.from_bytes(raw, "little") - int.from_bytes(offset * len(vec), "little")
+
+    length = len(a) + len(b) - 1
+    total = pack(a) * pack(b) + int.from_bytes(offset * length, "little")
+    raw = total.to_bytes(width * length, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 def _cancel(a: int, u: list, b: int, shift: int, v: list) -> list:

@@ -26,13 +26,18 @@ the 2p characters (see _trace_table), so eta_variant reads all three
 formulas alike, one Fraction per value.  The Fourier forms stay in
 Q(zeta_p).  All four divide by elements zeta_n^m + c, with the shift c = -1
 (half-roots, unit ratio) or 1 (odd-p, closed form), through one cached
-inverse, _inverse(n, m, c).  Each distinct field element is computed once:
-each inverse (a Galois conjugate of the one at exponent 1 wherever the
-exponent is prime to the order), each product of two inverses (one per shift
-and unordered pair of exponents), each table of sums (one entry per
-character) and each unit ratio (a Galois conjugate of the one at j = 1
-wherever j is prime to p; the closed form stays a per-j computation, so the
-two Fourier forms check each other at every j).
+inverse, _inverse(n, m, c): a Galois conjugate of the one at exponent 1
+wherever the exponent is prime to the order, and otherwise the closed form
+1/(y - 1) = (1/D) * sum_{j<D} j * y^j, certified at run time by one
+rotation, so no Euclidean inverse runs.  Each distinct field element is
+computed once: each inverse, each product of two inverses (one per shift
+and unordered pair of exponents, multiplied by Kronecker substitution at
+large degree), each table of sums (one entry per character) and each unit
+ratio (a Galois conjugate of the one at j = 1 wherever j is prime to p).
+The Fourier closed form is one such product, of the shift-1 inverses at
+(-jq, j), while the unit ratio reads the shift -1 inverses at (-2jq, 2j)
+through its root_sum and Galois conjugation, so the two Fourier forms
+check each other at every j.
 Each public function checks its arguments once, through one gate per family
 that returns the reduced q: _lens_q (with its size budget) and _flipspun_q.
 """
@@ -46,7 +51,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
-from .cyclotomic import Cyclotomic, root_of_unity, root_sum
+from .cyclotomic import Cyclotomic, _normalize, root_sum
 from .errors import ParameterError, ResourceBoundError
 
 __all__ = [
@@ -129,17 +134,48 @@ class MatchingResult(namedtuple("MatchingResult", "p q q_prime matches distingui
         return self[:4]
 
 
+def _closed_inverse(n: int, m: int, c: int) -> Cyclotomic:
+    """1 / (zeta_n^m + c) for the shift c = -1 or 1 from its closed form,
+    uncertified (_inverse certifies it).
+
+    x = zeta_n^m has order d = n / gcd(m, n), and x + c = -c * (y - 1) for
+    y = -c * x.  If y^D = 1 and y != 1, then
+
+        1/(y - 1) = (1/D) * sum_{j<D} j * y^j,
+
+    since (y - 1) * sum_{j<D} j y^j = (D - 1) y^D - sum_{0<j<D} y^j = D, the
+    D powers of y summing to 0.  D = d serves c = -1 (y = x), and for c = 1
+    (y = -x) D = d when d is even and 2d when d is odd.  So the inverse is
+    the numerators j * (-c)^(j+1) at the exponents m*j mod n over D, folded
+    once: the rho_table identity, here checked rather than trusted."""
+    d = n // gcd(m, n)
+    steps = d if c == -1 or d % 2 == 0 else 2 * d
+    full = [0] * n
+    for j in range(1, steps):
+        full[m * j % n] += j if c == -1 or j % 2 else -j
+    return Cyclotomic._make(n, *_normalize(n, full, steps))
+
+
 @lru_cache(maxsize=None)
 def _inverse(n: int, m: int, c: int) -> Cyclotomic:
     """1 / (zeta_n^m + c) for the shift c = -1 or 1, cached; zeta_n^m + c
-    must be nonzero (m nonzero mod n for c = -1, n odd for c = 1).
+    must be nonzero (m nonzero mod n for c = -1, n odd for c = 1), or the
+    certificate fails.
 
     For m prime to n this is sigma_m(1 / (zeta_n + c)), sigma_m the Galois
     automorphism zeta_n -> zeta_n^m, so only m = 1 and the m that share a
-    factor with n run the Euclidean inverse."""
+    factor with n build the closed form (_closed_inverse).  Each closed form
+    is certified by x * zeta_n^m + c * x = 1, one times_root and one add of
+    numerators over den(x), and a failure raises AssertionError; no
+    Euclidean inverse is run."""
     if m != 1 and gcd(m, n) == 1:
         return _inverse(n, 1, c).conjugate(m)
-    return (root_of_unity(n, m) + c).inverse()
+    x = _closed_inverse(n, m, c)
+    # over den(x), the numerators of x * zeta_n^m + c * x must be den(x), 0, ..., 0
+    total = [r + c * a for r, a in zip(x.times_root(m)._num, x._num)]
+    if total != [x._den] + [0] * (len(total) - 1):
+        raise AssertionError(f"closed-form 1/(zeta_{n}^{m} + {c}) failed its certificate")
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -308,9 +344,11 @@ def fourier_coefficient(p: int, q: int, j: int, max_p: int | None = None) -> Cyc
 
 
 def fourier_closed_form(p: int, q: int, j: int) -> Cyclotomic:
-    """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) in Q(zeta_p)."""
+    """omega^(jq) / ((omega^(jq) + 1)(omega^j + 1)) in Q(zeta_p), as the one
+    cached product _inverse_product(p, -jq, j, 1) of shift-1 inverses, since
+    omega^a / (omega^a + 1) = 1 / (omega^(-a) + 1)."""
     q = _fourier_q(p, q, j)
-    return _inverse_product(p, j * q, j, 1).times_root(j * q)
+    return _inverse_product(p, -j * q, j, 1)
 
 
 def fourier_unit_ratio(p: int, q: int, j: int) -> Cyclotomic:

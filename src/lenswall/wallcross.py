@@ -35,6 +35,7 @@ from .errors import (
     ConeError,
     GenericityError,
     ParameterError,
+    ResourceBoundError,
     StabilizationError,
     UniquenessViolationError,
 )
@@ -70,6 +71,14 @@ __all__ = [
 # orbit_swtot needs the wall side constant over this many steps at both
 # ends of its range (over the whole range when that is shorter).
 STAB_WINDOW = 16
+
+# The largest n_max of a stepped orbit (a map with no unipotent power, see
+# _check_sweep).  Its integers grow linearly in bits, so the cost grows
+# faster than n_max: on tests/data/hyperbolic.json orbit_swtot takes 0.20 /
+# 0.66 / 1.35 s and spinc_orbit 0.07 / 0.26 / 0.53 s at n_max 10^4 / 2*10^4 /
+# 3*10^4 (2 vCPU x86_64, Python 3.11.7), so `lenswall orbit`, which walks
+# both, ends in about a second at this budget.
+SWEEP_N_MAX = 20_000
 
 
 class WallClass(namedtuple("WallClass", "c1 perturbation", defaults=(None,))):
@@ -184,6 +193,15 @@ def _unstable(n_max: int) -> StabilizationError:
     )
 
 
+def _check_sweep(n_max: int) -> None:
+    """Refuse, before the walk, a stepped orbit longer than SWEEP_N_MAX."""
+    if n_max > SWEEP_N_MAX:
+        raise ResourceBoundError(
+            f"n_max={n_max} exceeds the step budget {SWEEP_N_MAX} of a stepped orbit "
+            "(the map has no unipotent power)"
+        )
+
+
 def _check_map(lattice, f) -> None:
     _check_acts_on(lattice, f)
     if alpha_invariant(f) != 1:
@@ -281,7 +299,8 @@ def orbit_swtot(
     "certificate"), and stabilized says whether the sign provably stays
     fixed beyond both ends.  Other maps are stepped through the range
     (method "sweep"): the range is then one bracket whose ends are the
-    reading's ends, so stabilized is always True.  Both methods cut the
+    reading's ends, so stabilized is always True, and an n_max above
+    SWEEP_N_MAX raises ResourceBoundError before any step.  Both methods cut the
     steps at the brackets' ends and the window edges and read every answer
     in one loop over those pieces: a piece inside a bracket reads every
     step, any other its first m steps, and the crossings step only through
@@ -303,6 +322,7 @@ def _orbit_swtot(lattice, f, sw_x: int, omega, w, n_max: int) -> OrbitSummary:
     certificate = f._dual_unipotent
     dual = _mat_vec(lattice.gram, w)  # <v, w> = v . dual
     if certificate is None:
+        _check_sweep(n_max)
         m, lo, hi, method = 1, -n_max, n_max + 1, "sweep"
         walk = orbit_walk(action, omega, lo, hi)
         sign = {n: _sign(_dot(v, dual)) for n, v in walk}.__getitem__
@@ -480,13 +500,17 @@ def spinc_orbit(lattice: IntegralLattice, f: Isometry, c1, bound: int = 1000) ->
     A^(m*k) c1 = c1 for some k >= 1, applying N to
     k*N c1 + k(k-1)/2 * N^2 c1 = 0 would give N^2 c1 = 0, hence
     k*N c1 = 0; so a finite orbit has N c1 = 0 and A^m c1 = c1.  Other maps
-    are stepped up to the bound."""
+    are stepped up to the bound, which must then be at most SWEEP_N_MAX
+    (ResourceBoundError otherwise, naming the bound as n_max, the option the
+    CLI reads it from)."""
     _check_acts_on(lattice, f)
     if bound < 1:
         raise ParameterError("bound must be positive")
     start = _as_vector(c1, lattice.rank)
     action = f.adjoint()
     certificate = f._dual_unipotent
+    if certificate is None:
+        _check_sweep(bound)
     steps = bound if certificate is None else min(bound, certificate[0])
     for n, v in orbit_walk(action, start, 0, steps):
         if n and v == start:

@@ -18,6 +18,12 @@ cyclotomic_polynomial_by_division is the reference for
 cyclotomic.cyclotomic_polynomial: x^n - 1 divided by Phi_d over every
 proper divisor d, at every n, with its own division loop, where the
 package builds Phi_n from smaller cyclotomic polynomials.
+schoolbook_product is the reference for the package's coefficient
+products (cyclotomic._product, packed into one integer product from
+_PACKED_DEGREE terms on): every pair of coefficients multiplied and added
+in its own loop.  euclidean_inverse is the reference for eta._inverse,
+whose base case is a closed form: the package's extended-Euclid
+Cyclotomic.inverse, which no package path calls.
 trace_numerator_by_ramanujan is the per-k reference for
 Cyclotomic._trace_numerators: the numerators against Ramanujan's sums
 c_n(j) (ramanujan_sums, by the recursion over the divisors of n, with no
@@ -124,6 +130,16 @@ def cyclotomic_polynomial_by_division(n: int) -> tuple[int, ...]:
             raise AssertionError(f"Phi_{d} does not divide at n={n}")
         num = quot
     return tuple(num)
+
+
+def schoolbook_product(a, b) -> list:
+    """The coefficients of the product of the integer polynomials a and b,
+    lowest degree first: out[i + j] += a[i] * b[j] for every pair."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 @lru_cache(maxsize=None)

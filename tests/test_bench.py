@@ -30,7 +30,8 @@ def test_layers_probe_reads_one_call():
     src/ and reports its answer's digest, wall time and peak RSS; one round
     of the orbit layer's power_swtot gives total 1 for each of its six rays
     and d = 2..6, and one of its rank-8 orbit_swtot one crossing, at step 0,
-    at each of its three n_max."""
+    at each of its three n_max.  The field layer's cold values at p = 7
+    are eta(X(7), g_{7,5}, alpha_7) = 3/4 by both field formulas."""
     spec = importlib.util.spec_from_file_location("layers", PAIRS.parent / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     sys.path.insert(0, str(PAIRS.parent))
@@ -48,3 +49,6 @@ def test_layers_probe_reads_one_call():
     rank8 = layers.run_once(PAIRS.parent.parent, "rank8_orbit_swtot", 1)
     expected = hashlib.sha256(json.dumps([[1, [[0, 1]]]] * 3).encode()).hexdigest()
     assert rank8["answer"] == expected
+    for name in ("half_roots", "odd_p"):
+        field = layers.run_once(PAIRS.parent.parent, name, 7)
+        assert field["answer"] == hashlib.sha256(json.dumps("3/4").encode()).hexdigest()

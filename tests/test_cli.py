@@ -113,6 +113,19 @@ def test_swtot_and_orbit_hyperbolic_scenario(capsys):
     assert doc["results"]["crossing_index"] == 0
 
 
+def test_a_stepped_orbit_beyond_its_budget_exits_4(capsys):
+    """The hyperbolic scenario's orbit is stepped, so swtot and orbit at
+    --n-max 1000000 (above wallcross.SWEEP_N_MAX) exit 4 with a resource
+    error that names n_max, and print nothing on stdout, instead of
+    walking without end."""
+    for command in ("swtot", "orbit"):
+        code, out, err = run_cli(capsys, command, "--scenario", str(HYPERBOLIC), "--n-max", "1000000")
+        assert code == 4 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "resource"
+        assert error["message"].startswith("n_max=1000000 exceeds the step budget 20000")
+
+
 def test_n_max_is_echoed_when_given(capsys):
     """--n-max replaces the scenario's step budget and is echoed as
     inputs.n_max; without it the inputs are the scenario alone."""

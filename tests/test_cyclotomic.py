@@ -21,16 +21,9 @@ from lenswall.poly import _cyclotomic_factors
 from oracles import (
     cyclotomic_polynomial_by_division,
     ramanujan_sums,
+    schoolbook_product,
     trace_numerator_by_ramanujan,
 )
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def embed(element):
@@ -61,7 +54,7 @@ def test_product_of_divisors_is_xn_minus_1(n):
     prod = [1]
     for d in range(1, n + 1):
         if n % d == 0:
-            prod = poly_mul(prod, list(cyclotomic_polynomial(d)))
+            prod = schoolbook_product(prod, list(cyclotomic_polynomial(d)))
     expected = [-1] + [0] * (n - 1) + [1]
     assert prod == expected
     assert len(cyclotomic_polynomial(n)) - 1 == sympy.totient(n)
@@ -81,7 +74,7 @@ def test_each_phi_alone_is_one_cyclotomic_factor():
 def test_products_of_two_phi_give_both_cyclotomic_factors():
     for k in range(1, 31):
         for j in range(1, k + 1):
-            product = poly_mul(list(cyclotomic_polynomial(j)), list(cyclotomic_polynomial(k)))
+            product = schoolbook_product(list(cyclotomic_polynomial(j)), list(cyclotomic_polynomial(k)))
             assert _cyclotomic_factors(product) == (sorted([j, k]), [1]), (j, k)
 
 
@@ -134,6 +127,47 @@ def test_inverse():
     a = Cyclotomic(12, (1, 2, 0, -1))
     b = Cyclotomic(12, (0, 1, 1, 0))
     assert a * b.inverse() * b == a
+
+
+def test_packed_products_equal_the_schoolbook_ones():
+    """Cyclotomic.__mul__ (schoolbook below _PACKED_DEGREE terms, one packed
+    integer product from there on) against the reference's schoolbook
+    product, reduced mod Phi_n: at 40 random orders <= 400 with random
+    coefficients and denominators; and the coefficient product itself at
+    the threshold - 1, the threshold and the threshold + 1 terms, with
+    coefficients of up to 10^30 in size, both signs, zeros, runs of zeros,
+    all-zero and one-sided vectors, and the all-maximal vectors of 2^k - 1
+    with 2k + bit_length(size) a multiple of 8, whose middle coefficient
+    fills its digit but for the sign bit, where the digit width and the
+    offset of the packing are tightest."""
+    rng = random.Random(37)
+    for n in [rng.randint(1, 400) for _ in range(40)]:
+        deg = len(cyclotomic_polynomial(n)) - 1
+        big = rng.choice((10, 10**6, 10**30))
+        a, b = (
+            Cyclotomic(n, [Fraction(rng.randint(-big, big), rng.randint(1, 9)) for _ in range(deg)])
+            for _ in range(2)
+        )
+        expected = _normalize(n, schoolbook_product(a._num, b._num), a._den * b._den)
+        product = a * b
+        assert (product._num, product._den) == expected, n
+    threshold = cyclotomic._PACKED_DEGREE
+    edge = 10**30
+    for size in (threshold - 1, threshold, threshold + 1):
+        top = 2 ** next(k for k in range(97, 105) if (2 * k + size.bit_length()) % 8 == 0) - 1
+        for a, b in (
+            ([top] * size, [top] * size),
+            ([-top] * size, [top] * size),
+            ([rng.randint(-edge, edge) for _ in range(size)], [rng.randint(-edge, edge) for _ in range(size)]),
+            ([edge] * size, [-edge] * size),
+            ([-edge] * size, [-edge] * size),
+            ([0] * size, [rng.randint(-edge, edge) for _ in range(size)]),
+            ([0] * size, [0] * size),
+            ([rng.choice((0, 0, 1, -1, edge, -edge)) for _ in range(size)], [0] * (size - 1) + [1]),
+            ([1] + [0] * (size - 1), [rng.choice((0, -edge)) for _ in range(size)]),
+        ):
+            assert cyclotomic._product(a, b) == schoolbook_product(a, b), size
+            assert cyclotomic._packed_product(a, b) == schoolbook_product(a, b), size
 
 
 def test_as_rational():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -221,10 +222,12 @@ def test_fourier_forms_match_per_j_references_at_composite_p():
 
 def _count_field_work(monkeypatch) -> dict:
     """Count Cyclotomic inverses, products of two field elements,
-    as_rational calls and whole-vector integer trace kernels from here on."""
-    calls = {"inverse": 0, "mul": 0, "as_rational": 0, "kernel": 0}
+    as_rational calls, whole-vector integer trace kernels and times_root
+    calls from here on ("closed" is for the caller's count of closed-form
+    inverses)."""
+    calls = {"inverse": 0, "mul": 0, "as_rational": 0, "kernel": 0, "times_root": 0, "closed": 0}
     inverse, mul, as_rational = Cyclotomic.inverse, Cyclotomic.__mul__, Cyclotomic.as_rational
-    kernel = Cyclotomic._trace_numerators
+    kernel, times_root = Cyclotomic._trace_numerators, Cyclotomic.times_root
 
     def counted_inverse(self):
         calls["inverse"] += 1
@@ -242,8 +245,13 @@ def _count_field_work(monkeypatch) -> dict:
         calls["kernel"] += 1
         return kernel(self)
 
+    def counted_times_root(self, k):
+        calls["times_root"] += 1
+        return times_root(self, k)
+
     monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
     monkeypatch.setattr(Cyclotomic, "_trace_numerators", counted_kernel)
+    monkeypatch.setattr(Cyclotomic, "times_root", counted_times_root)
     monkeypatch.setattr(Cyclotomic, "__mul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counted_mul)
     monkeypatch.setattr(Cyclotomic, "as_rational", counted_as_rational)
@@ -272,12 +280,15 @@ def test_one_cold_value_takes_one_sum(monkeypatch):
 def test_field_tables_equal_the_integer_table():
     """Each field formula's table (v, den) is the eta sequence entry for
     entry: v[s] * 4p == E(s) * den for the integer table E = 4p * eta, at
-    every character s.  Both formulas at every odd p <= 101 and every q,
-    half-roots at every even p <= 60 and every q, and both at (p, q) =
-    (401, 5), (1009, 5) and (2003, 5)."""
-    cases = [(p, q) for p in range(1, 102, 2) for q in range(1, 2 * p, 2) if gcd(q, p) == 1]
+    every character s.  Both formulas at every odd p <= 151 and every q,
+    half-roots at every even p <= 60 and every q, both at (p, q) =
+    (401, 5), (1009, 5) and (2003, 5), and both at p = 4001 for six q
+    (1, 5, 2p - 1 = -1, p + 2, and two seeded draws)."""
+    cases = [(p, q) for p in range(1, 152, 2) for q in range(1, 2 * p, 2) if gcd(q, p) == 1]
     cases += [(p, q) for p in range(2, 61, 2) for q in range(1, 2 * p, 2) if gcd(q, p) == 1]
     cases += [(401, 5), (1009, 5), (2003, 5)]
+    drawn = random.Random(4001).sample([q for q in range(7, 8001, 2) if q != 4001], 2)
+    cases += [(4001, q) for q in (1, 5, 8001, 4003, *drawn)]
     for p, q in cases:
         eta_values = _eta_values(p, q)
         for c in (-1, 1) if p % 2 else (-1,):
@@ -346,24 +357,53 @@ def test_per_s_reference_is_checked_rational(monkeypatch):
 def test_cached_unit_inverses_equal_the_euclidean_ones():
     """Each cached _inverse(n, m, c) = 1/(zeta_n^m + c), at the shift c = -1
     for every m != 0 and at c = 1 for every m at odd n, is the extended-Euclid
-    inverse of the reference for every n <= 60, whether it is a Galois
-    conjugate (m prime to n, m != 1) or Euclidean itself; both shifts share
-    one cache, so a value filed under the wrong shift fails here."""
+    inverse of the reference: every m for every n <= 60, whether it is a
+    Galois conjugate (m prime to n, m != 1) or a closed form, and for every
+    n <= 200 the closed forms, m = 1 and every m sharing a factor with n;
+    both shifts share one cache, so a value filed under the wrong shift
+    fails here."""
     _inverse.cache_clear()
-    for n in range(1, 61):
+    for n in range(1, 201):
         for c, ms in ((-1, range(1, n)), (1, range(n) if n % 2 else ())):
             for m in ms:
-                assert _inverse(n, m, c) == oracles.euclidean_inverse(n, m, c), (n, m, c)
+                if n <= 60 or m == 1 or gcd(m, n) > 1:
+                    assert _inverse(n, m, c) == oracles.euclidean_inverse(n, m, c), (n, m, c)
+    _inverse.cache_clear()
+    oracles.euclidean_inverse.cache_clear()
+
+
+def test_a_corrupt_closed_form_fails_its_certificate(monkeypatch):
+    """_inverse certifies each closed form by x * zeta_n^m + c * x = 1: one
+    power-basis coefficient of the closed form moved by 1/n, for each term
+    at a few orders and both shifts (m = 1, and an m sharing a factor with
+    n), makes _inverse raise AssertionError rather than return."""
+    closed = eta._closed_inverse
+    for n, m, c in ((7, 1, 1), (9, 3, 1), (10, 1, -1), (12, 4, -1), (15, 5, 1)):
+        deg = len(closed(n, m, c)._num)
+        for term in range(deg):
+            def corrupted(n, m, c, term=term):
+                return closed(n, m, c) + Cyclotomic(n, [0] * term + [Fraction(1, n)])
+
+            monkeypatch.setattr(eta, "_closed_inverse", corrupted)
+            _inverse.cache_clear()
+            with pytest.raises(AssertionError, match="failed its certificate"):
+                _inverse(n, m, c)
+            monkeypatch.undo()
+    _inverse.cache_clear()
+    assert _inverse(7, 1, 1) * (root_of_unity(7, 1) + 1) == 1
 
 
 def test_each_distinct_field_element_once(monkeypatch):
     """From cold caches, every oracle block for p = 3, 5, 7, 9, 11 (both eta
-    formulas at every s, both Fourier forms at every j, every q) runs at most
-    21 Euclidean inverses, one per exponent that is 1 or not prime to the
-    order, and at most 174 products of two field elements, one per unordered
-    pair of inverses that a trace table (one per divisor order) or a
-    root_sum unit ratio reads; one inverse and one product per use would be
-    100 and 872.  The 56 trace tables, one per (formula, p, q), are rational
+    formulas at every s, both Fourier forms at every j, every q) runs no
+    Euclidean inverse: each inverse whose exponent is 1 or not prime to the
+    order is a closed form, certified by one times_root, and no other path
+    rotates (the Fourier closed form is one cached product), so the
+    times_root calls equal the closed forms built, at most 21.  It runs at
+    most 174 products of two field elements, one per unordered
+    pair of inverses that a trace table (one per divisor order), a closed
+    form or a root_sum unit ratio reads; one inverse and one product per use
+    would be 100 and 872.  The 56 trace tables, one per (formula, p, q), are rational
     by construction and never call as_rational; they read 124 whole-vector
     integer trace kernels, one per divisor element of each table (every
     trace of it at once, where one kernel per (exponent, divisor) took
@@ -372,6 +412,13 @@ def test_each_distinct_field_element_once(monkeypatch):
     (q, j) with 3 | j at p = 9; every other j is a Galois conjugate."""
     _clear_field_caches()
     calls = _count_field_work(monkeypatch)
+    closed = eta._closed_inverse
+
+    def counted_closed(n, m, c):
+        calls["closed"] += 1
+        return closed(n, m, c)
+
+    monkeypatch.setattr(eta, "_closed_inverse", counted_closed)
     for p in (3, 5, 7, 9, 11):
         for q in [x for x in range(1, 2 * p, 2) if gcd(x, 2 * p) == 1]:
             for s in range(2 * p):
@@ -380,7 +427,8 @@ def test_each_distinct_field_element_once(monkeypatch):
                 assert eta_variant(p, q, s, "odd-p") == expected
             for j in range(1, p):
                 assert fourier_closed_form(p, q, j) == fourier_unit_ratio(p, q, j)
-    assert calls["inverse"] <= 21
+    assert calls["inverse"] == 0
+    assert calls["times_root"] == calls["closed"] <= 21
     assert calls["mul"] <= 174
     assert calls["as_rational"] == 0
     assert calls["kernel"] == 124

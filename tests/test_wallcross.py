@@ -19,6 +19,7 @@ from lenswall.errors import (
     GenericityError,
     LenswallError,
     ParameterError,
+    ResourceBoundError,
     StabilizationError,
     UniquenessViolationError,
 )
@@ -571,6 +572,40 @@ def test_orbit_swtot_hyperbolic_takes_the_sweep(lat, spinc, wall):
     assert _unipotent_power(hyperbolic.adjoint().matrix) is None
     summary = orbit_swtot(lat, hyperbolic, spinc, (3, 2, 2), wall, n_max=50)
     assert summary.method == "sweep" and summary.stabilized
+
+
+def test_stepped_orbits_keep_a_step_budget(monkeypatch, lat, parabolic, spinc, wall):
+    """A map with no unipotent power is stepped, and its orbit's integers
+    grow linearly in bits, so orbit_swtot, spinc_orbit and power_swtot
+    (through spinc_orbit) refuse an n_max above SWEEP_N_MAX = 20 000 with
+    ResourceBoundError naming n_max, before the first step.  The budget
+    bounds n_max itself: with it lowered to 50, n_max = 50 is walked and 51
+    is refused.  A certified orbit keeps no such bound."""
+    assert wallcross.SWEEP_N_MAX == 20_000
+    hyperbolic = reflection_sphere(lat, SIGMA_PLUS) * Isometry(lat, ROTATION)
+    walked = []
+    walk = wallcross.orbit_walk
+
+    def counted_walk(*args):
+        walked.append(args[2:])
+        return walk(*args)
+
+    monkeypatch.setattr(wallcross, "orbit_walk", counted_walk)
+    monkeypatch.setattr(wallcross, "SWEEP_N_MAX", 50)
+    assert orbit_swtot(lat, hyperbolic, spinc, (3, 2, 2), wall, n_max=50).crossings == {0: 1}
+    assert not spinc_orbit(lat, hyperbolic, spinc.c1, bound=50).finite
+    assert walked == [(-50, 51), (0, 50)]
+    walked.clear()
+    for call in (
+        lambda: orbit_swtot(lat, hyperbolic, spinc, (3, 2, 2), wall, n_max=51),
+        lambda: spinc_orbit(lat, hyperbolic, spinc.c1, bound=51),
+        lambda: power_swtot(lat, hyperbolic, 2, spinc, (3, 2, 2), wall, n_max=51),
+    ):
+        with pytest.raises(ResourceBoundError, match=r"^n_max=51 exceeds the step budget 50 "):
+            call()
+    assert walked == []
+    assert orbit_swtot(lat, parabolic, spinc, (3, 2, 2), wall, n_max=10**9).crossings == {0: 1}
+    assert not spinc_orbit(lat, parabolic, spinc.c1, bound=10**9).finite
 
 
 def test_paper_default_pairing_is_linear(lat, parabolic, wall):
