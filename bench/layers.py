@@ -23,6 +23,9 @@ The layers measured so far:
   a cyclotomic-field value, where perfbench's cyclotomic-oracle stops at
   p = 11.  After the timing each value is checked against the integer
   path (pinc-difference), and a value that differs fails the run.
+- "poly": one cold cyclotomic_polynomial(n) at n = 2310 and 30030, the
+  products of the first five and six primes, with every smaller Phi_d
+  that the construction reads built cold in the same call.
 
 Each run is a fresh interpreter on the checkout's src/: it times the one
 call (the import excluded) and reports the process's peak RSS (ru_maxrss).
@@ -56,6 +59,7 @@ LAYERS = {
         ],
     ),
     "field": ("p", [(f, p) for p in (199, 1009, 2003, 4001) for f in ("half_roots", "odd_p")]),
+    "poly": ("n", [("cyclotomic_polynomial", n) for n in (2310, 30030)]),
 }
 BETTER = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
@@ -120,6 +124,10 @@ def odd_p(p):
     return str(lw.eta_variant(p, 5, 7, "odd-p", max_p=p))
 
 
+def cyclotomic_polynomial(n):
+    return list(lw.cyclotomic_polynomial(n))
+
+
 name, size = sys.argv[1], int(sys.argv[2])
 start = time.perf_counter()
 result = globals()[name](size)
@@ -137,7 +145,8 @@ print(json.dumps({
 
 
 def run_once(checkout: Path, name: str, size: int) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    # absolute, as the probe runs with the checkout as its working directory
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, name, str(size)],
         cwd=checkout, env=env, capture_output=True, text=True, check=False,

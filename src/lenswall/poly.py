@@ -2,10 +2,9 @@
 division by a monic divisor, the cyclotomic polynomials Phi_n, and the
 factors Phi_k of a monic integer polynomial.
 
-Phi_n itself is built from smaller cyclotomic polynomials: from its
-radical's, Phi_n(x) = Phi_rad(n)(x^(n/rad(n))), and at twice an odd
-m >= 3, Phi_2m(x) = Phi_m(-x); only odd squarefree n are divided out of
-x^n - 1.
+Phi_n itself is built by one identity from Phi_(n/p), p the largest
+prime of n: Phi_n(x) = Phi_m(x^p) if p divides m = n/p, else the exact
+quotient Phi_m(x^p) / Phi_m(x).
 
 Kronecker's theorem says that a monic integer polynomial has all its
 roots on the unit circle iff it is a product of cyclotomic polynomials
@@ -62,30 +61,27 @@ def _primes(n: int) -> list[int]:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first, monic.
 
-    For r = rad(n) < n, Phi_n(x) = Phi_r(x^(n/r)): the coefficients are
-    spread n/r apart.  For squarefree n = 2m with m odd and m >= 3,
-    Phi_n(x) = Phi_m(-x), since the primitive 2m-th roots of unity are
-    minus the primitive m-th ones (and phi(m) is even, so the result stays
-    monic).  The rest, n = 2 and odd squarefree n, is the exact division of
-    x^n - 1 by the Phi_d over the proper divisors d of n.
+    Phi_1 = x - 1.  For n > 1, with p the largest prime of n and m = n/p,
+    the roots of Phi_m(x^p) are the primitive n-th roots of unity, and
+    also the primitive m-th ones unless p divides m; so Phi_n(x) is
+    Phi_m(x^p) or the exact quotient Phi_m(x^p) / Phi_m(x).  The largest
+    p keeps the divisor small: at n = 2 * 4001 it is Phi_2 = x + 1, not
+    the dense Phi_4001.
     """
     if n < 1:
         raise ParameterError(f"cyclotomic polynomial needs n >= 1, got {n}")
-    rad = prod(_primes(n))  # rad(n), 1 for n = 1
-    if rad < n:
-        base, step = cyclotomic_polynomial(rad), n // rad
-        spread = [0] * ((len(base) - 1) * step + 1)
-        spread[::step] = base
+    if n == 1:
+        return (-1, 1)
+    p = _primes(n)[-1]
+    base = cyclotomic_polynomial(n // p)
+    spread = [0] * ((len(base) - 1) * p + 1)
+    spread[::p] = base
+    if n // p % p == 0:
         return tuple(spread)
-    if n % 2 == 0 and n > 2:
-        return tuple(-c if i % 2 else c for i, c in enumerate(cyclotomic_polynomial(n // 2)))
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if rem:
-                raise AssertionError
-    return tuple(num)
+    quot, rem = _poly_divmod(spread, base)
+    if rem:
+        raise AssertionError
+    return tuple(quot)
 
 
 def _cyclotomic_factors(poly) -> tuple[list[int], list[int]]:

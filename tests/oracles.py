@@ -17,7 +17,8 @@ conjugate with the package's eta._inverse.
 cyclotomic_polynomial_by_division is the reference for
 cyclotomic.cyclotomic_polynomial: x^n - 1 divided by Phi_d over every
 proper divisor d, at every n, with its own division loop, where the
-package builds Phi_n from smaller cyclotomic polynomials.
+package builds Phi_n from Phi_(n/p) at the largest prime p of n and
+never divides x^n - 1.
 schoolbook_product is the reference for the package's coefficient
 products (cyclotomic._product, packed into one integer product from
 _PACKED_DEGREE terms on): every pair of coefficients multiplied and added

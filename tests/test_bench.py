@@ -25,13 +25,7 @@ def test_pairs_summarizes_a_single_pair():
     assert (summary["parent_q1"], summary["parent_q3"], summary["change_wins"]) == (2.0, 2.0, 1)
 
 
-def test_layers_probe_reads_one_call():
-    """The layer probe runs one call in a fresh interpreter on a checkout's
-    src/ and reports its answer's digest, wall time and peak RSS; one round
-    of the orbit layer's power_swtot gives total 1 for each of its six rays
-    and d = 2..6, and one of its rank-8 orbit_swtot one crossing, at step 0,
-    at each of its three n_max.  The field layer's cold values at p = 7
-    are eta(X(7), g_{7,5}, alpha_7) = 3/4 by both field formulas."""
+def _layers():
     spec = importlib.util.spec_from_file_location("layers", PAIRS.parent / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     sys.path.insert(0, str(PAIRS.parent))
@@ -39,6 +33,18 @@ def test_layers_probe_reads_one_call():
         spec.loader.exec_module(layers)
     finally:
         sys.path.remove(str(PAIRS.parent))
+    return layers
+
+
+def test_layers_probe_reads_one_call():
+    """The layer probe runs one call in a fresh interpreter on a checkout's
+    src/ and reports its answer's digest, wall time and peak RSS; one round
+    of the orbit layer's power_swtot gives total 1 for each of its six rays
+    and d = 2..6, and one of its rank-8 orbit_swtot one crossing, at step 0,
+    at each of its three n_max.  The field layer's cold values at p = 7
+    are eta(X(7), g_{7,5}, alpha_7) = 3/4 by both field formulas, and the
+    poly layer's cold Phi_6 is x^2 - x + 1."""
+    layers = _layers()
     run = layers.run_once(PAIRS.parent.parent, "component_classes", 5)
     expected = hashlib.sha256(json.dumps([[1], [3, 7], [9]]).encode()).hexdigest()
     assert run["answer"] == expected
@@ -52,3 +58,14 @@ def test_layers_probe_reads_one_call():
     for name in ("half_roots", "odd_p"):
         field = layers.run_once(PAIRS.parent.parent, name, 7)
         assert field["answer"] == hashlib.sha256(json.dumps("3/4").encode()).hexdigest()
+    phi = layers.run_once(PAIRS.parent.parent, "cyclotomic_polynomial", 6)
+    assert phi["answer"] == hashlib.sha256(json.dumps([1, -1, 1]).encode()).hexdigest()
+
+
+def test_layers_probe_takes_a_checkout_relative_to_the_caller(monkeypatch):
+    """A relative checkout path is read from the caller's directory, though
+    the probe runs in the checkout: bench/'s parent, given as "..", works."""
+    layers = _layers()
+    monkeypatch.chdir(PAIRS.parent)
+    phi = layers.run_once(Path(".."), "cyclotomic_polynomial", 6)
+    assert phi["answer"] == hashlib.sha256(json.dumps([1, -1, 1]).encode()).hexdigest()

@@ -1,7 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -33,11 +33,35 @@ def embed(element):
 
 
 def test_cyclotomic_polynomial_matches_the_division_reference():
-    """Phi_n, built from the radical's Phi and by Phi_2m(x) = Phi_m(-x),
-    equals x^n - 1 divided by the Phi_d of its proper divisors for every
-    n <= 600 and at n = 2018 = 2 * 1009, the order of the p = 1009 field."""
-    for n in [*range(1, 601), 2018]:
+    """Phi_n, built from Phi_(n/p) at the largest prime p of n, equals x^n - 1
+    divided by the Phi_d of its proper divisors for every n <= 600, at
+    n = 2018 = 2 * 1009, the order of the p = 1009 field, and at the prime-rich
+    1155 = 3 * 5 * 7 * 11, 2310 = 2 * 1155 and 4620 = 4 * 1155, whose degree is
+    also checked against Euler's phi."""
+    for n in [*range(1, 601), 2018, 1155, 2310, 4620]:
         assert cyclotomic_polynomial(n) == cyclotomic_polynomial_by_division(n), n
+    for n in (1155, 2310, 4620):
+        assert len(cyclotomic_polynomial(n)) - 1 == sympy.totient(n), n
+
+
+def test_phi_at_twice_an_odd_order_is_phi_at_minus_x():
+    """Phi_2m(x) = Phi_m(-x) for every odd m with 3 <= m <= 600 and at
+    m = 4001: the primitive 2m-th roots of unity are minus the primitive
+    m-th ones."""
+    for m in [*range(3, 601, 2), 4001]:
+        minus_x = tuple(-c if i % 2 else c for i, c in enumerate(cyclotomic_polynomial(m)))
+        assert cyclotomic_polynomial(2 * m) == minus_x, m
+
+
+def test_phi_spreads_the_radicals_phi():
+    """Phi_n(x) = Phi_rad(n)(x^(n/rad(n))) for every n <= 600: the
+    radical's coefficients spread n/rad(n) apart."""
+    for n in range(1, 601):
+        rad = prod(sympy.primefactors(n))
+        base, step = cyclotomic_polynomial(rad), n // rad
+        spread = [0] * ((len(base) - 1) * step + 1)
+        spread[::step] = base
+        assert cyclotomic_polynomial(n) == tuple(spread), n
 
 
 def test_cyclotomic_polynomial_small():
